@@ -10,7 +10,8 @@ simulate    exact and Monte-Carlo second-moment traces as CSV
 supremum    simultaneous-dropout threshold for minimum-phase models
 
 Exit codes: 0 success (and, for verdict commands, "member"); 2 negative
-verdict (dropout vector not certified); 1 any error.  Reports print
+verdict (dropout vector not certified); 1 any error, including a
+synthesized controller that fails its own stability check.  Reports print
 numbers with six significant digits, rectangle corners with four
 decimals, and volumes in two-decimal scientific notation.
 """
@@ -19,7 +20,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from . import config
 from .factorization import (
     AssumptionViolation,
     bezout,
-    coprime_factorize,
-    gamma_scale,
     observer_gain,
     validate_assumption,
     wonham_decompose,
@@ -37,7 +35,7 @@ from .factorization import (
 from .numkernel import eigenvalues
 from .stabilizability import (
     ChannelSpec,
-    _phi_vector,
+    ScalingProblem,
     _true_gamma,
     closed_loop_map,
     controller,
@@ -356,33 +354,24 @@ def cmd_region(args) -> int:
 
 def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text,
                      tol: float):
-    """Free scaling certificate: searched, or the user's, re-checked."""
-    r = model.plant.n_inputs
+    """Free scaling certificate, the user's or the search's tame point, and
+    its value; the scaling is None when it does not certify."""
     if gamma_text is not None:
-        g = _parse_gamma(gamma_text, r)
-        form = wonham_decompose(model.plant, tuple(range(r)), tol)
-        M, _ = coprime_factorize(model.plant, wonham_gain(form), tol)
-        phi = _phi_vector(gamma_scale(M, g), model.zeros, tol)
-        value = float(np.max(channels.p * (phi + 1.0)))
-        if value >= 1.0 - config.MEMBER_GUARD:
-            print(f"error: the supplied scaling does not certify this "
-                  f"dropout vector (value {_fmt(value)})", file=sys.stderr)
-            return None, value
-        return g, value
-    report = membership(model.plant, model.zeros, channels, tol=tol)
-    if not report.member:
-        print(f"error: dropout vector is not certified (best value "
-              f"{_fmt(report.best_value)})", file=sys.stderr)
-        return None, report.best_value
-    tame = report.tame_certificate
-    g = tame.gamma if tame is not None else report.certificate.gamma
-    phi = report.phi_diag
-    # phi_diag sits at the optimizer's point; recompute at the tame one
-    if tame is not None:
-        form = wonham_decompose(model.plant, tuple(range(r)), tol)
-        M, _ = coprime_factorize(model.plant, wonham_gain(form), tol)
-        phi = _phi_vector(gamma_scale(M, g), model.zeros, tol)
-    return g, float(np.max(channels.p * (phi + 1.0)))
+        g = _parse_gamma(gamma_text, model.plant.n_inputs)
+    else:
+        report = membership(model.plant, model.zeros, channels, tol=tol)
+        if not report.member:
+            print(f"error: dropout vector is not certified (best value "
+                  f"{_fmt(report.best_value)})", file=sys.stderr)
+            return None, report.best_value
+        g = report.tame_certificate.gamma
+    problem = ScalingProblem.from_plant(model.plant, model.zeros, tol)
+    value = problem.value(g, channels.p)
+    if value >= 1.0 - config.MEMBER_GUARD:
+        print(f"error: the supplied scaling does not certify this "
+              f"dropout vector (value {_fmt(value)})", file=sys.stderr)
+        return None, value
+    return g, value
 
 
 def cmd_synthesize(args) -> int:
@@ -402,16 +391,17 @@ def cmd_synthesize(args) -> int:
     T = closed_loop_map(Gmu, K, args.tol)
     analysis_radius = ms_radius(t_hat(T, args.tol), channels)
     loop = assemble(model.plant, K, channels)
-    try:
-        verify_radius = second_moment_radius(loop)
-    except ValueError:
-        verify_radius = None
     print(f"certificate value {_fmt(value)} at gamma "
           f"{', '.join(_fmt(g) for g in gamma_free)}", file=sys.stderr)
-    radii = f"analysis radius {_fmt(analysis_radius)}"
-    if verify_radius is not None:
-        radii += f"; verification radius {_fmt(verify_radius)}"
-    print(f"controller order {K.order}; {radii}", file=sys.stderr)
+    try:
+        verify_radius = second_moment_radius(loop)
+    except ValueError as exc:
+        raise ValueError(f"controller order {K.order}: verification radius not "
+                         f"computable ({exc}); no controller is printed") from exc
+    print(f"controller order {K.order}; analysis radius {_fmt(analysis_radius)}; "
+          f"verification radius {_fmt(verify_radius)}", file=sys.stderr)
+    if not (analysis_radius < 1.0 and verify_radius < 1.0):  # NaN fails too
+        raise ValueError("a stability radius is not below 1; no controller is printed")
     payload = {
         "certified_value": value,
         "channel_zeros": [z for z in model.zeros],
@@ -429,8 +419,7 @@ def cmd_synthesize(args) -> int:
         "ms_radius": float(analysis_radius),
         "nominal_radius": float(loop.nominal_radius),
         "probs": [float(v) for v in p],
-        "second_moment_radius":
-            None if verify_radius is None else float(verify_radius),
+        "second_moment_radius": float(verify_radius),
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0

@@ -30,7 +30,6 @@ from .numkernel import eigenvalues, spectral_radius
 from .statespace import (
     StateSpaceModel,
     TransferMatrix,
-    blockdiag_systems,
     cascade,
     evaluate,
     inverse,
@@ -291,9 +290,6 @@ class DiagonalInner:
 
     lambdas: tuple   # tuple of per-channel unstable-eigenvalue tuples
     blocks: tuple    # tuple of scalar StateSpaceModel, one per channel
-
-    def as_system(self) -> StateSpaceModel:
-        return blockdiag_systems(list(self.blocks))
 
 
 def _scalar_blaschke(lams) -> StateSpaceModel:

@@ -83,15 +83,13 @@ class Spectrum:
         self.values.setflags(write=False)
 
 
-def eigenvalues(M, *, residual_tol: float = config.EIG_RESIDUAL_TOL) -> Spectrum:
+def eigenvalues(M) -> Spectrum:
     """Eigenvalues of a square matrix, canonically ordered and residual-checked.
 
     Parameters
     ----------
     M : array_like
         Square matrix with finite entries.
-    residual_tol : float, optional
-        Acceptance threshold on the eigenpair residual.
 
     Returns
     -------
@@ -101,7 +99,7 @@ def eigenvalues(M, *, residual_tol: float = config.EIG_RESIDUAL_TOL) -> Spectrum
     ------
     ValueError
         If the QR iteration fails to converge or the residual exceeds
-        ``residual_tol``.
+        ``config.EIG_RESIDUAL_TOL`` times ``max(1, ||M||_2)``.
     """
     A = _as_matrix(M, "M", square=True)
     if A.shape[0] == 0:
@@ -114,10 +112,10 @@ def eigenvalues(M, *, residual_tol: float = config.EIG_RESIDUAL_TOL) -> Spectrum
     # absolute backward-error figure.
     res = float(np.max(np.linalg.norm(A @ V - V * w, axis=0)))
     scale = max(1.0, float(np.linalg.norm(A, 2)))
-    if res > residual_tol * scale:
+    if res > config.EIG_RESIDUAL_TOL * scale:
         raise ValueError(
             f"eigenvalue residual {res:.3e} exceeds tolerance "
-            f"{residual_tol * scale:.3e}"
+            f"{config.EIG_RESIDUAL_TOL * scale:.3e}"
         )
     order = _canonical_order(w)
     return Spectrum(values=w[order], residual=res)
@@ -131,7 +129,7 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def solve_stein(A, Q, *, residual_tol: float = config.STEIN_RESIDUAL_TOL) -> np.ndarray:
+def solve_stein(A, Q) -> np.ndarray:
     """Solve the discrete-time Stein equation ``A* P A - P + Q = 0``.
 
     The equation is vectorized into the linear system
@@ -155,8 +153,8 @@ def solve_stein(A, Q, *, residual_tol: float = config.STEIN_RESIDUAL_TOL) -> np.
     ValueError
         If ``rho(A) >= 1 - 1e-12``, the order exceeds the dense-solver cap,
         or the verified backward error (defect norm over the magnitudes
-        entering its evaluation) exceeds ``residual_tol`` after iterative
-        refinement.
+        entering its evaluation) exceeds ``config.STEIN_RESIDUAL_TOL`` after
+        iterative refinement.
     """
     A = _as_matrix(A, "A", square=True)
     Q = _as_matrix(Q, "Q", square=True)
@@ -194,7 +192,7 @@ def solve_stein(A, Q, *, residual_tol: float = config.STEIN_RESIDUAL_TOL) -> np.
     # defect the factored operator can be re-applied to; stop as soon as the
     # tolerance holds or the defect stagnates
     for _ in range(3):
-        if res <= residual_tol:
+        if res <= config.STEIN_RESIDUAL_TOL:
             break
         P = P + solve(defect)
         defect = AH @ P @ A - P + Q
@@ -203,6 +201,6 @@ def solve_stein(A, Q, *, residual_tol: float = config.STEIN_RESIDUAL_TOL) -> np.
             res = min(res, new_res)
             break
         res = new_res
-    if res > residual_tol:
-        raise ValueError(f"Stein residual {res:.3e} exceeds {residual_tol:.1e}")
+    if res > config.STEIN_RESIDUAL_TOL:
+        raise ValueError(f"Stein residual {res:.3e} exceeds {config.STEIN_RESIDUAL_TOL:.1e}")
     return P

@@ -34,16 +34,13 @@ import scipy.optimize
 from . import config
 from .factorization import (
     DoublyCoprime,
-    InnerOuterPair,
     WonhamForm,
     _allpass_section,
-    bezout,
     coprime_factorize,
     diagonal_inner,
     enumerate_wonham_forms,
     gamma_scale,
     inner_outer,
-    observer_gain,
     wonham_decompose,
     wonham_gain,
 )
@@ -62,7 +59,6 @@ from .statespace import (
     is_balanced_inner,
     minimal,
     parallel,
-    scale_io,
     stable_part,
     subsystem,
     zshift,
@@ -73,6 +69,7 @@ __all__ = [
     "GammaScaling",
     "MpSupremum",
     "RectangleSet",
+    "ScalingProblem",
     "StabilizabilityReport",
     "closed_loop_map",
     "controller",
@@ -152,7 +149,7 @@ class StabilizabilityReport:
     bounds: np.ndarray
     search_log: dict = field(compare=False)
     tame_certificate: Optional[GammaScaling] = None
-    """Least-extreme scaling that still certifies membership: preferred for
+    """Least-extreme certifying scaling, set iff ``member``: preferred for
     synthesis, where the optimizer's railed points are ill-conditioned."""
 
 
@@ -176,18 +173,12 @@ class MpSupremum:
 # the phi diagonal
 
 
-def _inner_system(inner) -> StateSpaceModel:
-    if isinstance(inner, InnerOuterPair):
-        return inner.inner
-    return inner
-
-
-def phi_diag_entry(inner, zero: Optional[complex], channel: int = 0) -> float:
+def phi_diag_entry(sys, zero: Optional[complex], channel: int = 0) -> float:
     """Diagonal entry of the dropout-sensitivity matrix for one channel.
 
     Parameters
     ----------
-    inner : StateSpaceModel or InnerOuterPair
+    sys : StateSpaceModel
         Balanced all-pass model (matrix or scalar block).
     zero : complex or None
         The channel's non-minimum-phase zero; None for a clean channel, in
@@ -202,7 +193,6 @@ def phi_diag_entry(inner, zero: Optional[complex], channel: int = 0) -> float:
         closed unit disc, or the zero collides with a reflected pole of the
         all-pass model.
     """
-    sys = _inner_system(inner)
     if not is_balanced_inner(sys, tol=1e-6):
         raise ValueError("phi needs a balanced inner realization")
     r = sys.n_inputs
@@ -327,9 +317,7 @@ def scaled_radius_bound(W, gamma) -> float:
     return float(np.max((W @ v) / v))
 
 
-def _grid_then_simplex(objective, ndim: int,
-                       grid_points: int = config.GAMMA_GRID_POINTS,
-                       maxfev: int = config.GAMMA_REFINE_MAXFEV):
+def _grid_then_simplex(objective, ndim: int):
     """Shared coarse-grid + simplex descent over log10-scaling space.
 
     Returns (best_value, best_x, log) with deterministic lexicographic
@@ -339,6 +327,7 @@ def _grid_then_simplex(objective, ndim: int,
     if ndim == 0:
         x0 = np.zeros(0)
         return float(objective(x0)), x0, {"grid_points": 1, "refine_evals": 0}
+    grid_points = config.GAMMA_GRID_POINTS
     axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, grid_points)
     best_val = math.inf
     best_x = np.zeros(ndim)
@@ -354,7 +343,7 @@ def _grid_then_simplex(objective, ndim: int,
     res = scipy.optimize.minimize(
         objective, best_x, method="Nelder-Mead",
         options={
-            "maxfev": maxfev,
+            "maxfev": config.GAMMA_REFINE_MAXFEV,
             "initial_simplex": np.asarray(simplex),
             "xatol": 1e-6,
             "fatol": 1e-12,
@@ -389,17 +378,41 @@ def optimize_scaled_radius(W) -> tuple:
 # membership search
 
 
-def _phi_vector(M_scaled: StateSpaceModel, zeros,
-                tol: float) -> np.ndarray:
-    io = inner_outer(M_scaled, tol)
-    r = M_scaled.n_inputs
-    return np.array([phi_diag_entry(io.inner, zeros[j], j) for j in range(r)])
+@dataclass(frozen=True)
+class ScalingProblem:
+    """The plant's right coprime factor M and its channel zeros: evaluates
+    the diagonal ``phi`` of the all-pass factor of the scaled factor
+    ``diag(gamma) M diag(gamma)^{-1}`` at any channel scaling ``gamma``."""
+
+    M: StateSpaceModel
+    zeros: tuple
+    tol: float
+
+    @classmethod
+    def from_plant(cls, plant: StateSpaceModel, zeros,
+                   tol: float = config.STAIRCASE_RTOL) -> "ScalingProblem":
+        """M built with the identity channel ordering and the default gain."""
+        r = plant.n_inputs
+        if len(zeros) != r:
+            raise ValueError(f"need {r} channel zeros, got {len(zeros)}")
+        form = wonham_decompose(plant, tuple(range(r)), tol)
+        M, _ = coprime_factorize(plant, wonham_gain(form), tol)
+        return cls(M=M, zeros=tuple(zeros), tol=tol)
+
+    def phi(self, gamma) -> np.ndarray:
+        """Per-channel ``phi_jj`` at the square-root scaling ``gamma``;
+        ValueError where the scaled factor has no usable all-pass factor."""
+        io = inner_outer(gamma_scale(self.M, gamma), self.tol)
+        return np.array([phi_diag_entry(io.inner, z, j)
+                         for j, z in enumerate(self.zeros)])
+
+    def value(self, gamma, p) -> float:
+        """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p."""
+        return float(np.max(p * (self.phi(gamma) + 1.0)))
 
 
 def membership(plant: StateSpaceModel, zeros, channels: ChannelSpec,
-               tol: float = config.STAIRCASE_RTOL,
-               grid_points: int = config.GAMMA_GRID_POINTS,
-               maxfev: int = config.GAMMA_REFINE_MAXFEV) -> StabilizabilityReport:
+               tol: float = config.STAIRCASE_RTOL) -> StabilizabilityReport:
     """Search channel scalings for a mean-square stabilizability certificate.
 
     The verdict is ``member`` when some scaling gets
@@ -415,13 +428,9 @@ def membership(plant: StateSpaceModel, zeros, channels: ChannelSpec,
     r = plant.n_inputs
     if channels.r != r:
         raise ValueError(f"plant has {r} channels, spec has {channels.r}")
-    if len(zeros) != r:
-        raise ValueError(f"need {r} channel zeros, got {len(zeros)}")
     if r > MAX_SEARCH_CHANNELS:
         raise ValueError(f"{r} channels exceeds the search cap {MAX_SEARCH_CHANNELS}")
-    form = wonham_decompose(plant, tuple(range(r)), tol)
-    F = wonham_gain(form)
-    M, _ = coprime_factorize(plant, F, tol)
+    problem = ScalingProblem.from_plant(plant, zeros, tol)
     p = channels.p
     failures = [0]
     evals = []
@@ -430,24 +439,25 @@ def membership(plant: StateSpaceModel, zeros, channels: ChannelSpec,
         x = _clip_log(x)
         g = np.concatenate([[1.0], 10.0 ** x])
         try:
-            phi = _phi_vector(gamma_scale(M, g), zeros, tol)
+            val = problem.value(g, p)
         except ValueError:
             failures[0] += 1
             return math.inf
-        val = float(np.max(p * (phi + 1.0)))
         evals.append((tuple(x), val))
         return val
 
-    best_val, best_x, log = _grid_then_simplex(objective, r - 1, grid_points, maxfev)
+    best_val, best_x, log = _grid_then_simplex(objective, r - 1)
     if math.isinf(best_val):
         raise ValueError("scaling search failed at every grid point; the plant "
                          "factorization does not admit the inner decomposition")
     gamma = np.concatenate([[1.0], 10.0 ** _clip_log(best_x)])
-    phi = _phi_vector(gamma_scale(M, gamma), zeros, tol)
+    phi = problem.phi(gamma)
     log["objective_failures"] = failures[0]
     member = bool(best_val < 1.0 - config.MEMBER_GUARD)
     tame = None
     if member:
+        # every finite objective value is recorded, so the point that made
+        # the verdict is among these
         ok = [(x, v) for x, v in evals if v < 1.0 - config.MEMBER_GUARD]
         x, _ = min(ok, key=lambda xv: (max((abs(c) for c in xv[0]), default=0.0),
                                        xv[1], xv[0]))
@@ -475,15 +485,11 @@ def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481,
     """
     if plant.n_inputs != 2:
         raise ValueError("the sweep helper covers exactly two channels")
-    form = wonham_decompose(plant, (0, 1), tol)
-    F = wonham_gain(form)
-    M, _ = coprime_factorize(plant, F, tol)
+    problem = ScalingProblem.from_plant(plant, zeros, tol)
     logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, n_points)
     out = np.empty((n_points, 2))
     for i, lg in enumerate(logs):
-        gamma = np.array([1.0, 10.0 ** lg])
-        phi = _phi_vector(gamma_scale(M, gamma), zeros, tol)
-        out[i] = 1.0 / (phi + 1.0)
+        out[i] = 1.0 / (problem.phi(np.array([1.0, 10.0 ** lg])) + 1.0)
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import config
-from .numkernel import eigenvalues, solve_stein, spectral_radius, _as_matrix
+from .numkernel import eigenvalues, solve_stein, _as_matrix
 
 __all__ = [
     "StateSpaceModel",

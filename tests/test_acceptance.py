@@ -22,14 +22,13 @@ from dropstab.factorization import (
     coprime_factorize,
     diagonal_inner,
     enumerate_wonham_forms,
-    gamma_scale,
     observer_gain,
     wonham_decompose,
     wonham_gain,
 )
 from dropstab.stabilizability import (
     ChannelSpec,
-    _phi_vector,
+    ScalingProblem,
     _true_gamma,
     closed_loop_map,
     controller,
@@ -229,8 +228,8 @@ def test_interior_point_closure_and_decay(example_ss):
     channels = ChannelSpec(0.9 * np.asarray(VERTEX_21))
     report = membership(example_ss, EXAMPLE_ZEROS, channels)
     assert report.member
-    cert = report.tame_certificate or report.certificate
-    K, Gmu = _synthesize_at(example_ss, EXAMPLE_ZEROS, channels, cert.gamma)
+    K, Gmu = _synthesize_at(example_ss, EXAMPLE_ZEROS, channels,
+                            report.tame_certificate.gamma)
     r_nominal = ms_radius(t_hat(closed_loop_map(Gmu, K)), channels)
     loop = assemble(example_ss, K, channels)
     r_exact = second_moment_radius(loop)
@@ -248,8 +247,8 @@ def test_nominal_and_exact_verdicts_agree_on_random_plants():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         plant, zeros = _random_admissible_plant(rng)
-        M, _ = coprime_factorize(plant, wonham_gain(wonham_decompose(plant, (0, 1))))
-        bounds = 1.0 / (_phi_vector(M, zeros, 1e-9) + 1.0)
+        phi = ScalingProblem.from_plant(plant, zeros, 1e-9).phi(np.ones(2))
+        bounds = 1.0 / (phi + 1.0)
         channels = ChannelSpec(0.5 * bounds)
         K, _ = _synthesize_at(plant, zeros, channels, (1.0, 1.0))
         for frac in (float(rng.uniform(0.4, 0.9)), float(rng.uniform(1.05, 1.6))):
@@ -281,8 +280,9 @@ def test_vertices_invariant_to_stabilizing_gain_draw(example_ss):
         for ordering in ((0, 1), (1, 0)):
             form = wonham_decompose(example_ss, ordering)
             M, _ = coprime_factorize(example_ss, wonham_gain(form, targets))
+            problem = ScalingProblem(M, EXAMPLE_ZEROS, 1e-9)
             for gamma in rails:
-                phi = _phi_vector(gamma_scale(M, gamma), EXAMPLE_ZEROS, 1e-9)
+                phi = problem.phi(gamma)
                 per_draw.append(1.0 / (phi + 1.0))
         collected.append(per_draw)
     base = collected[0]
@@ -317,8 +317,7 @@ def test_minimum_phase_thresholds():
             inside = ChannelSpec(0.99 * vertex)
             report = membership(plant, zeros, inside)
             assert report.member
-            cert = report.tame_certificate or report.certificate
-            K, Gmu = _synthesize_at(plant, zeros, inside, cert.gamma)
+            K, Gmu = _synthesize_at(plant, zeros, inside, report.tame_certificate.gamma)
             assert ms_radius(t_hat(closed_loop_map(Gmu, K)), inside) < 1.0
             assert second_moment_radius(assemble(plant, K, inside)) < 1.0
             outside = ChannelSpec(np.minimum(1.01 * vertex, 0.995))

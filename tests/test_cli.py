@@ -285,6 +285,36 @@ def test_synthesize_stable_plant(stable2, capsys):
     assert payload["second_moment_radius"] < 1.0
 
 
+def test_synthesize_supplied_gamma_reproduces_search(capsys):
+    # the searched certificate, fed back through --gamma, takes the same
+    # path from scaling to controller
+    argv = ["synthesize", EXAMPLE, "--probs", "0.158,0.0128"]
+    code, searched, _ = run_cli(argv, capsys)
+    assert code == 0
+    gamma = ",".join(repr(g) for g in json.loads(searched)["gamma"])
+    code, supplied, _ = run_cli(argv + ["--gamma", gamma], capsys)
+    assert code == 0
+    assert supplied == searched
+
+
+def _radius_not_computable(loop):
+    raise ValueError("loop order exceeds the exact-analysis cap")
+
+
+@pytest.mark.parametrize("name, fake", [
+    ("second_moment_radius", lambda loop: 1.5),
+    ("second_moment_radius", _radius_not_computable),
+    ("ms_radius", lambda that, channels: 1.5),
+], ids=["verification_ge_1", "verification_not_computable", "analysis_ge_1"])
+def test_synthesize_rejected_controller_exits_1(monkeypatch, capsys, name, fake):
+    monkeypatch.setattr(f"dropstab.cli.{name}", fake)
+    code, out, err = run_cli(
+        ["synthesize", EXAMPLE, "--probs", "0.158,0.0128"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "no controller is printed" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -22,6 +22,7 @@ from dropstab.numkernel import spectral_radius
 from dropstab.stabilizability import (
     ChannelSpec,
     GammaScaling,
+    ScalingProblem,
     closed_loop_map,
     controller,
     max_blocking_probability,
@@ -39,7 +40,7 @@ from dropstab.stabilizability import (
     t_hat,
     union_membership,
 )
-from dropstab.stabilizability import _phi_vector, _true_gamma
+from dropstab.stabilizability import _true_gamma
 from dropstab.statespace import (
     StateSpaceModel,
     TransferMatrix,
@@ -157,23 +158,20 @@ def test_phi_decouples_at_extreme_scalings(example_ss):
     # driving the second channel's weight to a rail decouples the joint
     # matrix measure into the per-channel scalar values of one split:
     # vanishing weight recovers the (1,0) corner, dominant weight the (0,1)
-    M, _ = coprime_factorize(example_ss, wonham_gain(wonham_decompose(example_ss, (0, 1))))
-    lo = _phi_vector(gamma_scale(M, np.array([1.0, 1e-6])), EXAMPLE_ZEROS, 1e-9)
+    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9)
+    lo = problem.phi(np.array([1.0, 1e-6]))
     assert_allclose(lo, [1.0 / VERTEX_21[0] - 1.0, 1.0 / VERTEX_21[1] - 1.0], rtol=1e-3)
-    hi = _phi_vector(gamma_scale(M, np.array([1.0, 1e6])), EXAMPLE_ZEROS, 1e-9)
+    hi = problem.phi(np.array([1.0, 1e6]))
     assert_allclose(hi, [1.0 / VERTEX_12[0] - 1.0, 1.0 / VERTEX_12[1] - 1.0], rtol=1e-3)
 
 
 def test_phi_invariant_under_gain_choice(example_ss):
-    form = wonham_decompose(example_ss, (0, 1))
-    F1 = wonham_gain(form)
-    F2 = wonham_gain(form, place_targets=lambda eigs: [
+    default = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9)
+    F2 = wonham_gain(wonham_decompose(example_ss, (0, 1)), place_targets=lambda eigs: [
         0.8 / np.conj(v) if abs(v) >= 1.0 else 0.8 * v for v in eigs])
-    phis = []
-    for F in (F1, F2):
-        M, _ = coprime_factorize(example_ss, F)
-        phis.append(_phi_vector(M, EXAMPLE_ZEROS, 1e-9))
-    assert np.max(np.abs(phis[0] - phis[1])) < 1e-8
+    M2, _ = coprime_factorize(example_ss, F2)
+    other = ScalingProblem(M2, EXAMPLE_ZEROS, 1e-9)
+    assert np.max(np.abs(default.phi(np.ones(2)) - other.phi(np.ones(2)))) < 1e-8
 
 
 # --- membership search -------------------------------------------------------
@@ -219,8 +217,7 @@ def test_sweep_bounds_covers_benchmark(example_ss):
     assert bounds.shape == (61, 2)
     # midpoint of the sweep is the unscaled measure
     mid = bounds[30]
-    M, _ = coprime_factorize(example_ss, wonham_gain(wonham_decompose(example_ss, (0, 1))))
-    phi = _phi_vector(M, EXAMPLE_ZEROS, 1e-9)
+    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9).phi(np.ones(2))
     assert_allclose(mid, 1.0 / (phi + 1.0), rtol=1e-9)
     # the sweep pool certifies 0.9 times both rectangle corners
     for corner in (VERTEX_12, VERTEX_21):
@@ -297,9 +294,7 @@ def test_synthesis_meets_phi_cost(example_ss):
     assert Q.order == 0 or spectral_radius(Q.A) < 1.0
     assert np.max(np.abs(Q.A.imag)) == 0.0
 
-    Mfree, _ = coprime_factorize(example_ss,
-                                 wonham_gain(wonham_decompose(example_ss, (0, 1))))
-    phi = _phi_vector(gamma_scale(Mfree, gamma_free), EXAMPLE_ZEROS, 1e-9)
+    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9).phi(gamma_free)
     Tg = minimal(cascade(
         parallel(gamma_scale(bez.Y, g_true),
                  cascade(gamma_scale(bez.M, g_true), gamma_scale(Q, g_true)),
