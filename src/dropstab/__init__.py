@@ -30,19 +30,18 @@ from .stabilizability import (
     RectangleSet,
     ScalingProblem,
     StabilizabilityReport,
+    Synthesis,
     closed_loop_map,
     controller,
     max_blocking_probability,
     membership,
     mp_supremum,
     ms_radius,
-    optimize_scaled_radius,
     phi_diag_entry,
     rectangle_set,
     rectangle_vertex,
-    scaled_radius_bound,
-    siso_closed_form,
     sweep_bounds,
+    synthesize,
     synthesize_Q,
     t_hat,
     union_membership,
@@ -53,7 +52,6 @@ from .statespace import (
     balanced_truncate,
     cascade,
     evaluate,
-    evaluate_tf,
     h2_norm_sq,
     minimal,
     poles,
@@ -80,6 +78,7 @@ __all__ = [
     "RectangleSet",
     "ScalingProblem",
     "StabilizabilityReport",
+    "Synthesis",
     "StateSpaceModel",
     "StochasticClosedLoop",
     "TransferMatrix",
@@ -93,7 +92,6 @@ __all__ = [
     "diagonal_inner",
     "enumerate_wonham_forms",
     "evaluate",
-    "evaluate_tf",
     "exact_moment_trace",
     "gamma_scale",
     "h2_norm_sq",
@@ -105,18 +103,16 @@ __all__ = [
     "mp_supremum",
     "ms_radius",
     "observer_gain",
-    "optimize_scaled_radius",
     "phi_diag_entry",
     "poles",
     "realize",
     "scale_io",
     "rectangle_set",
     "rectangle_vertex",
-    "scaled_radius_bound",
     "second_moment_radius",
-    "siso_closed_form",
     "stable_part",
     "sweep_bounds",
+    "synthesize",
     "synthesize_Q",
     "t_hat",
     "union_membership",

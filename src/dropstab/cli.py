@@ -24,32 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .factorization import (
-    AssumptionViolation,
-    bezout,
-    observer_gain,
-    validate_assumption,
-    wonham_decompose,
-    wonham_gain,
-)
+from .factorization import AssumptionViolation, validate_assumption
 from .numkernel import eigenvalues
 from .stabilizability import (
     ChannelSpec,
     ScalingProblem,
-    _true_gamma,
     closed_loop_map,
-    controller,
     max_blocking_probability,
     membership,
     mp_supremum,
     ms_radius,
     rectangle_set,
     sweep_bounds,
-    synthesize_Q,
+    synthesize,
     t_hat,
     union_membership,
 )
-from .statespace import StateSpaceModel, TransferMatrix, realize, scale_io
+from .statespace import StateSpaceModel, TransferMatrix, realize
 from .verification import (
     assemble,
     exact_moment_trace,
@@ -57,7 +48,7 @@ from .verification import (
     second_moment_radius,
 )
 
-__all__ = ["ModelFile", "load_model", "model_to_json", "main"]
+__all__ = ["ModelFile", "load_model", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +57,12 @@ __all__ = ["ModelFile", "load_model", "model_to_json", "main"]
 
 @dataclass(frozen=True)
 class ModelFile:
-    """A parsed model document plus its canonical re-serialization."""
+    """A parsed and validated model document."""
 
     name: str
     format: str
     plant: StateSpaceModel
     zeros: tuple        # per-channel unstable zero or None
-    document: dict      # canonical JSON-ready form of the file
 
 
 def _poly_grid(body, key, path):
@@ -126,7 +116,6 @@ def load_model(path: str, tol: float = config.STAIRCASE_RTOL) -> ModelFile:
     if fmt not in raw:
         raise ValueError(f"{path}: format is '{fmt}' but that block is absent")
 
-    doc: dict = {"format": fmt, "name": name}
     if fmt == "tf":
         body = raw["tf"]
         if not isinstance(body, dict):
@@ -139,8 +128,6 @@ def load_model(path: str, tol: float = config.STAIRCASE_RTOL) -> ModelFile:
         detected = validate_assumption(tf, tol)
         plant = realize(tf, tol)
         r = plant.n_inputs
-        doc["tf"] = {"num": [[list(c) for c in row] for row in tf.num],
-                     "den": [[list(c) for c in row] for row in tf.den]}
     else:
         body = raw["ss"]
         if not isinstance(body, dict):
@@ -164,8 +151,6 @@ def load_model(path: str, tol: float = config.STAIRCASE_RTOL) -> ModelFile:
             raise ValueError(f"{path}: model must be strictly proper (D = 0)")
         plant = StateSpaceModel(A, B, C, D)
         detected = None
-        doc["ss"] = {"A": plant.A.tolist(), "B": plant.B.tolist(),
-                     "C": plant.C.tolist(), "D": plant.D.tolist()}
 
     if "channel_zeros" in raw:
         zl = raw["channel_zeros"]
@@ -176,19 +161,12 @@ def load_model(path: str, tol: float = config.STAIRCASE_RTOL) -> ModelFile:
             if z is not None and abs(z) <= 1.0:
                 raise ValueError(f"{path}: channel zero {z} is not outside "
                                  "the unit circle")
-        doc["channel_zeros"] = [z for z in zeros]
     elif fmt == "tf":
         zeros = tuple(detected)
     else:
         raise ValueError(f"{path}: state-space models need explicit "
                          "channel_zeros")
-    return ModelFile(name=name, format=fmt, plant=plant, zeros=zeros,
-                     document=doc)
-
-
-def model_to_json(model: ModelFile) -> str:
-    """Canonical serialization; parsing it back is value-identical."""
-    return json.dumps(model.document, sort_keys=True, indent=2) + "\n"
+    return ModelFile(name=name, format=fmt, plant=plant, zeros=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +224,9 @@ def _parse_gamma(text: str, r: int) -> np.ndarray:
         raise ValueError(f"--gamma: could not parse '{text}'") from exc
     if len(vals) != r:
         raise ValueError(f"--gamma: expected {r} values, got {len(vals)}")
+    if not all(np.isfinite(v) and v > 0.0 for v in vals):
+        raise ValueError(f"--gamma: entries must be finite and positive, "
+                         f"got '{text}'")
     if vals[0] != 1.0:
         raise ValueError("--gamma: the first channel is the reference and "
                          "must be scaled by 1")
@@ -268,7 +249,7 @@ def _parse_pmax(text: str) -> tuple:
         a, b = (float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"--pmax: expected a,b, got '{text}'") from exc
-    if a < 0 or b < 0 or a >= 1 or b >= 1:
+    if not (0.0 <= a < 1.0 and 0.0 <= b < 1.0):   # NaN fails too
         raise ValueError("--pmax: bounds must lie in [0, 1)")
     return a, b
 
@@ -358,6 +339,7 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text,
     its value; the scaling is None when it does not certify."""
     if gamma_text is not None:
         g = _parse_gamma(gamma_text, model.plant.n_inputs)
+        problem = ScalingProblem.from_plant(model.plant, model.zeros, tol)
     else:
         report = membership(model.plant, model.zeros, channels, tol=tol)
         if not report.member:
@@ -365,7 +347,7 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text,
                   f"{_fmt(report.best_value)})", file=sys.stderr)
             return None, report.best_value
         g = report.tame_certificate.gamma
-    problem = ScalingProblem.from_plant(model.plant, model.zeros, tol)
+        problem = report.problem
     value = problem.value(g, channels.p)
     if value >= 1.0 - config.MEMBER_GUARD:
         print(f"error: the supplied scaling does not certify this "
@@ -381,14 +363,9 @@ def cmd_synthesize(args) -> int:
     gamma_free, value = _certificate_for(model, channels, args.gamma, args.tol)
     if gamma_free is None:
         return 2
-    gamma_true = _true_gamma(np.asarray(gamma_free, dtype=float), channels)
-    r = model.plant.n_inputs
-    Gmu = scale_io(model.plant, None, np.diag(channels.mu))
-    form = wonham_decompose(Gmu, tuple(range(r)), args.tol)
-    bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu, args.tol))
-    Q = synthesize_Q(Gmu, bez, gamma_true, model.zeros, args.tol)
-    K = controller(bez, Q, args.tol)
-    T = closed_loop_map(Gmu, K, args.tol)
+    design = synthesize(model.plant, model.zeros, channels, gamma_free, args.tol)
+    K = design.K
+    T = closed_loop_map(design.plant_mu, K, args.tol)
     analysis_radius = ms_radius(t_hat(T, args.tol), channels)
     loop = assemble(model.plant, K, channels)
     print(f"certificate value {_fmt(value)} at gamma "
@@ -414,7 +391,7 @@ def cmd_synthesize(args) -> int:
             "output_count": K.n_outputs,
         },
         "gamma": [float(g) for g in gamma_free],
-        "gamma_true": [float(g) for g in gamma_true],
+        "gamma_true": [float(g) for g in design.gamma_true],
         "model": model.name,
         "ms_radius": float(analysis_radius),
         "nominal_radius": float(loop.nominal_radius),

@@ -11,9 +11,14 @@ Two complementary certificates are computed:
 * a union of hyper-rectangles, one per channel-ordered decomposition of the
   plant, whose corner coordinates come from per-channel scalar all-pass data
   (cheap, conservative);
-* a channel-scaling search that tests the exact spectral-radius condition
-  via the Frobenius-like bound ``max_j p_j (phi_jj + 1) < 1`` over diagonal
-  scalings, refining a coarse log-space grid with a simplex descent.
+* a channel-scaling search (``membership``) that tests the exact
+  spectral-radius condition via the Frobenius-like bound
+  ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, refining a coarse
+  log-space grid with a simplex descent.
+
+``synthesize`` turns a certifying scaling into the controller: the optimal
+Youla parameter over a doubly-coprime factorization of the plant with the
+channel success rates applied.
 
 Scaling conventions: the searched scaling is *success-probability absorbed*
 (the plant is used with unit channel gains; converting a certificate for
@@ -36,11 +41,13 @@ from .factorization import (
     DoublyCoprime,
     WonhamForm,
     _allpass_section,
+    bezout,
     coprime_factorize,
     diagonal_inner,
     enumerate_wonham_forms,
     gamma_scale,
     inner_outer,
+    observer_gain,
     wonham_decompose,
     wonham_gain,
 )
@@ -59,6 +66,7 @@ from .statespace import (
     is_balanced_inner,
     minimal,
     parallel,
+    scale_io,
     stable_part,
     subsystem,
     zshift,
@@ -71,19 +79,18 @@ __all__ = [
     "RectangleSet",
     "ScalingProblem",
     "StabilizabilityReport",
+    "Synthesis",
     "closed_loop_map",
     "controller",
     "max_blocking_probability",
     "membership",
     "mp_supremum",
     "ms_radius",
-    "optimize_scaled_radius",
     "phi_diag_entry",
     "rectangle_set",
     "rectangle_vertex",
-    "scaled_radius_bound",
-    "siso_closed_form",
     "sweep_bounds",
+    "synthesize",
     "synthesize_Q",
     "t_hat",
     "union_membership",
@@ -102,6 +109,8 @@ class ChannelSpec:
         p = np.asarray(self.p, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValueError("need at least one channel")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("dropout probabilities must be finite")
         if np.any(p < 0.0) or np.any(p >= 1.0):
             raise ValueError("dropout probabilities must lie in [0, 1)")
         p.setflags(write=False)
@@ -148,6 +157,9 @@ class StabilizabilityReport:
     phi_diag: np.ndarray
     bounds: np.ndarray
     search_log: dict = field(compare=False)
+    problem: ScalingProblem = field(compare=False, repr=False)
+    """The scaled coprime factor the search ran on; reusable for the same
+    plant, zeros and tolerance."""
     tame_certificate: Optional[GammaScaling] = None
     """Least-extreme certifying scaling, set iff ``member``: preferred for
     synthesis, where the optimizer's railed points are ill-conditioned."""
@@ -220,23 +232,6 @@ def phi_diag_entry(sys, zero: Optional[complex], channel: int = 0) -> float:
     return float(np.real(val))
 
 
-def siso_closed_form(lam: complex, zero: Optional[complex]) -> float:
-    """Scalar-channel admissible bound in closed form.
-
-    ``1 / (phi + 1)`` with ``phi = (|lam|^2 - 1) |conj(z) lam - 1|^2 / |z - lam|^2``
-    for one unstable pole ``lam`` and one unstable zero ``z``; a clean channel
-    degenerates to ``1/|lam|^2``.
-    """
-    al = abs(lam)
-    if al <= 1.0:
-        return 1.0
-    if zero is None:
-        return 1.0 / al ** 2
-    z = complex(zero)
-    phi = (al ** 2 - 1.0) * abs(np.conj(z) * lam - 1.0) ** 2 / abs(z - lam) ** 2
-    return 1.0 / (phi + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # rectangles
 
@@ -302,23 +297,11 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
 
 
 # ---------------------------------------------------------------------------
-# scaled-radius bound (nonnegative matrices)
-
-
-def scaled_radius_bound(W, gamma) -> float:
-    """Weighted row-sum bound ``max_i sum_j W_ij g_j^2 / g_i^2 >= rho(W)``."""
-    W = np.asarray(W, dtype=float)
-    g = np.asarray(gamma, dtype=float).reshape(-1)
-    if W.shape != (g.size, g.size):
-        raise ValueError("gamma length must match W")
-    if np.any(W < 0):
-        raise ValueError("W must be elementwise nonnegative")
-    v = g ** 2
-    return float(np.max((W @ v) / v))
+# membership search
 
 
 def _grid_then_simplex(objective, ndim: int):
-    """Shared coarse-grid + simplex descent over log10-scaling space.
+    """Coarse-grid + simplex descent over log10-scaling space.
 
     Returns (best_value, best_x, log) with deterministic lexicographic
     tie-breaking (the grid is scanned in lexicographic order and only strict
@@ -358,24 +341,6 @@ def _grid_then_simplex(objective, ndim: int):
 
 def _clip_log(x) -> np.ndarray:
     return np.clip(x, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
-
-
-def optimize_scaled_radius(W) -> tuple:
-    """Best scaled row-sum bound over the scaling box; returns (value, gamma)."""
-    W = np.asarray(W, dtype=float)
-    r = W.shape[0]
-
-    def objective(x):
-        g = np.concatenate([[1.0], 10.0 ** _clip_log(x)])
-        return scaled_radius_bound(W, g)
-
-    val, x, _ = _grid_then_simplex(objective, r - 1)
-    gamma = np.concatenate([[1.0], 10.0 ** _clip_log(x)])
-    return val, gamma
-
-
-# ---------------------------------------------------------------------------
-# membership search
 
 
 @dataclass(frozen=True)
@@ -433,42 +398,44 @@ def membership(plant: StateSpaceModel, zeros, channels: ChannelSpec,
     problem = ScalingProblem.from_plant(plant, zeros, tol)
     p = channels.p
     failures = [0]
-    evals = []
+    evals = {}   # clipped log10 scaling -> (value, phi) at every finite point
 
     def objective(x):
         x = _clip_log(x)
         g = np.concatenate([[1.0], 10.0 ** x])
         try:
-            val = problem.value(g, p)
+            phi = problem.phi(g)
         except ValueError:
             failures[0] += 1
             return math.inf
-        evals.append((tuple(x), val))
+        val = float(np.max(p * (phi + 1.0)))   # problem.value, phi kept
+        evals[tuple(x)] = (val, phi)
         return val
 
     best_val, best_x, log = _grid_then_simplex(objective, r - 1)
     if math.isinf(best_val):
         raise ValueError("scaling search failed at every grid point; the plant "
                          "factorization does not admit the inner decomposition")
-    gamma = np.concatenate([[1.0], 10.0 ** _clip_log(best_x)])
-    phi = problem.phi(gamma)
+    best_x = _clip_log(best_x)
+    _, phi = evals[tuple(best_x)]
     log["objective_failures"] = failures[0]
     member = bool(best_val < 1.0 - config.MEMBER_GUARD)
     tame = None
     if member:
         # every finite objective value is recorded, so the point that made
         # the verdict is among these
-        ok = [(x, v) for x, v in evals if v < 1.0 - config.MEMBER_GUARD]
+        ok = [(x, v) for x, (v, _) in evals.items() if v < 1.0 - config.MEMBER_GUARD]
         x, _ = min(ok, key=lambda xv: (max((abs(c) for c in xv[0]), default=0.0),
                                        xv[1], xv[0]))
         tame = GammaScaling(np.concatenate([[1.0], 10.0 ** np.asarray(x)]))
     return StabilizabilityReport(
         member=member,
         best_value=float(best_val),
-        certificate=GammaScaling(gamma),
+        certificate=GammaScaling(np.concatenate([[1.0], 10.0 ** best_x])),
         phi_diag=phi,
         bounds=1.0 / (phi + 1.0),
         search_log=log,
+        problem=problem,
         tame_certificate=tame,
     )
 
@@ -629,6 +596,35 @@ def controller(bez: DoublyCoprime, Q: Optional[StateSpaceModel] = None,
     CK = np.hstack([Dq @ C - F, Cq])
     DK = -Dq
     return minimal(StateSpaceModel(AK, BK, CK, DK), tol)
+
+
+@dataclass(frozen=True)
+class Synthesis:
+    """A controller designed at one certifying scaling, with the pieces the
+    design went through."""
+
+    plant_mu: StateSpaceModel   # plant with the channel success rates applied
+    bez: DoublyCoprime          # its factor family, identity channel ordering
+    gamma_true: np.ndarray      # plant-side scaling
+    Q: StateSpaceModel          # optimal stable Youla parameter
+    K: StateSpaceModel          # the controller
+
+
+def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec, gamma,
+               tol: float = config.STAIRCASE_RTOL) -> Synthesis:
+    """Controller for ``channels`` from a success-absorbed certificate ``gamma``.
+
+    The plant's inputs are scaled by ``1 - p``, factored over the identity
+    channel ordering, and the optimal parameter is built at the plant-side
+    scaling ``gamma * (1 - p)`` (normalized), as in the paper's synthesis.
+    """
+    gamma_true = _true_gamma(np.asarray(gamma, dtype=float), channels)
+    Gmu = scale_io(plant, None, np.diag(channels.mu))
+    form = wonham_decompose(Gmu, tuple(range(plant.n_inputs)), tol)
+    bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu, tol))
+    Q = synthesize_Q(Gmu, bez, gamma_true, zeros, tol)
+    K = controller(bez, Q, tol)
+    return Synthesis(plant_mu=Gmu, bez=bez, gamma_true=gamma_true, Q=Q, K=K)
 
 
 def closed_loop_map(plant: StateSpaceModel, K: StateSpaceModel,

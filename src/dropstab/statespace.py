@@ -33,7 +33,6 @@ __all__ = [
     "cascade",
     "constant_system",
     "evaluate",
-    "evaluate_tf",
     "h2_norm_sq",
     "hstack_systems",
     "inverse",
@@ -128,19 +127,6 @@ class TransferMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.num), len(self.num[0]))
-
-
-def evaluate_tf(tf: TransferMatrix, z: complex) -> np.ndarray:
-    """Evaluate a transfer matrix entrywise at the point ``z``."""
-    p, m = tf.shape
-    out = np.empty((p, m), dtype=complex)
-    for i in range(p):
-        for j in range(m):
-            dv = np.polyval(tf.den[i][j], z)
-            if dv == 0:
-                raise ZeroDivisionError(f"entry ({i},{j}) has a pole at z={z}")
-            out[i, j] = np.polyval(tf.num[i][j], z) / dv
-    return out
 
 
 # ---------------------------------------------------------------------------

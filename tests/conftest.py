@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,20 @@ EXAMPLE_LAMBDA_21 = ((2.0,), (-1.5, 2.5))
 #: exact per-channel bounds (independent Parseval/fraction oracle)
 VERTEX_12 = (1.0 / 21.0, 64.0 / 2605.0)
 VERTEX_21 = (16.0 / 91.0, 9216.0 / 651245.0)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count the calls of library function ``fn`` made through any dropstab
+    module binding of it; returns the list that grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dropstab" or name.startswith("dropstab."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -4,8 +4,7 @@ Covers the packaged benchmark model (reported vertices, volumes, all-pass
 diagonals, loop closure, region export) and randomized model families
 (closed-form scalar oracle, verdict agreement between the nominal and the
 exact second-moment analyses, gain-draw invariance, minimum-phase
-thresholds, the scaled-radius optimizer).  Every tolerance sits next to the
-assertion it guards.
+thresholds).  Every tolerance sits next to the assertion it guards.
 """
 
 import re
@@ -18,27 +17,22 @@ from conftest import EXAMPLE_ZEROS, VERTEX_12, VERTEX_21
 from dropstab.cli import main
 from dropstab.factorization import (
     _scalar_blaschke,
-    bezout,
     coprime_factorize,
     diagonal_inner,
     enumerate_wonham_forms,
-    observer_gain,
     wonham_decompose,
     wonham_gain,
 )
 from dropstab.stabilizability import (
     ChannelSpec,
     ScalingProblem,
-    _true_gamma,
     closed_loop_map,
-    controller,
     membership,
     mp_supremum,
     ms_radius,
-    optimize_scaled_radius,
     phi_diag_entry,
     rectangle_set,
-    synthesize_Q,
+    synthesize,
     t_hat,
 )
 from dropstab.statespace import (
@@ -131,15 +125,6 @@ def _random_admissible_plant(rng):
         return plant, tuple(zeros)
 
 
-def _synthesize_at(plant, zeros, channels, gamma):
-    """Controller from a certifying scaling, following the synthesis flow."""
-    gamma_true = _true_gamma(np.asarray(gamma, dtype=float), channels)
-    Gmu = scale_io(plant, None, np.diag(channels.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0, 1))), observer_gain(Gmu))
-    K = controller(bez, synthesize_Q(Gmu, bez, gamma_true, zeros))
-    return K, Gmu
-
-
 # ---------------------------------------------------------------------------
 # benchmark model
 
@@ -228,9 +213,10 @@ def test_interior_point_closure_and_decay(example_ss):
     channels = ChannelSpec(0.9 * np.asarray(VERTEX_21))
     report = membership(example_ss, EXAMPLE_ZEROS, channels)
     assert report.member
-    K, Gmu = _synthesize_at(example_ss, EXAMPLE_ZEROS, channels,
-                            report.tame_certificate.gamma)
-    r_nominal = ms_radius(t_hat(closed_loop_map(Gmu, K)), channels)
+    design = synthesize(example_ss, EXAMPLE_ZEROS, channels,
+                        report.tame_certificate.gamma)
+    K = design.K
+    r_nominal = ms_radius(t_hat(closed_loop_map(design.plant_mu, K)), channels)
     loop = assemble(example_ss, K, channels)
     r_exact = second_moment_radius(loop)
     assert r_nominal < 1.0
@@ -250,7 +236,7 @@ def test_nominal_and_exact_verdicts_agree_on_random_plants():
         phi = ScalingProblem.from_plant(plant, zeros, 1e-9).phi(np.ones(2))
         bounds = 1.0 / (phi + 1.0)
         channels = ChannelSpec(0.5 * bounds)
-        K, _ = _synthesize_at(plant, zeros, channels, (1.0, 1.0))
+        K = synthesize(plant, zeros, channels, (1.0, 1.0)).K
         for frac in (float(rng.uniform(0.4, 0.9)), float(rng.uniform(1.05, 1.6))):
             probe = ChannelSpec(np.minimum(frac * bounds, 0.995))
             try:
@@ -317,22 +303,12 @@ def test_minimum_phase_thresholds():
             inside = ChannelSpec(0.99 * vertex)
             report = membership(plant, zeros, inside)
             assert report.member
-            K, Gmu = _synthesize_at(plant, zeros, inside, report.tame_certificate.gamma)
-            assert ms_radius(t_hat(closed_loop_map(Gmu, K)), inside) < 1.0
+            design = synthesize(plant, zeros, inside, report.tame_certificate.gamma)
+            K = design.K
+            assert ms_radius(t_hat(closed_loop_map(design.plant_mu, K)), inside) < 1.0
             assert second_moment_radius(assemble(plant, K, inside)) < 1.0
             outside = ChannelSpec(np.minimum(1.01 * vertex, 0.995))
             assert not membership(plant, zeros, outside).member
-
-
-def test_scaled_radius_bound_dominates_spectral_radius():
-    rng = np.random.default_rng(123)
-    for _ in range(100):
-        scale = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
-        W = rng.uniform(0.0, 1.0, size=(3, 3)) * scale
-        value, _ = optimize_scaled_radius(W)
-        rho = float(np.max(np.abs(np.linalg.eigvals(W))))
-        assert value >= rho - 1e-12
-        assert (value - rho) < 0.01 * rho
 
 
 def test_region_export_classifies_reference_grid(capsys):

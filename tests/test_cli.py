@@ -4,7 +4,9 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from dropstab.cli import _load_controller, load_model, main, model_to_json
+from conftest import count_calls
+from dropstab import factorization
+from dropstab.cli import _load_controller, load_model, main
 
 EXAMPLE = str(files("dropstab").joinpath("data/example1.json"))
 
@@ -56,15 +58,6 @@ def test_load_example_detects_zeros():
     assert model.format == "tf"
     assert model.plant.n_inputs == 2
     assert model.zeros == (-2.0, 1.5)
-
-
-def test_round_trip_is_value_identical(tmp_path):
-    model = load_model(EXAMPLE)
-    path = tmp_path / "copy.json"
-    path.write_text(model_to_json(model), encoding="utf-8")
-    again = load_model(str(path))
-    assert again.document == model.document
-    assert again.zeros == model.zeros
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -165,6 +158,11 @@ def test_analyze_malformed_probs(capsys):
     code, _, err = run_cli(["analyze", EXAMPLE, "--probs", "0.1"], capsys)
     assert code == 1
     assert "expected 2 values" in err
+    for probs in ("nan,0.01", "0.1,inf"):
+        code, out, err = run_cli(["analyze", EXAMPLE, "--probs", probs], capsys)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +215,12 @@ def test_region_bad_grid(capsys):
         ["region", EXAMPLE, "--grid", "10", "--pmax", "0.1,0.1"], capsys)
     assert code == 1
     assert "--grid" in err
+    for pmax in ("nan,0.01", "0.1,1"):
+        code, out, err = run_cli(
+            ["region", EXAMPLE, "--grid", "3x3", "--pmax", pmax], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--pmax: bounds must lie in [0, 1)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +277,12 @@ def test_synthesize_gamma_reference_entry(capsys):
          "--gamma", "2,1"], capsys)
     assert code == 1
     assert "must be scaled by 1" in err
+    for gamma in ("1,nan", "1,inf", "1,0", "1,-2"):
+        code, out, err = run_cli(
+            ["synthesize", EXAMPLE, "--probs", "0.1,0.01", "--gamma", gamma], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--gamma: entries must be finite and positive" in err
 
 
 def test_synthesize_stable_plant(stable2, capsys):
@@ -295,6 +305,14 @@ def test_synthesize_supplied_gamma_reproduces_search(capsys):
     code, supplied, _ = run_cli(argv + ["--gamma", gamma], capsys)
     assert code == 0
     assert supplied == searched
+
+
+def test_synthesize_factors_the_plant_once(monkeypatch, capsys):
+    # the certificate is checked on the search's own scaled coprime factor
+    calls = count_calls(monkeypatch, factorization.coprime_factorize)
+    code, _, _ = run_cli(["synthesize", EXAMPLE, "--probs", "0.158,0.0128"], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def _radius_not_computable(loop):

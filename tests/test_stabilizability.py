@@ -8,13 +8,13 @@ from conftest import (
     EXAMPLE_ZEROS,
     VERTEX_12,
     VERTEX_21,
+    count_calls,
 )
+from dropstab import factorization
 from dropstab.factorization import (
     _allpass_section,
-    bezout,
     coprime_factorize,
     gamma_scale,
-    observer_gain,
     wonham_decompose,
     wonham_gain,
 )
@@ -29,18 +29,14 @@ from dropstab.stabilizability import (
     membership,
     mp_supremum,
     ms_radius,
-    optimize_scaled_radius,
     phi_diag_entry,
     rectangle_set,
     rectangle_vertex,
-    scaled_radius_bound,
-    siso_closed_form,
     sweep_bounds,
-    synthesize_Q,
+    synthesize,
     t_hat,
     union_membership,
 )
-from dropstab.stabilizability import _true_gamma
 from dropstab.statespace import (
     StateSpaceModel,
     TransferMatrix,
@@ -50,13 +46,29 @@ from dropstab.statespace import (
     minimal,
     parallel,
     realize,
-    scale_io,
     subsystem,
 )
 
 
 def _siso(num, den):
     return realize(TransferMatrix(((tuple(num),),), ((tuple(den),),)))
+
+
+def siso_closed_form(lam: complex, zero) -> float:
+    """Scalar-channel admissible bound in closed form.
+
+    ``1 / (phi + 1)`` with ``phi = (|lam|^2 - 1) |conj(z) lam - 1|^2 / |z - lam|^2``
+    for one unstable pole ``lam`` and one unstable zero ``z``; a clean channel
+    degenerates to ``1/|lam|^2``.
+    """
+    al = abs(lam)
+    if al <= 1.0:
+        return 1.0
+    if zero is None:
+        return 1.0 / al ** 2
+    z = complex(zero)
+    phi = (al ** 2 - 1.0) * abs(np.conj(z) * lam - 1.0) ** 2 / abs(z - lam) ** 2
+    return 1.0 / (phi + 1.0)
 
 
 # --- channel and scaling containers ----------------------------------------
@@ -70,6 +82,9 @@ def test_channel_spec_validation():
         ChannelSpec([0.2, 1.0])
     with pytest.raises(ValueError):
         ChannelSpec([-0.1])
+    for bad in ([np.nan, 0.01], [0.1, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSpec(bad)
 
 
 def test_gamma_scaling_normalization():
@@ -192,6 +207,16 @@ def test_membership_benchmark_verdicts(example_ss):
     assert np.max(np.abs(np.log10(g))) <= np.max(np.abs(np.log10(inside.certificate.gamma)))
 
 
+def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch):
+    # phi_diag and bounds come from the search's own evaluation at its best
+    # point, not from one more inner-outer split after the search
+    calls = count_calls(monkeypatch, factorization.inner_outer)
+    rep = membership(example_ss, EXAMPLE_ZEROS, ChannelSpec([0.12, 0.01]))
+    log = rep.search_log
+    assert len(calls) == log["grid_points"] + log["refine_evals"]
+    assert_allclose(rep.phi_diag, rep.problem.phi(rep.certificate.gamma), rtol=1e-12)
+
+
 def test_membership_zero_vector_always_inside(example_ss):
     rep = membership(example_ss, EXAMPLE_ZEROS, ChannelSpec([0.0, 0.0]))
     assert rep.member and rep.best_value == 0.0
@@ -253,32 +278,6 @@ def test_mp_supremum_rejects_nmp(example_ss):
         mp_supremum(example_ss, EXAMPLE_ZEROS)
 
 
-# --- weighted row-sum radius bound -------------------------------------------
-
-def test_scaled_radius_bound_reference_point():
-    assert scaled_radius_bound([[1.0, 1.0], [1.0, 1.0]], (1.0, 1.0)) == 2.0
-    with pytest.raises(ValueError):
-        scaled_radius_bound([[1.0, -0.1], [0.2, 0.3]], (1.0, 1.0))
-
-
-def test_scaled_radius_bound_dominates_radius():
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        W = rng.random((3, 3)) * rng.choice([0.5, 2.0])
-        g = rng.uniform(0.2, 5.0, size=3)
-        assert scaled_radius_bound(W, g) >= spectral_radius(W) - 1e-12
-
-
-def test_optimized_bound_nearly_tight():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        W = rng.random((3, 3)) + 0.05
-        rho = spectral_radius(W)
-        val, gamma = optimize_scaled_radius(W)
-        assert rho - 1e-12 <= val < rho * 1.01
-        assert gamma[0] == 1.0
-
-
 # --- synthesis ----------------------------------------------------------------
 
 def test_synthesis_meets_phi_cost(example_ss):
@@ -287,10 +286,8 @@ def test_synthesis_meets_phi_cost(example_ss):
     # measure's diagonal
     ch = ChannelSpec([0.01, 0.005])
     gamma_free = np.array([1.0, 1.0])
-    g_true = _true_gamma(gamma_free, ch)
-    Gmu = scale_io(example_ss, None, np.diag(ch.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0, 1))), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez, g_true, EXAMPLE_ZEROS)
+    design = synthesize(example_ss, EXAMPLE_ZEROS, ch, gamma_free)
+    bez, g_true, Q = design.bez, design.gamma_true, design.Q
     assert Q.order == 0 or spectral_radius(Q.A) < 1.0
     assert np.max(np.abs(Q.A.imag)) == 0.0
 
@@ -308,10 +305,8 @@ def test_synthesis_meets_phi_cost(example_ss):
 def test_synthesis_siso_hits_exact_optimum():
     plant = _siso([1.0, -1.5], [1.0, -2.5, 1.0])
     ch = ChannelSpec([0.015])
-    Gmu = scale_io(plant, None, np.diag(ch.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0,))), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez, np.array([1.0]), (1.5,))
-    T = closed_loop_map(Gmu, controller(bez, Q))
+    design = synthesize(plant, (1.5,), ch, np.array([1.0]))
+    T = closed_loop_map(design.plant_mu, design.K)
     assert_allclose(h2_norm_sq(T), 48.0, rtol=1e-9)
     assert ms_radius(t_hat(T), ch) < 1.0
 
@@ -319,10 +314,8 @@ def test_synthesis_siso_hits_exact_optimum():
 def test_synthesis_minimum_phase_channel():
     plant = _siso([1.0], [1.0, -2.0])
     ch = ChannelSpec([0.2])
-    Gmu = scale_io(plant, None, np.diag(ch.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0,))), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez, np.array([1.0]), (None,))
-    T = closed_loop_map(Gmu, controller(bez, Q))
+    design = synthesize(plant, (None,), ch, np.array([1.0]))
+    T = closed_loop_map(design.plant_mu, design.K)
     # cost lambda^2 - 1 exactly; radius sigma^2 (lambda^2 - 1) = 0.75
     assert_allclose(h2_norm_sq(T), 3.0, rtol=1e-9)
     assert_allclose(ms_radius(t_hat(T), ch), 0.75, rtol=1e-9)
@@ -330,10 +323,9 @@ def test_synthesis_minimum_phase_channel():
 
 def test_controller_central_form(example_ss):
     ch = ChannelSpec([0.01, 0.005])
-    Gmu = scale_io(example_ss, None, np.diag(ch.mu))
-    F = wonham_gain(wonham_decompose(Gmu, (0, 1)))
-    L = observer_gain(Gmu)
-    bez = bezout(Gmu, F, L)
+    design = synthesize(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
+    Gmu, bez = design.plant_mu, design.bez
+    F, L = bez.F, bez.L
     K0 = controller(bez)
     manual = StateSpaceModel(Gmu.A - Gmu.B @ F - L @ Gmu.C, L, -F, np.zeros((2, 2)))
     for s in (1.4 + 0.2j, -0.9, 2.8):
@@ -348,10 +340,8 @@ def test_controller_central_form(example_ss):
 
 def test_controller_matches_fraction_formula(example_ss):
     ch = ChannelSpec([0.02, 0.01])
-    Gmu = scale_io(example_ss, None, np.diag(ch.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0, 1))), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez, _true_gamma(np.array([1.0, 1.0]), ch), EXAMPLE_ZEROS)
-    K = controller(bez, Q)
+    design = synthesize(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
+    bez, Q, K = design.bez, design.Q, design.K
     den = parallel(bez.Xt, cascade(Q, bez.Nt), sign=-1.0)
     num = parallel(bez.Yt, cascade(Q, bez.Mt), sign=-1.0)
     for s in (1.9 + 0.4j, -1.6, 0.3 + 0.8j):
@@ -367,12 +357,8 @@ def test_synthesis_full_loop_stability_margin(example_ss):
     ch = ChannelSpec(p)
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     assert rep.member
-    g_true = _true_gamma(rep.tame_certificate.gamma, ch)
-    Gmu = scale_io(example_ss, None, np.diag(ch.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0, 1))), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez, g_true, EXAMPLE_ZEROS)
-    K = controller(bez, Q)
-    T = closed_loop_map(Gmu, K)
+    design = synthesize(example_ss, EXAMPLE_ZEROS, ch, rep.tame_certificate.gamma)
+    T = closed_loop_map(design.plant_mu, design.K)
     assert spectral_radius(T.A) < 1.0
     rad = ms_radius(t_hat(T), ch)
     assert rad < 1.0

@@ -10,7 +10,6 @@ from dropstab.statespace import (
     cascade,
     constant_system,
     evaluate,
-    evaluate_tf,
     h2_norm_sq,
     hstack_systems,
     inverse,
@@ -25,6 +24,19 @@ from dropstab.statespace import (
     transmission_zeros,
     zshift,
 )
+
+
+def evaluate_tf(tf: TransferMatrix, z: complex) -> np.ndarray:
+    """Evaluate a transfer matrix entrywise at the point ``z``."""
+    p, m = tf.shape
+    out = np.empty((p, m), dtype=complex)
+    for i in range(p):
+        for j in range(m):
+            dv = np.polyval(tf.den[i][j], z)
+            if dv == 0:
+                raise ZeroDivisionError(f"entry ({i},{j}) has a pole at z={z}")
+            out[i, j] = np.polyval(tf.num[i][j], z) / dv
+    return out
 
 
 def _rand_stable(rng, n, p=1, m=1, radius=0.8):

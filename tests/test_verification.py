@@ -5,15 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import EXAMPLE_ZEROS, VERTEX_21
-from dropstab.factorization import bezout, observer_gain, wonham_decompose, wonham_gain
-from dropstab.stabilizability import (
-    ChannelSpec,
-    controller,
-    membership,
-    synthesize_Q,
-)
-from dropstab.stabilizability import _true_gamma
-from dropstab.statespace import StateSpaceModel, constant_system, scale_io
+from dropstab.stabilizability import ChannelSpec, membership, synthesize
+from dropstab.statespace import StateSpaceModel, constant_system
 from dropstab.verification import (
     StochasticClosedLoop,
     assemble,
@@ -150,11 +143,7 @@ def test_benchmark_loop_verifies_mean_square_stable(example_ss):
     ch = ChannelSpec(p)
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     assert rep.member
-    Gmu = scale_io(example_ss, None, np.diag(ch.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0, 1))), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez, _true_gamma(rep.tame_certificate.gamma, ch),
-                     EXAMPLE_ZEROS)
-    K = controller(bez, Q)
+    K = synthesize(example_ss, EXAMPLE_ZEROS, ch, rep.tame_certificate.gamma).K
     loop = assemble(example_ss, K, ch)
     assert loop.nominal_radius < 1.0
     rad = second_moment_radius(loop)
@@ -170,11 +159,7 @@ def test_benchmark_loop_verifies_mean_square_stable(example_ss):
 def test_benchmark_loop_detects_failure_beyond_the_region(example_ss):
     # same controller, but channels much worse than designed for
     ch_design = ChannelSpec(0.9 * np.asarray(VERTEX_21))
-    Gmu = scale_io(example_ss, None, np.diag(ch_design.mu))
-    bez = bezout(Gmu, wonham_gain(wonham_decompose(Gmu, (0, 1))), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez,
-                     _true_gamma(np.array([1.0, 1.0]), ch_design), EXAMPLE_ZEROS)
-    K = controller(bez, Q)
+    K = synthesize(example_ss, EXAMPLE_ZEROS, ch_design, np.array([1.0, 1.0])).K
     harsh = ChannelSpec([0.5, 0.5])
     rad = second_moment_radius(assemble(example_ss, K, harsh))
     assert rad > 1.0
