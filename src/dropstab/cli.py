@@ -67,9 +67,18 @@ class ModelFile:
 
 def _poly_grid(body, key, path):
     grid = body.get(key)
-    if not isinstance(grid, list) or not grid:
-        raise ValueError(f"{path}: tf.{key} must be a non-empty nested list")
-    return tuple(tuple(tuple(cell) for cell in row) for row in grid)
+    try:
+        cells = tuple(tuple(tuple(float(c) for c in cell) for cell in row)
+                      for row in grid)
+    except (TypeError, ValueError):
+        cells = None
+    if (not isinstance(grid, list) or not cells
+            or not all(cell for row in cells for cell in row)):
+        raise ValueError(f"{path}: tf.{key} must be a non-empty nested list "
+                         "of numbers")
+    if not all(np.isfinite(c) for row in cells for cell in row for c in cell):
+        raise ValueError(f"{path}: tf.{key} coefficients must be finite")
+    return cells
 
 
 def _shaped(raw, key, shape, path):
@@ -80,7 +89,7 @@ def _shaped(raw, key, shape, path):
     return arr
 
 
-def load_model(path: str, tol: float = config.STAIRCASE_RTOL) -> ModelFile:
+def load_model(path: str) -> ModelFile:
     """Read and validate a JSON model file.
 
     The file carries ``name``, ``format`` ("tf" or "ss"), exactly one of a
@@ -120,13 +129,13 @@ def load_model(path: str, tol: float = config.STAIRCASE_RTOL) -> ModelFile:
         body = raw["tf"]
         if not isinstance(body, dict):
             raise ValueError(f"{path}: tf must be an object with num/den")
+        num, den = _poly_grid(body, "num", path), _poly_grid(body, "den", path)
         try:
-            tf = TransferMatrix(num=_poly_grid(body, "num", path),
-                                den=_poly_grid(body, "den", path))
+            tf = TransferMatrix(num=num, den=den)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad transfer matrix ({exc})") from exc
-        detected = validate_assumption(tf, tol)
-        plant = realize(tf, tol)
+        detected = validate_assumption(tf)
+        plant = realize(tf)
         r = plant.n_inputs
     else:
         body = raw["ss"]
@@ -158,6 +167,8 @@ def load_model(path: str, tol: float = config.STAIRCASE_RTOL) -> ModelFile:
             raise ValueError(f"{path}: channel_zeros must list {r} entries")
         zeros = tuple(None if z is None else float(z) for z in zl)
         for z in zeros:
+            if z is not None and not np.isfinite(z):
+                raise ValueError(f"{path}: channel zero {z} is not finite")
             if z is not None and abs(z) <= 1.0:
                 raise ValueError(f"{path}: channel zero {z} is not outside "
                                  "the unit circle")
@@ -263,8 +274,8 @@ def _zeros_str(zeros) -> str:
 
 
 def cmd_rects(args) -> int:
-    model = load_model(args.model, args.tol)
-    rects = rectangle_set(model.plant, model.zeros, args.tol)
+    model = load_model(args.model)
+    rects = rectangle_set(model.plant, model.zeros)
     print(f"model: {model.name}")
     print(f"channels: {model.plant.n_inputs}")
     print(f"channel zeros: {_zeros_str(model.zeros)}")
@@ -285,18 +296,18 @@ def cmd_rects(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    model = load_model(args.model, args.tol)
+    model = load_model(args.model)
     p = _parse_probs(args.probs, model.plant.n_inputs)
     channels = ChannelSpec(p)
     print(f"model: {model.name}")
     print(f"dropout probabilities: {', '.join(_fmt(v) for v in p)}")
-    rects = rectangle_set(model.plant, model.zeros, args.tol)
+    rects = rectangle_set(model.plant, model.zeros)
     covered, idx = union_membership(rects, p)
     if covered:
         print(f"rectangle union: member (decomposition {idx + 1})")
     else:
         print("rectangle union: not covered")
-    report = membership(model.plant, model.zeros, channels, tol=args.tol)
+    report = membership(model.plant, model.zeros, channels)
     verdict = "member" if report.member else "not found"
     print(f"scaling search: {verdict}")
     print(f"  best value: {_fmt(report.best_value)}")
@@ -309,7 +320,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_region(args) -> int:
-    model = load_model(args.model, args.tol)
+    model = load_model(args.model)
     if model.plant.n_inputs != 2:
         raise ValueError("region grids cover exactly two channels")
     n1, n2 = _parse_grid(args.grid)
@@ -317,9 +328,8 @@ def cmd_region(args) -> int:
     # shared certificate pool: the dense scaling sweep plus the exact
     # decoupled corners, so the grid decision matches the rectangle report
     # at its extremes
-    pool = sweep_bounds(model.plant, model.zeros, tol=args.tol)
-    corners = np.array([v for v in
-                        rectangle_set(model.plant, model.zeros, args.tol).vertices])
+    pool = sweep_bounds(model.plant, model.zeros)
+    corners = np.array(rectangle_set(model.plant, model.zeros).vertices)
     pool = np.vstack([pool, corners])
     p1 = np.linspace(0.0, a, 1 if a == 0.0 else n1)
     p2 = np.linspace(0.0, b, 1 if b == 0.0 else n2)
@@ -333,15 +343,14 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text,
-                     tol: float):
+def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
     """Free scaling certificate, the user's or the search's tame point, and
     its value; the scaling is None when it does not certify."""
     if gamma_text is not None:
         g = _parse_gamma(gamma_text, model.plant.n_inputs)
-        problem = ScalingProblem.from_plant(model.plant, model.zeros, tol)
+        problem = ScalingProblem.from_plant(model.plant, model.zeros)
     else:
-        report = membership(model.plant, model.zeros, channels, tol=tol)
+        report = membership(model.plant, model.zeros, channels)
         if not report.member:
             print(f"error: dropout vector is not certified (best value "
                   f"{_fmt(report.best_value)})", file=sys.stderr)
@@ -357,16 +366,16 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text,
 
 
 def cmd_synthesize(args) -> int:
-    model = load_model(args.model, args.tol)
+    model = load_model(args.model)
     p = _parse_probs(args.probs, model.plant.n_inputs)
     channels = ChannelSpec(p)
-    gamma_free, value = _certificate_for(model, channels, args.gamma, args.tol)
+    gamma_free, value = _certificate_for(model, channels, args.gamma)
     if gamma_free is None:
         return 2
-    design = synthesize(model.plant, model.zeros, channels, gamma_free, args.tol)
+    design = synthesize(model.plant, model.zeros, channels, gamma_free)
     K = design.K
-    T = closed_loop_map(design.plant_mu, K, args.tol)
-    analysis_radius = ms_radius(t_hat(T, args.tol), channels)
+    T = closed_loop_map(design.plant_mu, K)
+    analysis_radius = ms_radius(t_hat(T), channels)
     loop = assemble(model.plant, K, channels)
     print(f"certificate value {_fmt(value)} at gamma "
           f"{', '.join(_fmt(g) for g in gamma_free)}", file=sys.stderr)
@@ -428,7 +437,11 @@ def _load_controller(path: str) -> StateSpaceModel:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model, args.tol)
+    if args.steps < 0:
+        raise ValueError(f"--steps: must be at least 0, got {args.steps}")
+    if args.trials < 1:
+        raise ValueError(f"--trials: must be at least 1, got {args.trials}")
+    model = load_model(args.model)
     p = _parse_probs(args.probs, model.plant.n_inputs)
     channels = ChannelSpec(p)
     K = _load_controller(args.controller)
@@ -443,7 +456,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_supremum(args) -> int:
-    model = load_model(args.model, args.tol)
+    model = load_model(args.model)
     try:
         sup = mp_supremum(model.plant, model.zeros)
     except ValueError as exc:
@@ -456,7 +469,7 @@ def cmd_supremum(args) -> int:
           f"(used for verdicts): {_fmt(sup.derived_bound)}")
     print(f"simultaneous-dropout supremum, linear-product rule "
           f"(for comparison): {_fmt(sup.stated_bound)}")
-    rects = rectangle_set(model.plant, model.zeros, args.tol)
+    rects = rectangle_set(model.plant, model.zeros)
     for k, form in enumerate(rects.forms):
         order = ", ".join(str(c + 1) for c in form.ordering)
         levels = ", ".join(_fmt(v) for v in rects.vertices[k])
@@ -478,8 +491,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("model", help="path to a JSON model file")
-    sub.add_argument("--tol", type=float, default=config.STAIRCASE_RTOL,
-                     help="staircase reduction tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,10 +554,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except AssumptionViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (AssumptionViolation, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
 """Numerical tolerances shared across the package.
 
 Every rank decision, residual gate and unit-circle guard in the library reads
-its threshold from here, so sensitivity studies can tweak one place.  The CLI
-``--tol`` flag overrides :data:`STAIRCASE_RTOL` per invocation by threading an
-explicit ``tol=`` argument through the call chain; the module constants
-themselves are never mutated.
+its threshold from here, so sensitivity studies edit one place.  The library
+reads these constants when a function runs, not when it is defined, so a
+value assigned here (``config.STAIRCASE_RTOL = 1e-6``) takes effect on the
+next call.
 """
 
 # Relative tolerance for staircase rank decisions (controllability /

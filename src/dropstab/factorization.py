@@ -124,8 +124,7 @@ def _unstable(values) -> tuple:
     return tuple(v for v in values if abs(v) > 1.0)
 
 
-def wonham_decompose(plant: StateSpaceModel, ordering,
-                     tol: float = config.STAIRCASE_RTOL) -> WonhamForm:
+def wonham_decompose(plant: StateSpaceModel, ordering) -> WonhamForm:
     """Stage-wise controllability extraction along a channel ordering.
 
     Channel ``ordering[0]`` claims the subspace it can reach on its own;
@@ -145,7 +144,7 @@ def wonham_decompose(plant: StateSpaceModel, ordering,
     r = plant.n_inputs
     if sorted(ordering) != list(range(r)):
         raise ValueError(f"ordering {ordering} is not a permutation of 0..{r - 1}")
-    thr = _staircase_threshold([A, B], tol)
+    thr = _staircase_threshold([A, B])
     T = np.eye(n, dtype=complex)
     Acur = A.astype(complex)
     Bcur = B.astype(complex)
@@ -175,8 +174,7 @@ def wonham_decompose(plant: StateSpaceModel, ordering,
                       transform=T, Aw=Aw, Bw=Bw)
 
 
-def enumerate_wonham_forms(plant: StateSpaceModel,
-                           tol: float = config.STAIRCASE_RTOL) -> list:
+def enumerate_wonham_forms(plant: StateSpaceModel) -> list:
     """All distinct decompositions over the r! channel orderings.
 
     Orderings are visited lexicographically and forms deduplicated by their
@@ -189,7 +187,7 @@ def enumerate_wonham_forms(plant: StateSpaceModel,
     seen = set()
     forms = []
     for ordering in itertools.permutations(range(r)):
-        form = wonham_decompose(plant, ordering, tol)
+        form = wonham_decompose(plant, ordering)
         lam = form.lambda_by_channel()
         key = tuple(
             tuple(sorted((round(v.real, 6), round(v.imag, 6)) for v in lam[j]))
@@ -246,8 +244,7 @@ def wonham_gain(form: WonhamForm,
     return F
 
 
-def observer_gain(plant: StateSpaceModel,
-                  tol: float = config.STAIRCASE_RTOL) -> np.ndarray:
+def observer_gain(plant: StateSpaceModel) -> np.ndarray:
     """Output-injection gain L with ``A - L C`` stable, built on the dual.
 
     Mirrors :func:`wonham_gain`: the dual pair ``(A^T, C^T)`` is decomposed
@@ -258,7 +255,7 @@ def observer_gain(plant: StateSpaceModel,
     p = plant.n_outputs
     dual = StateSpaceModel(plant.A.conj().T, plant.C.conj().T,
                            np.zeros((1, n)), np.zeros((1, p)))
-    form = wonham_decompose(dual, tuple(range(p)), tol)
+    form = wonham_decompose(dual, tuple(range(p)))
     Fd = wonham_gain(form)
     return Fd.conj().T
 
@@ -322,8 +319,7 @@ def diagonal_inner(form: WonhamForm) -> DiagonalInner:
 # coprime factor families
 
 
-def coprime_factorize(plant: StateSpaceModel, F,
-                      tol: float = config.STAIRCASE_RTOL):
+def coprime_factorize(plant: StateSpaceModel, F):
     """Right coprime pair (M, N) with ``plant = N M^{-1}`` and ``M(inf) = I``.
 
     ``M = (A - B F, B, -F, I)`` and ``N = (A - B F, B, C, 0)``.
@@ -447,7 +443,7 @@ def _section_eval_inv(lam: complex, eta: np.ndarray, z: complex) -> np.ndarray:
     return (np.eye(eta.size) - P) + P / b
 
 
-def inner_outer(sys: StateSpaceModel, tol: float = config.STAIRCASE_RTOL) -> InnerOuterPair:
+def inner_outer(sys: StateSpaceModel) -> InnerOuterPair:
     """Split a square model into an all-pass times a minimum-phase factor.
 
     Unstable transmission zeros (eigenvalues of the inverse's state matrix
@@ -499,7 +495,7 @@ def inner_outer(sys: StateSpaceModel, tol: float = config.STAIRCASE_RTOL) -> Inn
     inv_chain = inverse(sections[0])
     for sec in sections[1:]:
         inv_chain = cascade(inverse(sec), inv_chain)
-    outer = minimal(cascade(inv_chain, sys), tol)
+    outer = minimal(cascade(inv_chain, sys))
     if outer.order and spectral_radius(outer.A) >= 1.0:
         raise ValueError("outer factor kept unstable modes: deflation failed")
     return InnerOuterPair(inner=inner, outer=outer, factors=tuple(factors))
@@ -509,12 +505,12 @@ def inner_outer(sys: StateSpaceModel, tol: float = config.STAIRCASE_RTOL) -> Inn
 # model-class assumption checker
 
 
-def _cluster_roots(values, tol=config.ROOT_CLUSTER_TOL):
+def _cluster_roots(values):
     """Greedy clustering of a root array into (representative, multiplicity)."""
     out = []
     for v in values:
         for i, (rep, mult) in enumerate(out):
-            if abs(v - rep) <= tol * max(1.0, abs(rep)):
+            if abs(v - rep) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(rep)):
                 out[i] = ((rep * mult + v) / (mult + 1), mult + 1)
                 break
         else:
@@ -529,24 +525,24 @@ def _multiset_roots(poly):
     return _cluster_roots(np.roots(p))
 
 
-def _multiset_subtract(a, b, tol=config.ROOT_CLUSTER_TOL):
+def _multiset_subtract(a, b):
     """Multiset difference a - b by clustering."""
     out = [list(x) for x in a]
     for rep, mult in b:
         for item in out:
-            if abs(item[0] - rep) <= tol * max(1.0, abs(rep)):
+            if abs(item[0] - rep) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(rep)):
                 item[1] -= mult
                 break
     return [(rep, m) for rep, m in out if m > 0]
 
 
-def _multiset_lcm(sets, tol=config.ROOT_CLUSTER_TOL):
+def _multiset_lcm(sets):
     """Max-multiplicity union of root multisets."""
     out = []
     for s in sets:
         for rep, mult in s:
             for i, (r0, m0) in enumerate(out):
-                if abs(rep - r0) <= tol * max(1.0, abs(r0)):
+                if abs(rep - r0) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(r0)):
                     out[i] = (r0, max(m0, mult))
                     break
             else:
@@ -554,11 +550,11 @@ def _multiset_lcm(sets, tol=config.ROOT_CLUSTER_TOL):
     return out
 
 
-def _multiset_intersect(a, b, tol=config.ROOT_CLUSTER_TOL):
+def _multiset_intersect(a, b):
     out = []
     for rep, mult in a:
         for r0, m0 in b:
-            if abs(rep - r0) <= tol * max(1.0, abs(r0)):
+            if abs(rep - r0) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(r0)):
                 out.append((rep, min(mult, m0)))
                 break
     return out
@@ -587,7 +583,7 @@ def _column_common_unstable_root(nums, dens):
     return [(rep, mult) for rep, mult in common if abs(rep) > 1.0]
 
 
-def validate_assumption(plant: TransferMatrix, tol: float = config.STAIRCASE_RTOL):
+def validate_assumption(plant: TransferMatrix):
     """Check the admissible model class and return the per-channel zeros.
 
     Requirements enforced: square strictly-proper plant; per input column at
@@ -644,7 +640,7 @@ def validate_assumption(plant: TransferMatrix, tol: float = config.STAIRCASE_RTO
             num0[i][j] = tuple(np.convolve(num0[i][j], [1.0, 0.0]))
             den0[i][j] = tuple(np.convolve(den0[i][j], [1.0, -z]))
     core = realize(TransferMatrix(num=tuple(map(tuple, num0)),
-                                  den=tuple(map(tuple, den0))), tol)
+                                  den=tuple(map(tuple, den0))))
     if core.D.size and np.max(np.abs(core.D)) > 1e-9:
         raise AssumptionViolation("core model is not strictly proper")
     lead = core.C @ core.B

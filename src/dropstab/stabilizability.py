@@ -159,7 +159,7 @@ class StabilizabilityReport:
     search_log: dict = field(compare=False)
     problem: ScalingProblem = field(compare=False, repr=False)
     """The scaled coprime factor the search ran on; reusable for the same
-    plant, zeros and tolerance."""
+    plant and zeros."""
     tame_certificate: Optional[GammaScaling] = None
     """Least-extreme certifying scaling, set iff ``member``: preferred for
     synthesis, where the optimizer's railed points are ill-conditioned."""
@@ -254,10 +254,9 @@ def rectangle_vertex(form: WonhamForm, zeros) -> np.ndarray:
     return out
 
 
-def rectangle_set(plant: StateSpaceModel, zeros,
-                  tol: float = config.STAIRCASE_RTOL) -> RectangleSet:
+def rectangle_set(plant: StateSpaceModel, zeros) -> RectangleSet:
     """All admissible rectangles over the distinct decompositions."""
-    forms = enumerate_wonham_forms(plant, tol)
+    forms = enumerate_wonham_forms(plant)
     vertices = tuple(rectangle_vertex(f, zeros) for f in forms)
     volumes = tuple(float(np.prod(v)) for v in vertices)
     return RectangleSet(forms=tuple(forms), vertices=vertices, volumes=volumes)
@@ -351,23 +350,21 @@ class ScalingProblem:
 
     M: StateSpaceModel
     zeros: tuple
-    tol: float
 
     @classmethod
-    def from_plant(cls, plant: StateSpaceModel, zeros,
-                   tol: float = config.STAIRCASE_RTOL) -> "ScalingProblem":
+    def from_plant(cls, plant: StateSpaceModel, zeros) -> "ScalingProblem":
         """M built with the identity channel ordering and the default gain."""
         r = plant.n_inputs
         if len(zeros) != r:
             raise ValueError(f"need {r} channel zeros, got {len(zeros)}")
-        form = wonham_decompose(plant, tuple(range(r)), tol)
-        M, _ = coprime_factorize(plant, wonham_gain(form), tol)
-        return cls(M=M, zeros=tuple(zeros), tol=tol)
+        form = wonham_decompose(plant, tuple(range(r)))
+        M, _ = coprime_factorize(plant, wonham_gain(form))
+        return cls(M=M, zeros=tuple(zeros))
 
     def phi(self, gamma) -> np.ndarray:
         """Per-channel ``phi_jj`` at the square-root scaling ``gamma``;
         ValueError where the scaled factor has no usable all-pass factor."""
-        io = inner_outer(gamma_scale(self.M, gamma), self.tol)
+        io = inner_outer(gamma_scale(self.M, gamma))
         return np.array([phi_diag_entry(io.inner, z, j)
                          for j, z in enumerate(self.zeros)])
 
@@ -376,8 +373,8 @@ class ScalingProblem:
         return float(np.max(p * (self.phi(gamma) + 1.0)))
 
 
-def membership(plant: StateSpaceModel, zeros, channels: ChannelSpec,
-               tol: float = config.STAIRCASE_RTOL) -> StabilizabilityReport:
+def membership(plant: StateSpaceModel, zeros,
+               channels: ChannelSpec) -> StabilizabilityReport:
     """Search channel scalings for a mean-square stabilizability certificate.
 
     The verdict is ``member`` when some scaling gets
@@ -395,7 +392,7 @@ def membership(plant: StateSpaceModel, zeros, channels: ChannelSpec,
         raise ValueError(f"plant has {r} channels, spec has {channels.r}")
     if r > MAX_SEARCH_CHANNELS:
         raise ValueError(f"{r} channels exceeds the search cap {MAX_SEARCH_CHANNELS}")
-    problem = ScalingProblem.from_plant(plant, zeros, tol)
+    problem = ScalingProblem.from_plant(plant, zeros)
     p = channels.p
     failures = [0]
     evals = {}   # clipped log10 scaling -> (value, phi) at every finite point
@@ -440,8 +437,7 @@ def membership(plant: StateSpaceModel, zeros, channels: ChannelSpec,
     )
 
 
-def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481,
-                 tol: float = config.STAIRCASE_RTOL) -> np.ndarray:
+def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481) -> np.ndarray:
     """Per-channel bound vectors over a dense scaling sweep (two channels).
 
     Returns an (n_points, 2) array of ``1/(phi_jj + 1)`` evaluated along
@@ -452,7 +448,7 @@ def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481,
     """
     if plant.n_inputs != 2:
         raise ValueError("the sweep helper covers exactly two channels")
-    problem = ScalingProblem.from_plant(plant, zeros, tol)
+    problem = ScalingProblem.from_plant(plant, zeros)
     logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, n_points)
     out = np.empty((n_points, 2))
     for i, lg in enumerate(logs):
@@ -482,8 +478,8 @@ def _peak_gain(sys: StateSpaceModel) -> float:
     return val
 
 
-def synthesize_Q(plant: StateSpaceModel, bez: DoublyCoprime, gamma, zeros,
-                 tol: float = config.STAIRCASE_RTOL) -> StateSpaceModel:
+def synthesize_Q(plant: StateSpaceModel, bez: DoublyCoprime, gamma,
+                 zeros) -> StateSpaceModel:
     """Optimal stable Youla parameter for a scaling certificate.
 
     Assembles the interpolation solution channel by channel: project the
@@ -513,7 +509,7 @@ def synthesize_Q(plant: StateSpaceModel, bez: DoublyCoprime, gamma, zeros,
     g = np.asarray(gamma, dtype=float).reshape(-1)
     r = plant.n_inputs
     Mg = gamma_scale(bez.M, g)
-    io = inner_outer(Mg, tol)
+    io = inner_outer(Mg)
     Dinv = np.linalg.inv(io.inner.D)
     Xtg = gamma_scale(bez.Xt, g)
     R = add_constant(cascade(io.outer, Xtg), -Dinv)
@@ -536,7 +532,7 @@ def synthesize_Q(plant: StateSpaceModel, bez: DoublyCoprime, gamma, zeros,
         Lj, dropped = stable_part(parallel(Gj, res, sign=-1.0))
         if dropped > 1e-6 * max(1.0, float(np.abs(v).max())):
             raise ValueError("unstable cancellation failure in a residue column")
-        cols.append(minimal(Lj, tol))
+        cols.append(minimal(Lj))
     L = hstack_systems(cols)
     n_diag = blockdiag_systems([
         _allpass_section(zeros[j]) if zeros[j] is not None
@@ -550,11 +546,11 @@ def synthesize_Q(plant: StateSpaceModel, bez: DoublyCoprime, gamma, zeros,
     S, dropped = stable_part(S)
     if dropped > 1e-6 * scale:
         raise ValueError("unstable cancellation failure in the parameter")
-    S = minimal(S, tol)
+    S = minimal(S)
     if np.max(np.abs(S.D)) > 1e-6:
         raise ValueError("optimal parameter lost strict properness")
     S = StateSpaceModel(S.A, S.B, S.C, np.zeros((r, r)))
-    Q = minimal(gamma_scale(zshift(S), 1.0 / g), tol)
+    Q = minimal(gamma_scale(zshift(S), 1.0 / g))
     if Q.order and spectral_radius(Q.A) >= 1.0:
         raise ValueError("unstable cancellation failure in the parameter")
     # staircase elimination leaves borderline cancellation remnants behind;
@@ -568,8 +564,8 @@ def synthesize_Q(plant: StateSpaceModel, bez: DoublyCoprime, gamma, zeros,
         return Q
 
 
-def controller(bez: DoublyCoprime, Q: Optional[StateSpaceModel] = None,
-               tol: float = config.STAIRCASE_RTOL) -> StateSpaceModel:
+def controller(bez: DoublyCoprime,
+               Q: Optional[StateSpaceModel] = None) -> StateSpaceModel:
     """Stabilizing controller ``(Xt - Q Nt)^{-1} (Yt - Q Mt)``.
 
     Realized directly in observer form with the parameter wrapped around
@@ -595,7 +591,7 @@ def controller(bez: DoublyCoprime, Q: Optional[StateSpaceModel] = None,
     BK = np.vstack([L - B @ Dq, -Bq])
     CK = np.hstack([Dq @ C - F, Cq])
     DK = -Dq
-    return minimal(StateSpaceModel(AK, BK, CK, DK), tol)
+    return minimal(StateSpaceModel(AK, BK, CK, DK))
 
 
 @dataclass(frozen=True)
@@ -610,8 +606,8 @@ class Synthesis:
     K: StateSpaceModel          # the controller
 
 
-def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec, gamma,
-               tol: float = config.STAIRCASE_RTOL) -> Synthesis:
+def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec,
+               gamma) -> Synthesis:
     """Controller for ``channels`` from a success-absorbed certificate ``gamma``.
 
     The plant's inputs are scaled by ``1 - p``, factored over the identity
@@ -620,33 +616,32 @@ def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec, gamma,
     """
     gamma_true = _true_gamma(np.asarray(gamma, dtype=float), channels)
     Gmu = scale_io(plant, None, np.diag(channels.mu))
-    form = wonham_decompose(Gmu, tuple(range(plant.n_inputs)), tol)
-    bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu, tol))
-    Q = synthesize_Q(Gmu, bez, gamma_true, zeros, tol)
-    K = controller(bez, Q, tol)
+    form = wonham_decompose(Gmu, tuple(range(plant.n_inputs)))
+    bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu))
+    Q = synthesize_Q(Gmu, bez, gamma_true, zeros)
+    K = controller(bez, Q)
     return Synthesis(plant_mu=Gmu, bez=bez, gamma_true=gamma_true, Q=Q, K=K)
 
 
-def closed_loop_map(plant: StateSpaceModel, K: StateSpaceModel,
-                    tol: float = config.STAIRCASE_RTOL) -> StateSpaceModel:
+def closed_loop_map(plant: StateSpaceModel, K: StateSpaceModel) -> StateSpaceModel:
     """Input-side complementary map ``(I - K G)^{-1} K G``.
 
     Realized as ``(I - K G)^{-1} - I`` on the loop states (plant plus
     controller), so its state matrix is the genuine closed-loop matrix
     before reduction.
     """
-    H = minimal(cascade(K, plant), tol)
+    H = minimal(cascade(K, plant))
     r = H.n_inputs
     eye_minus = StateSpaceModel(H.A, H.B, -H.C, np.eye(r) - H.D)
-    return minimal(add_constant(inverse(eye_minus), -np.eye(r)), tol)
+    return minimal(add_constant(inverse(eye_minus), -np.eye(r)))
 
 
-def t_hat(T: StateSpaceModel, tol: float = config.STAIRCASE_RTOL) -> np.ndarray:
+def t_hat(T: StateSpaceModel) -> np.ndarray:
     """Entrywise squared H2 norms, each on its own minimal reduction."""
     out = np.empty((T.n_outputs, T.n_inputs))
     for i in range(T.n_outputs):
         for j in range(T.n_inputs):
-            out[i, j] = h2_norm_sq(minimal(subsystem(T, [i], [j]), tol))
+            out[i, j] = h2_norm_sq(minimal(subsystem(T, [i], [j])))
     return out
 
 

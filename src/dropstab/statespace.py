@@ -133,9 +133,9 @@ class TransferMatrix:
 # staircase machinery
 
 
-def _staircase_threshold(mats, tol: float) -> float:
+def _staircase_threshold(mats) -> float:
     scale = max([1.0] + [float(np.linalg.norm(M)) for M in mats if M.size])
-    return tol * scale
+    return config.STAIRCASE_RTOL * scale
 
 
 def _ctrb_staircase(A: np.ndarray, B: np.ndarray, thr: float):
@@ -172,18 +172,16 @@ def _controllable_part(A, B, C, thr):
     return Ah[:nc, :nc], (T.conj().T @ B)[:nc, :], (C @ T)[:, :nc]
 
 
-def minimal(sys: StateSpaceModel, tol: float = config.STAIRCASE_RTOL) -> StateSpaceModel:
+def minimal(sys: StateSpaceModel) -> StateSpaceModel:
     """Remove unreachable and unobservable states by staircase truncation.
 
     Works for unstable models (no Gramians involved).  Rank decisions use the
-    threshold ``tol * max(1, ||A||, ||B||, ||C||)`` computed once from the
-    input model.
+    threshold ``config.STAIRCASE_RTOL * max(1, ||A||, ||B||, ||C||)``,
+    computed once from the input model when the function is called.
 
     Parameters
     ----------
     sys : StateSpaceModel
-    tol : float, optional
-        Relative staircase tolerance.
 
     Returns
     -------
@@ -191,7 +189,7 @@ def minimal(sys: StateSpaceModel, tol: float = config.STAIRCASE_RTOL) -> StateSp
         A realization of the same transfer function with minimal state count
         (up to the rank tolerance).
     """
-    thr = _staircase_threshold([sys.A, sys.B, sys.C], tol)
+    thr = _staircase_threshold([sys.A, sys.B, sys.C])
     A, B, C = _controllable_part(sys.A, sys.B, sys.C, thr)
     # observable part = controllable part of the conjugate-transposed model
     Ad, Bd, Cd = _controllable_part(A.conj().T, C.conj().T, B.conj().T, thr)
@@ -247,7 +245,7 @@ def _column_block(nums, dens):
     return A, b, Crows, Dcol
 
 
-def realize(tf: TransferMatrix, tol: float = config.STAIRCASE_RTOL) -> StateSpaceModel:
+def realize(tf: TransferMatrix) -> StateSpaceModel:
     """Minimal state-space realization of a proper real transfer matrix.
 
     Raises
@@ -271,7 +269,7 @@ def realize(tf: TransferMatrix, tol: float = config.STAIRCASE_RTOL) -> StateSpac
         C[:, off:off + k] = Cj
         D[:, j] = Dj
         off += k
-    return minimal(StateSpaceModel(A, B, C, D), tol)
+    return minimal(StateSpaceModel(A, B, C, D))
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +413,10 @@ def blockdiag_systems(systems) -> StateSpaceModel:
     return StateSpaceModel(A, B, C, D)
 
 
-def zshift(sys: StateSpaceModel, tol: float = 1e-7) -> StateSpaceModel:
+def zshift(sys: StateSpaceModel) -> StateSpaceModel:
     """Multiply a strictly proper model by z: ``(A, B, CA, CB)``."""
     scale = max(1.0, float(np.linalg.norm(sys.B)) * float(np.linalg.norm(sys.C)))
-    if sys.D.size and np.max(np.abs(sys.D)) > tol * scale:
+    if sys.D.size and np.max(np.abs(sys.D)) > 1e-7 * scale:
         raise ValueError("zshift requires a strictly proper model")
     return StateSpaceModel(sys.A, sys.B, sys.C @ sys.A, sys.C @ sys.B)
 
@@ -470,14 +468,14 @@ def stable_part(sys: StateSpaceModel) -> tuple:
     return StateSpaceModel(T11, B1, C1, sys.D), dropped
 
 
-def balanced_truncate(sys: StateSpaceModel, tol: float = 1e-9) -> StateSpaceModel:
+def balanced_truncate(sys: StateSpaceModel) -> StateSpaceModel:
     """Drop Hankel-negligible states of a stable model.
 
-    Square-root balanced reduction keeping singular values above ``tol``
-    relative to the largest.  With the default tolerance this only removes
-    states whose input-output contribution is at rounding level (e.g.
-    remnants of exact pole-zero cancellations that staircase elimination
-    missed), so the transfer function is preserved to working precision.
+    Square-root balanced reduction keeping singular values above 1e-9
+    relative to the largest.  This only removes states whose input-output
+    contribution is at rounding level (e.g. remnants of exact pole-zero
+    cancellations that staircase elimination missed), so the transfer
+    function is preserved to working precision.
 
     Raises
     ------
@@ -497,7 +495,7 @@ def balanced_truncate(sys: StateSpaceModel, tol: float = 1e-9) -> StateSpaceMode
     Lc = factor(Wc)
     Lo = factor(Wo)
     U, s, Vh = np.linalg.svd(Lo.conj().T @ Lc)
-    k = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+    k = int(np.count_nonzero(s > 1e-9 * s[0])) if s.size else 0
     if k == n:
         return sys
     if k == 0:
@@ -513,7 +511,7 @@ def balanced_truncate(sys: StateSpaceModel, tol: float = 1e-9) -> StateSpaceMode
 # placement and zeros
 
 
-def place_single_input(A, b, targets, tol: float = config.STAIRCASE_RTOL) -> np.ndarray:
+def place_single_input(A, b, targets) -> np.ndarray:
     """Gain row f with ``eig(A + b f) = targets`` for a single-input pair.
 
     Ackermann's formula applied after a controllability-staircase change of
@@ -548,7 +546,7 @@ def place_single_input(A, b, targets, tol: float = config.STAIRCASE_RTOL) -> np.
         raise ValueError(f"need {n} targets, got {targets.size}")
     if n == 0:
         return np.zeros(0)
-    thr = _staircase_threshold([A, b], tol)
+    thr = _staircase_threshold([A, b])
     T, nc = _ctrb_staircase(A, b, thr)
     if nc != n:
         raise ValueError(f"uncontrollable pair: reachable dimension {nc} < {n}")
@@ -578,7 +576,7 @@ def place_single_input(A, b, targets, tol: float = config.STAIRCASE_RTOL) -> np.
     return np.asarray(f).reshape(-1)
 
 
-def transmission_zeros(sys: StateSpaceModel, tol: float = 1e-9) -> np.ndarray:
+def transmission_zeros(sys: StateSpaceModel) -> np.ndarray:
     """Finite transmission zeros of a square model via the system pencil.
 
     Generalized eigenvalues of ``[[A, B], [C, D]] - z [[I, 0], [0, 0]]``;
@@ -592,7 +590,7 @@ def transmission_zeros(sys: StateSpaceModel, tol: float = 1e-9) -> np.ndarray:
     M2 = np.zeros((n + m, n + m), dtype=complex)
     M2[:n, :n] = np.eye(n)
     alpha, beta = scipy.linalg.eig(M1, M2, right=False, homogeneous_eigvals=True)
-    finite = np.abs(beta) > tol * (1.0 + np.abs(alpha))
+    finite = np.abs(beta) > 1e-9 * (1.0 + np.abs(alpha))
     z = alpha[finite] / beta[finite]
     order = np.lexsort((np.angle(z), np.abs(z)))
     return z[order]

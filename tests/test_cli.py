@@ -1,4 +1,5 @@
 import json
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -75,6 +76,27 @@ def test_load_rejects_malformed(tmp_path):
     for k, payload in enumerate(bad):
         path = _write(tmp_path, f"bad{k}.json", payload)
         with pytest.raises(ValueError):
+            load_model(path)
+    # rejected by name; JSON's NaN and Infinity parse as floats
+    example = json.loads(files("dropstab").joinpath("data/example1.json")
+                         .read_text(encoding="utf-8"))
+    named = [
+        (dict(example, channel_zeros=[float("nan"), None]),
+         "channel zero nan is not finite"),
+        (dict(example, channel_zeros=[float("inf"), None]),
+         "channel zero inf is not finite"),
+        ({"name": "x", "format": "tf",
+          "tf": {"num": [[[float("nan")]]], "den": [[[1, -2]]]}},
+         "tf.num coefficients must be finite"),
+        ({"name": "x", "format": "tf",
+          "tf": {"num": [[[1]]], "den": [[[1, float("nan")]]]}},
+         "tf.den coefficients must be finite"),
+        ({"name": "x", "format": "tf", "tf": {"num": [[[1]]], "den": [[[]]]}},
+         "tf.den must be a non-empty nested list of numbers"),
+    ]
+    for k, (payload, message) in enumerate(named):
+        path = _write(tmp_path, f"named{k}.json", payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
 
@@ -385,6 +407,18 @@ def test_simulate_requires_controller(scalar_mp, capsys):
         ["simulate", scalar_mp, "--probs", "0.2"], capsys)
     assert code == 1
     assert "--controller" in err
+
+
+def test_simulate_validates_steps_and_trials(tmp_path, scalar_mp, capsys):
+    # checked before anything is read, so the missing controller never shows
+    absent = str(tmp_path / "absent.json")
+    for flag, value in (("--steps", "-3"), ("--trials", "0")):
+        code, out, err = run_cli(
+            ["simulate", scalar_mp, "--probs", "0.2", "--controller", absent,
+             flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ")
 
 
 def test_simulate_deterministic_seed(tmp_path, scalar_mp, capsys):

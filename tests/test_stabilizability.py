@@ -173,7 +173,7 @@ def test_phi_decouples_at_extreme_scalings(example_ss):
     # driving the second channel's weight to a rail decouples the joint
     # matrix measure into the per-channel scalar values of one split:
     # vanishing weight recovers the (1,0) corner, dominant weight the (0,1)
-    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9)
+    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
     lo = problem.phi(np.array([1.0, 1e-6]))
     assert_allclose(lo, [1.0 / VERTEX_21[0] - 1.0, 1.0 / VERTEX_21[1] - 1.0], rtol=1e-3)
     hi = problem.phi(np.array([1.0, 1e6]))
@@ -181,11 +181,11 @@ def test_phi_decouples_at_extreme_scalings(example_ss):
 
 
 def test_phi_invariant_under_gain_choice(example_ss):
-    default = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9)
+    default = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
     F2 = wonham_gain(wonham_decompose(example_ss, (0, 1)), place_targets=lambda eigs: [
         0.8 / np.conj(v) if abs(v) >= 1.0 else 0.8 * v for v in eigs])
     M2, _ = coprime_factorize(example_ss, F2)
-    other = ScalingProblem(M2, EXAMPLE_ZEROS, 1e-9)
+    other = ScalingProblem(M2, EXAMPLE_ZEROS)
     assert np.max(np.abs(default.phi(np.ones(2)) - other.phi(np.ones(2)))) < 1e-8
 
 
@@ -242,7 +242,7 @@ def test_sweep_bounds_covers_benchmark(example_ss):
     assert bounds.shape == (61, 2)
     # midpoint of the sweep is the unscaled measure
     mid = bounds[30]
-    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9).phi(np.ones(2))
+    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS).phi(np.ones(2))
     assert_allclose(mid, 1.0 / (phi + 1.0), rtol=1e-9)
     # the sweep pool certifies 0.9 times both rectangle corners
     for corner in (VERTEX_12, VERTEX_21):
@@ -291,7 +291,7 @@ def test_synthesis_meets_phi_cost(example_ss):
     assert Q.order == 0 or spectral_radius(Q.A) < 1.0
     assert np.max(np.abs(Q.A.imag)) == 0.0
 
-    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS, 1e-9).phi(gamma_free)
+    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS).phi(gamma_free)
     Tg = minimal(cascade(
         parallel(gamma_scale(bez.Y, g_true),
                  cascade(gamma_scale(bez.M, g_true), gamma_scale(Q, g_true)),

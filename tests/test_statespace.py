@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dropstab import config
 from dropstab.statespace import (
     StateSpaceModel,
     TransferMatrix,
@@ -230,6 +231,14 @@ def test_minimal_prunes_unobservable_and_unreachable():
     red = minimal(StateSpaceModel(A, B, C, [[0.0]]))
     assert red.order == 1
     assert_allclose(evaluate(red, 2.0), [[1.0 / 1.5]], atol=1e-10)
+
+
+def test_minimal_reads_staircase_tolerance_when_called(monkeypatch):
+    # the 1e-5 output coefficient sits between the default threshold and 1e-3
+    sys = StateSpaceModel([[0.5]], [[1.0]], [[1e-5]], [[1.0]])
+    assert minimal(sys).order == 1
+    monkeypatch.setattr(config, "STAIRCASE_RTOL", 1e-3)
+    assert minimal(sys).order == 0
 
 
 # --- placement -------------------------------------------------------------
