@@ -165,7 +165,11 @@ def load_model(path: str) -> ModelFile:
         zl = raw["channel_zeros"]
         if not isinstance(zl, list) or len(zl) != r:
             raise ValueError(f"{path}: channel_zeros must list {r} entries")
-        zeros = tuple(None if z is None else float(z) for z in zl)
+        try:
+            zeros = tuple(None if z is None else float(z) for z in zl)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: channel zeros must be numbers or null "
+                             f"({exc})") from exc
         for z in zeros:
             if z is not None and not np.isfinite(z):
                 raise ValueError(f"{path}: channel zero {z} is not finite")
@@ -433,6 +437,10 @@ def _load_controller(path: str) -> StateSpaceModel:
     except ValueError as exc:
         raise ValueError(f"{path}: controller matrices do not match the "
                          "declared sizes") from exc
+    for name, M in zip("ABCD", (A, B, C, D)):
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{path}: controller matrix {name} has non-finite "
+                             "entries")
     return StateSpaceModel(A, B, C, D)
 
 

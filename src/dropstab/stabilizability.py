@@ -16,6 +16,18 @@ Two complementary certificates are computed:
   ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, refining a coarse
   log-space grid with a simplex descent.
 
+``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
+factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
+the Pick data of M (``ScalingProblem.phi``): with ``lambda_1..lambda_k`` the
+unstable zeros of M, ``w_i`` the left null vectors of ``M(lambda_i)`` and
+``Y = Gamma^{-1} W``, ``phi_jj = x_j Pi^{-1} x_j*`` where
+``Pi_ik = y_i* y_k / (lambda_i conj(lambda_k) - 1)`` and ``x_j`` is row j
+of Y weighted entrywise by ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) -
+conj(lambda_i))`` (1 on a clean channel).  One k-by-k factorization replaces
+an inner-outer split per point.  ``ScalingProblem.value``, the check run on
+a certificate before synthesis, keeps the inner-outer route, so every
+certificate is re-checked by an independent computation.
+
 ``synthesize`` turns a certifying scaling into the controller: the optimal
 Youla parameter over a doubly-coprime factorization of the plant with the
 channel success rates applied.
@@ -346,31 +358,106 @@ def _clip_log(x) -> np.ndarray:
 class ScalingProblem:
     """The plant's right coprime factor M and its channel zeros: evaluates
     the diagonal ``phi`` of the all-pass factor of the scaled factor
-    ``diag(gamma) M diag(gamma)^{-1}`` at any channel scaling ``gamma``."""
+    ``diag(gamma) M diag(gamma)^{-1}`` at any channel scaling ``gamma``.
+
+    The Pick data of M are computed once, at construction: the unstable
+    zeros ``lambda_i`` of M (the plant's unstable poles), the left null
+    vectors ``w_i`` of ``M(lambda_i)`` as the columns of W, the Cauchy
+    kernel ``1/(lambda_i conj(lambda_k) - 1)`` and the channel weights
+    ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) - conj(lambda_i))``, which
+    are 1 on a clean channel.  Scaling keeps each ``lambda_i`` and maps W
+    to ``Y = diag(gamma)^{-1} W``, so ``phi`` needs one k-by-k Cholesky
+    factorization of the Pick matrix ``Pi = (Y* Y) o kernel``:
+    ``phi_jj = x_j Pi^{-1} x_j*`` with ``x_j`` row j of Y times the weights.
+    On a clean channel of a decoupled plant this is the product bound
+    ``phi_jj + 1 = prod |lambda_i|^2``.
+
+    ``value`` evaluates phi through the inner-outer split of the scaled
+    factor instead: it is the check a certificate passes before synthesis,
+    and an independent route there re-checks every certificate the closed
+    form found.
+
+    Raises
+    ------
+    ValueError
+        At construction, for a wrong number of zeros, a zero of M within
+        ``UNIT_CIRCLE_BAND`` of the unit circle, two unstable zeros of M
+        closer than ``ZERO_SEPARATION_TOL``, or a channel zero inside the
+        closed unit disc or within ``1e-9 max(1, |zeta|)`` of an unstable
+        zero of M.
+    """
 
     M: StateSpaceModel
     zeros: tuple
+    _lam: np.ndarray = field(init=False, repr=False, compare=False)
+    _W: np.ndarray = field(init=False, repr=False, compare=False)
+    _kernel: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        M, r = self.M, self.M.n_inputs
+        if len(self.zeros) != r:
+            raise ValueError(f"need {r} channel zeros, got {len(self.zeros)}")
+        poles = eigenvalues(inverse(M).A).values if M.order else np.zeros(0, complex)
+        if np.any(np.abs(np.abs(poles) - 1.0) < config.UNIT_CIRCLE_BAND):
+            raise ValueError("plant pole within 1e-9 of the unit circle")
+        lam = poles[np.abs(poles) > 1.0]
+        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, 1)]
+        if np.any(gaps <= config.ZERO_SEPARATION_TOL):
+            raise ValueError("repeated unstable pole: not supported")
+        weights = np.ones((r, lam.size), dtype=complex)
+        for j, z in enumerate(self.zeros):
+            if z is None:
+                continue
+            z = complex(z)
+            if abs(z) <= 1.0:
+                raise ValueError(f"channel zero {z} must lie outside the unit circle")
+            if lam.size and np.min(np.abs(lam - z)) < 1e-9 * max(1.0, abs(z)):
+                raise ValueError(f"channel zero {z} collides with an unstable pole")
+            weights[j] = (z * np.conj(lam) - 1.0) / (np.conj(z) - np.conj(lam))
+        W = np.empty((r, lam.size), dtype=complex)
+        for i, v in enumerate(lam):
+            U, _, _ = np.linalg.svd(evaluate(M, v))
+            W[:, i] = U[:, -1]
+        kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
+        for name, value in (("_lam", lam), ("_W", W), ("_kernel", kernel),
+                            ("_weights", weights)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_plant(cls, plant: StateSpaceModel, zeros) -> "ScalingProblem":
         """M built with the identity channel ordering and the default gain."""
-        r = plant.n_inputs
-        if len(zeros) != r:
-            raise ValueError(f"need {r} channel zeros, got {len(zeros)}")
-        form = wonham_decompose(plant, tuple(range(r)))
+        form = wonham_decompose(plant, tuple(range(plant.n_inputs)))
         M, _ = coprime_factorize(plant, wonham_gain(form))
         return cls(M=M, zeros=tuple(zeros))
 
     def phi(self, gamma) -> np.ndarray:
-        """Per-channel ``phi_jj`` at the square-root scaling ``gamma``;
-        ValueError where the scaled factor has no usable all-pass factor."""
-        io = inner_outer(gamma_scale(self.M, gamma))
-        return np.array([phi_diag_entry(io.inner, z, j)
-                         for j, z in enumerate(self.zeros)])
+        """Per-channel ``phi_jj`` at the square-root scaling ``gamma``, in
+        closed form; ValueError where the Pick matrix is not numerically
+        positive definite or a value is not finite."""
+        g = np.asarray(gamma, dtype=float).reshape(-1)
+        if g.size != len(self.zeros) or not np.all(np.isfinite(g) & (g > 0.0)):
+            raise ValueError("gamma must hold one finite positive entry per channel")
+        Y = self._W / g[:, None]
+        try:
+            L = np.linalg.cholesky((Y.conj().T @ Y) * self._kernel)
+            Z = np.linalg.solve(L, (Y * self._weights).conj().T)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"Pick matrix factorization failed ({exc})") from exc
+        phi = np.sum(np.abs(Z) ** 2, axis=0)
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("phi has non-finite entries")
+        return phi
 
     def value(self, gamma, p) -> float:
-        """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p."""
-        return float(np.max(p * (self.phi(gamma) + 1.0)))
+        """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p.
+
+        phi comes from the inner-outer split of the scaled factor, not from
+        the closed form of ``phi``."""
+        io = inner_outer(gamma_scale(self.M, gamma))
+        phi = np.array([phi_diag_entry(io.inner, z, j)
+                        for j, z in enumerate(self.zeros)])
+        return float(np.max(p * (phi + 1.0)))
 
 
 def membership(plant: StateSpaceModel, zeros,

@@ -93,11 +93,21 @@ def test_load_rejects_malformed(tmp_path):
          "tf.den coefficients must be finite"),
         ({"name": "x", "format": "tf", "tf": {"num": [[[1]]], "den": [[[]]]}},
          "tf.den must be a non-empty nested list of numbers"),
+        (dict(example, channel_zeros=["a", None]),
+         "channel zeros must be numbers or null"),
     ]
     for k, (payload, message) in enumerate(named):
         path = _write(tmp_path, f"named{k}.json", payload)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_model(path)
+    # controller files, read by simulate
+    scalar = {"B": [[1.0]], "C": [[1.0]], "D": [[0.0]], "state_count": 1,
+              "input_count": 1, "output_count": 1}
+    path = _write(tmp_path, "nan_controller.json",
+                  {"controller": dict(scalar, A=[[float("nan")]])})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: controller matrix A has non-finite entries")):
+        _load_controller(path)
 
 
 def test_ss_format_matches_tf(tmp_path, example_ss, capsys):

@@ -1,5 +1,8 @@
 """Tests for the stabilizability decisions, scalings, and synthesis."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +18,7 @@ from dropstab.factorization import (
     _allpass_section,
     coprime_factorize,
     gamma_scale,
+    inner_outer,
     wonham_decompose,
     wonham_gain,
 )
@@ -180,6 +184,126 @@ def test_phi_decouples_at_extreme_scalings(example_ss):
     assert_allclose(hi, [1.0 / VERTEX_12[0] - 1.0, 1.0 / VERTEX_12[1] - 1.0], rtol=1e-3)
 
 
+def phi_inner_outer(problem: ScalingProblem, gamma) -> np.ndarray:
+    """Oracle for ``ScalingProblem.phi``: the diagonal of the all-pass factor
+    of the scaled coprime factor, by an inner-outer split."""
+    io = inner_outer(gamma_scale(problem.M, gamma))
+    return np.array([phi_diag_entry(io.inner, z, j)
+                     for j, z in enumerate(problem.zeros)])
+
+
+def _rel_gap(a, b) -> float:
+    return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
+
+
+def test_phi_closed_form_matches_inner_outer_oracle(example_ss, monkeypatch):
+    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
+    assert _rel_gap(problem.phi(np.ones(2)), phi_inner_outer(problem, np.ones(2))) < 1e-12
+    # the seeded search-family plants of the benchmark, three per structure
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    worker = importlib.import_module("worker")
+    rng = np.random.default_rng(11)
+    checked = 0
+    for r, structures in worker.SEARCH_STRUCTURES.items():
+        for plant, zeros in worker.plants.plant_family(rng, r, structures * 3):
+            problem = ScalingProblem.from_plant(plant, zeros)
+            for _ in range(12):
+                gamma = np.concatenate([[1.0], 10.0 ** rng.uniform(-6.0, 6.0, r - 1)])
+                gap = _rel_gap(problem.phi(gamma), phi_inner_outer(problem, gamma))
+                assert gap < 1e-9, (r, zeros, gamma, gap)
+                checked += 1
+    assert checked == 12 * 3 * 9
+
+
+def test_phi_closed_form_complex_poles():
+    # a complex unstable pair and a complex channel zero: the kernel and the
+    # channel weights carry the conjugates the real case hides
+    rng = np.random.default_rng(5)
+    rot = 1.6 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    A = np.zeros((5, 5))
+    A[:2, :2] = rot
+    A[2:, 2:] = np.diag([0.3, -1.8, 1.3])
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    plant = StateSpaceModel(Q.T @ A @ Q, rng.normal(size=(5, 2)),
+                            rng.normal(size=(2, 5)), np.zeros((2, 2)))
+    for zeros in ((None, None), (2.2, -1.7), (1.3 + 0.9j, None)):
+        problem = ScalingProblem.from_plant(plant, zeros)
+        for lg in np.linspace(-6.0, 6.0, 7):
+            gamma = np.array([1.0, 10.0 ** lg])
+            assert _rel_gap(problem.phi(gamma), phi_inner_outer(problem, gamma)) < 1e-9
+
+
+def test_phi_clean_channels_meet_the_product_bound():
+    # phi + 1 = prod |lambda|^2 on a clean channel: the paper's bound, which
+    # mp_supremum reports as its reciprocal
+    plant = _siso([1.0], [1.0, -0.5, -3.0])   # poles 2 and -1.5
+    sup = mp_supremum(plant, (None,))
+    phi = ScalingProblem.from_plant(plant, (None,)).phi(np.ones(1))
+    assert_allclose(phi + 1.0, [9.0], rtol=1e-12)
+    assert_allclose(phi + 1.0, [1.0 / sup.derived_bound], rtol=1e-12)
+    # decoupled: each channel carries its own pole at every scaling
+    g = realize(TransferMatrix(
+        num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
+        den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, 1.5))),
+    ))
+    problem = ScalingProblem.from_plant(g, (None, None))
+    for g2 in (1e-6, 1.0, 1e6):
+        assert_allclose(problem.phi(np.array([1.0, g2])) + 1.0, [4.0, 2.25], rtol=1e-12)
+
+
+def _diagonal_factor(lams, poles):
+    """Stable diagonal factor ``diag((z - lam_j)/(z - a_j))``: its zeros are
+    the ``lams``."""
+    a = np.asarray(poles, dtype=float)
+    return StateSpaceModel(np.diag(a), np.eye(a.size),
+                           np.diag(a - np.asarray(lams)), np.eye(a.size))
+
+
+def test_scaling_problem_rejects_what_the_split_rejects():
+    # a repeated unstable pole: the split fails at every scaling
+    twin = realize(TransferMatrix(
+        num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
+        den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, -2.0))),
+    ))
+    with pytest.raises(ValueError, match="repeated unstable pole"):
+        ScalingProblem.from_plant(twin, (None, None))
+    with pytest.raises(ValueError, match="repeated unstable pole"):
+        membership(twin, (None, None), ChannelSpec([0.01, 0.01]))
+    with pytest.raises(ValueError, match="repeated unstable pole"):
+        ScalingProblem(_diagonal_factor([2.0, 2.0 + 1e-7], [0.1, 0.2]), (None, None))
+    # zeros of M on the unit circle band, on either side
+    for lam in (1.0 + 1e-10, 1.0 - 1e-10):
+        with pytest.raises(ValueError, match="unit circle"):
+            ScalingProblem(_diagonal_factor([lam, 3.0], [0.1, 0.2]), (None, None))
+    # a channel zero on an unstable pole, or inside the unit disc
+    M = _diagonal_factor([2.0, 3.0], [0.1, 0.2])
+    with pytest.raises(ValueError, match="collides"):
+        ScalingProblem(M, (2.0 + 1e-10, None))
+    with pytest.raises(ValueError, match="outside the unit circle"):
+        ScalingProblem(M, (None, 0.5))
+    with pytest.raises(ValueError, match="zeros"):
+        ScalingProblem(M, (None,))
+    assert np.all(np.isfinite(ScalingProblem(M, (2.0 + 1e-3, None)).phi(np.ones(2))))
+
+
+def test_phi_never_returns_non_finite_values():
+    g = realize(TransferMatrix(
+        num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
+        den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, 1.5))),
+    ))
+    problem = ScalingProblem.from_plant(g, (None, None))
+    with np.errstate(all="ignore"):
+        # far outside the search box: Y* Y underflows to a singular Pick
+        # matrix, or overflows
+        with pytest.raises(ValueError, match="factorization failed"):
+            problem.phi(np.array([1.0, 1e200]))
+        with pytest.raises(ValueError, match="non-finite"):
+            problem.phi(np.array([1.0, 1e-200]))
+    for bad in ([1.0, 0.0], [1.0, np.nan], [1.0, np.inf], [1.0]):
+        with pytest.raises(ValueError, match="gamma"):
+            problem.phi(np.array(bad))
+
+
 def test_phi_invariant_under_gain_choice(example_ss):
     default = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
     F2 = wonham_gain(wonham_decompose(example_ss, (0, 1)), place_targets=lambda eigs: [
@@ -209,12 +333,26 @@ def test_membership_benchmark_verdicts(example_ss):
 
 def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch):
     # phi_diag and bounds come from the search's own evaluation at its best
-    # point, not from one more inner-outer split after the search
-    calls = count_calls(monkeypatch, factorization.inner_outer)
-    rep = membership(example_ss, EXAMPLE_ZEROS, ChannelSpec([0.12, 0.01]))
+    # point, not from one more evaluation after the search; the search uses
+    # the closed form only, and the certificate check one inner-outer split
+    phi = ScalingProblem.phi
+    calls = []
+
+    def counted(self, gamma):
+        calls.append(None)
+        return phi(self, gamma)
+
+    monkeypatch.setattr(ScalingProblem, "phi", counted)
+    splits = count_calls(monkeypatch, factorization.inner_outer)
+    ch = ChannelSpec([0.12, 0.01])
+    rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     log = rep.search_log
     assert len(calls) == log["grid_points"] + log["refine_evals"]
-    assert_allclose(rep.phi_diag, rep.problem.phi(rep.certificate.gamma), rtol=1e-12)
+    assert len(splits) == 0
+    value = rep.problem.value(rep.certificate.gamma, ch.p)
+    assert len(splits) == 1
+    assert value == pytest.approx(rep.best_value, rel=1e-9)
+    assert_allclose(rep.phi_diag, phi(rep.problem, rep.certificate.gamma), rtol=1e-12)
 
 
 def test_membership_zero_vector_always_inside(example_ss):
