@@ -14,7 +14,6 @@ from .factorization import (
     DoublyCoprime,
     bezout,
     coprime_factorize,
-    diagonal_inner,
     enumerate_wonham_forms,
     gamma_scale,
     inner_outer,
@@ -54,7 +53,6 @@ from .statespace import (
     evaluate,
     h2_norm_sq,
     minimal,
-    poles,
     realize,
     scale_io,
     stable_part,
@@ -89,7 +87,6 @@ __all__ = [
     "closed_loop_map",
     "controller",
     "coprime_factorize",
-    "diagonal_inner",
     "enumerate_wonham_forms",
     "evaluate",
     "exact_moment_trace",
@@ -104,7 +101,6 @@ __all__ = [
     "ms_radius",
     "observer_gain",
     "phi_diag_entry",
-    "poles",
     "realize",
     "scale_io",
     "rectangle_set",

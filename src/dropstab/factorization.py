@@ -1,12 +1,10 @@
 """Structural factorizations for multi-channel plants.
 
-Four related constructions live here:
+Three related constructions live here:
 
 * channel-ordered controllability decompositions (block upper-triangular
   form, one diagonal block per input channel) and their enumeration over
   channel orderings;
-* diagonal all-pass models built from the unstable eigenvalues each channel
-  is responsible for, as cascades of balanced first-order sections;
 * right/left coprime factor families over a state-feedback / observer gain
   pair, with the full eight-factor identity set;
 * inner-outer splitting of square stable models by sequential extraction of
@@ -44,7 +42,6 @@ from .statespace import (
 
 __all__ = [
     "AssumptionViolation",
-    "DiagonalInner",
     "DoublyCoprime",
     "InnerOuterPair",
     "PotapovFactor",
@@ -52,7 +49,6 @@ __all__ = [
     "WonhamForm",
     "bezout",
     "coprime_factorize",
-    "diagonal_inner",
     "enumerate_wonham_forms",
     "gamma_scale",
     "inner_outer",
@@ -261,7 +257,7 @@ def observer_gain(plant: StateSpaceModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# balanced all-pass sections and diagonal inners
+# balanced all-pass sections
 
 
 def _allpass_section(lam: complex) -> StateSpaceModel:
@@ -279,40 +275,6 @@ def _allpass_section(lam: complex) -> StateSpaceModel:
     a = 1.0 / np.conj(lam)
     c = -beta * lam / np.conj(lam)
     return StateSpaceModel([[a]], [[beta]], [[c]], [[a]])
-
-
-@dataclass(frozen=True)
-class DiagonalInner:
-    """Per-channel scalar all-pass models, indexed by original channel."""
-
-    lambdas: tuple   # tuple of per-channel unstable-eigenvalue tuples
-    blocks: tuple    # tuple of scalar StateSpaceModel, one per channel
-
-
-def _scalar_blaschke(lams) -> StateSpaceModel:
-    """Cascade of balanced sections over an eigenvalue tuple (canonical order)."""
-    if len(lams) == 0:
-        return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)),
-                               np.zeros((1, 0)), [[1.0]])
-    vals = np.asarray(lams, dtype=complex)
-    vals = vals[np.lexsort((np.angle(vals), np.abs(vals)))]
-    sys = _allpass_section(vals[0])
-    for v in vals[1:]:
-        sys = cascade(_allpass_section(v), sys)
-    return sys
-
-
-def diagonal_inner(form: WonhamForm) -> DiagonalInner:
-    """Channel-wise all-pass diagonal for one decomposition.
-
-    Channel j's block is the Blaschke product over the unstable eigenvalues
-    its diagonal block carries; channels with none get the static gain 1.
-    """
-    lam = form.lambda_by_channel()
-    r = form.n_channels
-    lams = tuple(lam[j] for j in range(r))
-    blocks = tuple(_scalar_blaschke(lams[j]) for j in range(r))
-    return DiagonalInner(lambdas=lams, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ controller when one exists.
 Two complementary certificates are computed:
 
 * a union of hyper-rectangles, one per channel-ordered decomposition of the
-  plant, whose corner coordinates come from per-channel scalar all-pass data
-  (cheap, conservative);
+  plant, whose corner coordinates are closed forms in the unstable poles
+  and the zero each channel carries (cheap, conservative);
 * a channel-scaling search (``membership``) that tests the exact
   spectral-radius condition via the Frobenius-like bound
   ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, refining a coarse
@@ -55,7 +55,6 @@ from .factorization import (
     _allpass_section,
     bezout,
     coprime_factorize,
-    diagonal_inner,
     enumerate_wonham_forms,
     gamma_scale,
     inner_outer,
@@ -203,7 +202,7 @@ def phi_diag_entry(sys, zero: Optional[complex], channel: int = 0) -> float:
     Parameters
     ----------
     sys : StateSpaceModel
-        Balanced all-pass model (matrix or scalar block).
+        Balanced all-pass model.
     zero : complex or None
         The channel's non-minimum-phase zero; None for a clean channel, in
         which case the degenerate feedthrough form applies.
@@ -248,22 +247,41 @@ def phi_diag_entry(sys, zero: Optional[complex], channel: int = 0) -> float:
 # rectangles
 
 
+def _channel_bound(lams, zero) -> float:
+    """Corner coordinate ``1/(phi + 1)`` of a channel that carries the
+    unstable eigenvalues ``lams`` (repeats allowed) and the zero ``zero``.
+
+    With ``b(z) = prod (z - lambda)/(conj(lambda) z - 1)``,
+    ``phi + 1 = prod |lambda|^2 + (|zeta|^2 - 1) |b(0) - b(1/conj(zeta))|^2``,
+    without the second term on a clean channel.  ValueError for a zero in
+    the closed unit disc or within ``1e-9 max(1, |zeta|)`` of a carried
+    eigenvalue.
+    """
+    lam = np.asarray(lams, dtype=complex).reshape(-1)
+    total = float(np.prod(np.abs(lam))) ** 2
+    if zero is not None:
+        z = complex(zero)
+        if abs(z) <= 1.0:
+            raise ValueError(f"channel zero {z} must lie outside the unit circle")
+        if lam.size and np.min(np.abs(lam - z)) < 1e-9 * max(1.0, abs(z)):
+            raise ValueError(f"channel zero {z} collides with a pole it carries")
+        w = 1.0 / np.conj(z)
+        gap = np.prod(lam) - np.prod((w - lam) / (np.conj(lam) * w - 1.0))
+        total += (abs(z) ** 2 - 1.0) * abs(gap) ** 2
+    return 1.0 / total
+
+
 def rectangle_vertex(form: WonhamForm, zeros) -> np.ndarray:
     """Corner coordinates of one decomposition's admissible rectangle.
 
-    Channel j's coordinate is ``1/(phi_j + 1)`` computed from the scalar
-    all-pass over the unstable eigenvalues that channel carries in this
-    decomposition; a fully stable allocation yields coordinate 1.
+    Channel j's coordinate is the ``_channel_bound`` of the unstable
+    eigenvalues it carries in this decomposition and of its zero; a fully
+    stable allocation yields coordinate 1.
     """
-    di = diagonal_inner(form)
-    r = form.n_channels
-    if len(zeros) != r:
-        raise ValueError(f"need {r} channel zeros, got {len(zeros)}")
-    out = np.empty(r)
-    for j in range(r):
-        phi = phi_diag_entry(di.blocks[j], zeros[j], 0)
-        out[j] = 1.0 / (phi + 1.0)
-    return out
+    lam = form.lambda_by_channel()
+    if len(zeros) != form.n_channels:
+        raise ValueError(f"need {form.n_channels} channel zeros, got {len(zeros)}")
+    return np.array([_channel_bound(lam[j], z) for j, z in enumerate(zeros)])
 
 
 def rectangle_set(plant: StateSpaceModel, zeros) -> RectangleSet:
@@ -302,8 +320,8 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
         raise ValueError("plant is not minimum phase: use the rectangle analysis")
     w = eigenvalues(plant.A).values
     unstable = tuple(abs(v) for v in w if abs(v) > 1.0)
-    prod = float(np.prod(unstable)) if unstable else 1.0
-    return MpSupremum(derived_bound=1.0 / prod ** 2, stated_bound=1.0 / prod,
+    return MpSupremum(derived_bound=_channel_bound(unstable, None),
+                      stated_bound=1.0 / float(np.prod(unstable)),
                       unstable=unstable)
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "minimal",
     "parallel",
     "place_single_input",
-    "poles",
     "realize",
     "scale_io",
     "stable_part",
@@ -274,11 +273,6 @@ def realize(tf: TransferMatrix) -> StateSpaceModel:
 
 # ---------------------------------------------------------------------------
 # evaluation, norms, inversion
-
-
-def poles(sys: StateSpaceModel) -> np.ndarray:
-    """Eigenvalues of A in canonical order."""
-    return eigenvalues(sys.A).values
 
 
 def evaluate(sys: StateSpaceModel, z: complex) -> np.ndarray:

@@ -1,9 +1,11 @@
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from dropstab.statespace import TransferMatrix, realize
+from dropstab.factorization import _allpass_section
+from dropstab.statespace import StateSpaceModel, TransferMatrix, cascade, realize
 
 
 def _mul(*polys):
@@ -66,3 +68,38 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+# --- all-pass diagonal oracle -------------------------------------------------
+# The rectangle corners are closed forms in each channel's Blaschke product;
+# these realize that product as a balanced state-space cascade, so that
+# ``phi_diag_entry`` on it gives the corners by an independent route.
+
+
+class DiagonalInner(NamedTuple):
+    """Per-channel scalar all-pass models, indexed by original channel."""
+
+    lambdas: tuple   # tuple of per-channel unstable-eigenvalue tuples
+    blocks: tuple    # tuple of scalar StateSpaceModel, one per channel
+
+
+def _scalar_blaschke(lams) -> StateSpaceModel:
+    """Cascade of balanced sections over an eigenvalue tuple (canonical order)."""
+    if len(lams) == 0:
+        return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)),
+                               np.zeros((1, 0)), [[1.0]])
+    vals = np.asarray(lams, dtype=complex)
+    vals = vals[np.lexsort((np.angle(vals), np.abs(vals)))]
+    sys = _allpass_section(vals[0])
+    for v in vals[1:]:
+        sys = cascade(_allpass_section(v), sys)
+    return sys
+
+
+def diagonal_inner(form) -> DiagonalInner:
+    """Channel-wise all-pass diagonal for one decomposition: channel j's
+    block is the Blaschke product over the unstable eigenvalues its diagonal
+    block carries; channels with none get the static gain 1."""
+    lam = form.lambda_by_channel()
+    lams = tuple(lam[j] for j in range(form.n_channels))
+    return DiagonalInner(lambdas=lams, blocks=tuple(map(_scalar_blaschke, lams)))

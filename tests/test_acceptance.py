@@ -13,12 +13,16 @@ from importlib.resources import files
 
 import numpy as np
 
-from conftest import EXAMPLE_ZEROS, VERTEX_12, VERTEX_21
+from conftest import (
+    EXAMPLE_ZEROS,
+    VERTEX_12,
+    VERTEX_21,
+    _scalar_blaschke,
+    diagonal_inner,
+)
 from dropstab.cli import main
 from dropstab.factorization import (
-    _scalar_blaschke,
     coprime_factorize,
-    diagonal_inner,
     enumerate_wonham_forms,
     wonham_decompose,
     wonham_gain,

@@ -8,6 +8,7 @@ import pytest
 from conftest import count_calls
 from dropstab import factorization
 from dropstab.cli import _load_controller, load_model, main
+from dropstab.stabilizability import rectangle_set
 
 EXAMPLE = str(files("dropstab").joinpath("data/example1.json"))
 
@@ -155,6 +156,25 @@ def test_rects_stable_plant(stable2, capsys):
     assert code == 0
     assert "decompositions: 1" in out
     assert "vertex: (1.0000, 1.0000)" in out
+
+
+def test_rects_repeated_pole_in_one_channel(tmp_path, capsys):
+    # channel 1 carries the Jordan pair at 2, channel 2 the stable pole 0.5
+    ss = {"A": [[2, 1, 0], [0, 2, 0], [0, 0, 0.5]],
+          "B": [[0, 0], [1, 0], [0, 1]],
+          "C": [[1, 0.5, 0], [0, 0, 1]],
+          "D": [[0, 0], [0, 0]]}
+    for zeros, vertex in (([None, None], (1.0 / 16.0, 1.0)),
+                          ([3.0, None], (1.0 / 3544.0, 1.0))):
+        path = _write(tmp_path, "jordan.json", {
+            "name": "jordan", "format": "ss", "ss": ss, "channel_zeros": zeros})
+        model = load_model(path)
+        rects = rectangle_set(model.plant, model.zeros)
+        assert len(rects.vertices) == 1
+        np.testing.assert_allclose(rects.vertices[0], vertex, rtol=1e-9)
+    code, out, _ = run_cli(["rects", path], capsys)
+    assert code == 0
+    assert "vertex: (0.0003, 1.0000)" in out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from dropstab.factorization import (
     _allpass_section,
     bezout,
     coprime_factorize,
-    diagonal_inner,
     enumerate_wonham_forms,
     gamma_scale,
     inner_outer,
@@ -28,7 +27,7 @@ from dropstab.statespace import (
     subsystem,
 )
 
-from conftest import EXAMPLE_LAMBDA_12, EXAMPLE_LAMBDA_21
+from conftest import EXAMPLE_LAMBDA_12, EXAMPLE_LAMBDA_21, diagonal_inner
 
 
 def _lam_sets(form):

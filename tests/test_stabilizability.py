@@ -8,13 +8,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    EXAMPLE_LAMBDA_12,
+    EXAMPLE_LAMBDA_21,
     EXAMPLE_ZEROS,
     VERTEX_12,
     VERTEX_21,
+    _scalar_blaschke,
     count_calls,
 )
 from dropstab import factorization
 from dropstab.factorization import (
+    WonhamBlock,
+    WonhamForm,
     _allpass_section,
     coprime_factorize,
     gamma_scale,
@@ -169,6 +174,68 @@ def test_rectangle_vertex_stable_plant():
     ))
     form = wonham_decompose(g, (0, 1))
     assert_allclose(rectangle_vertex(form, (None, None)), [1.0, 1.0])
+
+
+def _allocation_form(alloc) -> WonhamForm:
+    """A decomposition in identity order whose channel j carries the
+    unstable eigenvalues ``alloc[j]``: all that ``rectangle_vertex`` reads."""
+    lams = np.asarray([v for lam in alloc for v in lam], dtype=complex)
+    blocks = tuple(WonhamBlock(channel=j, dim=len(lam), lam=tuple(lam))
+                   for j, lam in enumerate(alloc))
+    return WonhamForm(ordering=tuple(range(len(alloc))), blocks=blocks,
+                      transform=np.eye(lams.size, dtype=complex),
+                      Aw=np.diag(lams).reshape(lams.size, lams.size),
+                      Bw=np.zeros((lams.size, len(alloc)), dtype=complex))
+
+
+def _random_channel_poles(rng) -> list:
+    """Zero to two groups of unstable eigenvalues, each a real pole, a
+    complex pair or a repeated real pole, with moduli in [1.01, 4]."""
+    out = []
+    for _ in range(rng.integers(0, 3)):
+        kind, radius = rng.integers(0, 3), rng.uniform(1.01, 4.0)
+        if kind == 1:
+            v = radius * np.exp(1j * rng.uniform(0.05, np.pi - 0.05))
+            out += [v, np.conj(v)]
+        else:
+            v = complex(radius * rng.choice([-1.0, 1.0]))
+            out += [v] * (1 if kind == 0 else 2)
+    return out
+
+
+def test_rectangle_vertex_matches_allpass_oracle():
+    # the closed form against phi_diag_entry on the balanced cascade of
+    # all-pass sections, over seeded allocations of one to three channels
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 2000:
+        alloc = [_random_channel_poles(rng) for _ in range(rng.integers(1, 4))]
+        zeros = [None if rng.random() < 0.3
+                 else float(rng.uniform(1.01, 5.0) * rng.choice([-1.0, 1.0]))
+                 for _ in alloc]
+        # keep the pole/zero cancellation well conditioned
+        if any(z is not None and lam and np.min(np.abs(np.subtract(lam, z))) < 0.05
+               for lam, z in zip(alloc, zeros)):
+            continue
+        got = rectangle_vertex(_allocation_form(alloc), zeros)
+        want = [1.0 / (phi_diag_entry(_scalar_blaschke(tuple(lam)), z, 0) + 1.0)
+                for lam, z in zip(alloc, zeros)]
+        assert_allclose(got, want, rtol=1e-10, err_msg=str((alloc, zeros)))
+        checked += 1
+    # with the benchmark plant's exact poles the corners are its fractions
+    for alloc, vertex in ((EXAMPLE_LAMBDA_12, VERTEX_12), (EXAMPLE_LAMBDA_21, VERTEX_21)):
+        assert_allclose(rectangle_vertex(_allocation_form(alloc), EXAMPLE_ZEROS),
+                        vertex, rtol=1e-14)
+
+
+def test_rectangle_vertex_rejects_bad_zeros():
+    form = _allocation_form(((2.0, -1.5), ()))
+    for zeta in (2.0, 2.0 + 1e-12, -1.5):
+        with pytest.raises(ValueError, match="collides with a pole"):
+            rectangle_vertex(form, (zeta, None))
+    for zeros in ((0.5, None), (-1.0, None), (None, 0.9)):
+        with pytest.raises(ValueError, match="outside the unit circle"):
+            rectangle_vertex(form, zeros)
 
 
 # --- matrix phi against the decoupling limits -------------------------------
