@@ -14,7 +14,9 @@ Two complementary certificates are computed:
 * a channel-scaling search (``membership``) that tests the exact
   spectral-radius condition via the Frobenius-like bound
   ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, refining a coarse
-  log-space grid with a simplex descent.
+  log-space grid with a simplex descent.  The whole grid is one stacked
+  evaluation of phi, and its incumbent is the first minimum in
+  lexicographic order.
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
@@ -24,9 +26,10 @@ unstable zeros of M, ``w_i`` the left null vectors of ``M(lambda_i)`` and
 ``Pi_ik = y_i* y_k / (lambda_i conj(lambda_k) - 1)`` and ``x_j`` is row j
 of Y weighted entrywise by ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) -
 conj(lambda_i))`` (1 on a clean channel).  One k-by-k factorization replaces
-an inner-outer split per point.  ``ScalingProblem.value``, the check run on
-a certificate before synthesis, keeps the inner-outer route, so every
-certificate is re-checked by an independent computation.
+an inner-outer split per point, and a stack of scalings (the grid, the
+region sweep) takes one stacked factorization.  ``ScalingProblem.value``,
+the check run on a certificate before synthesis, keeps the inner-outer
+route, so every certificate is re-checked by an independent computation.
 
 ``synthesize`` turns a certifying scaling into the controller: the optimal
 Youla parameter over a doubly-coprime factorization of the plant with the
@@ -332,24 +335,29 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
 def _grid_then_simplex(objective, ndim: int):
     """Coarse-grid + simplex descent over log10-scaling space.
 
-    Returns (best_value, best_x, log) with deterministic lexicographic
-    tie-breaking (the grid is scanned in lexicographic order and only strict
-    improvements move the incumbent).
+    ``objective`` takes one point of shape (ndim,) and returns a float, or a
+    stack of shape (N, ndim) and returns N values; a stack raises ValueError
+    where a point would fail.  The grid is one stacked call in lexicographic
+    order, point by point only if that call raises.  Its incumbent is the
+    first minimum in that order (the point a scan keeping only strict
+    improvements ends on), or the origin when every grid value is infinite.
+    The simplex descent then evaluates point by point.  Returns
+    (best_value, best_x, log).
     """
     if ndim == 0:
         x0 = np.zeros(0)
         return float(objective(x0)), x0, {"grid_points": 1, "refine_evals": 0}
     grid_points = config.GAMMA_GRID_POINTS
     axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, grid_points)
-    best_val = math.inf
-    best_x = np.zeros(ndim)
-    for combo in itertools.product(axis, repeat=ndim):
-        x = np.asarray(combo)
-        val = objective(x)
-        if val < best_val:
-            best_val = val
-            best_x = x
-    log = {"grid_points": grid_points ** ndim, "grid_best": float(best_val)}
+    grid = np.array(list(itertools.product(axis, repeat=ndim)))
+    try:
+        values = objective(grid)
+    except ValueError:
+        values = np.array([objective(x) for x in grid])
+    first = int(np.argmin(values))
+    best_val = float(values[first])
+    best_x = grid[first] if best_val < math.inf else np.zeros(ndim)
+    log = {"grid_points": len(grid), "grid_best": best_val}
     step = 0.25
     simplex = [best_x] + [best_x + step * np.eye(ndim)[i] for i in range(ndim)]
     res = scipy.optimize.minimize(
@@ -452,20 +460,27 @@ class ScalingProblem:
     def phi(self, gamma) -> np.ndarray:
         """Per-channel ``phi_jj`` at the square-root scaling ``gamma``, in
         closed form; ValueError where the Pick matrix is not numerically
-        positive definite or a value is not finite."""
-        g = np.asarray(gamma, dtype=float).reshape(-1)
-        if g.size != len(self.zeros) or not np.all(np.isfinite(g) & (g > 0.0)):
+        positive definite or a value is not finite.
+
+        ``gamma`` is one scaling of shape (r,) or a stack of N scalings of
+        shape (N, r); the result has the same shape.  A stack takes one
+        stacked factorization and one stacked solve, which run the same
+        LAPACK routine on each slice, so every row equals the value of that
+        scaling alone.  A stack raises if any of its rows would."""
+        g = np.asarray(gamma, dtype=float)
+        if (g.ndim not in (1, 2) or g.shape[-1] != len(self.zeros)
+                or not np.all(np.isfinite(g) & (g > 0.0))):
             raise ValueError("gamma must hold one finite positive entry per channel")
-        Y = self._W / g[:, None]
+        Y = self._W / np.atleast_2d(g)[:, :, None]
         try:
-            L = np.linalg.cholesky((Y.conj().T @ Y) * self._kernel)
-            Z = np.linalg.solve(L, (Y * self._weights).conj().T)
+            L = np.linalg.cholesky((Y.conj().swapaxes(1, 2) @ Y) * self._kernel)
+            Z = np.linalg.solve(L, (Y * self._weights).conj().swapaxes(1, 2))
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"Pick matrix factorization failed ({exc})") from exc
-        phi = np.sum(np.abs(Z) ** 2, axis=0)
+        phi = np.sum(np.abs(Z) ** 2, axis=1)
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi has non-finite entries")
-        return phi
+        return phi if g.ndim == 2 else phi[0]
 
     def value(self, gamma, p) -> float:
         """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p.
@@ -503,23 +518,26 @@ def membership(plant: StateSpaceModel, zeros,
     evals = {}   # clipped log10 scaling -> (value, phi) at every finite point
 
     def objective(x):
-        x = _clip_log(x)
-        g = np.concatenate([[1.0], 10.0 ** x])
+        X = _clip_log(np.atleast_2d(x))
         try:
-            phi = problem.phi(g)
+            phis = problem.phi(np.hstack([np.ones((len(X), 1)), 10.0 ** X]))
         except ValueError:
+            if np.ndim(x) == 2:
+                raise
             failures[0] += 1
             return math.inf
-        val = float(np.max(p * (phi + 1.0)))   # problem.value, phi kept
-        evals[tuple(x)] = (val, phi)
-        return val
+        vals = np.max(p * (phis + 1.0), axis=1)   # problem.value, phi kept
+        for row, val, phi in zip(X, vals, phis):
+            evals[tuple(row)] = (float(val), phi)
+        return vals if np.ndim(x) == 2 else float(vals[0])
 
     best_val, best_x, log = _grid_then_simplex(objective, r - 1)
     if math.isinf(best_val):
         raise ValueError("scaling search failed at every grid point; the plant "
                          "factorization does not admit the inner decomposition")
     best_x = _clip_log(best_x)
-    _, phi = evals[tuple(best_x)]
+    # a copy: a row of the grid's stack would keep the whole stack alive
+    phi = evals[tuple(best_x)][1].copy()
     log["objective_failures"] = failures[0]
     member = bool(best_val < 1.0 - config.MEMBER_GUARD)
     tame = None
@@ -555,10 +573,9 @@ def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481) -> np.ndarr
         raise ValueError("the sweep helper covers exactly two channels")
     problem = ScalingProblem.from_plant(plant, zeros)
     logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, n_points)
-    out = np.empty((n_points, 2))
-    for i, lg in enumerate(logs):
-        out[i] = 1.0 / (problem.phi(np.array([1.0, 10.0 ** lg])) + 1.0)
-    return out
+    # scalar powers: the array power may differ in the last bit
+    gammas = np.array([[1.0, 10.0 ** lg] for lg in logs])
+    return 1.0 / (problem.phi(gammas) + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -401,12 +401,13 @@ def test_membership_benchmark_verdicts(example_ss):
 def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch):
     # phi_diag and bounds come from the search's own evaluation at its best
     # point, not from one more evaluation after the search; the search uses
-    # the closed form only, and the certificate check one inner-outer split
+    # the closed form only, and the certificate check one inner-outer split;
+    # the grid is one stacked call, each simplex point a call of its own
     phi = ScalingProblem.phi
-    calls = []
+    rows = []
 
     def counted(self, gamma):
-        calls.append(None)
+        rows.append(len(np.atleast_2d(gamma)))
         return phi(self, gamma)
 
     monkeypatch.setattr(ScalingProblem, "phi", counted)
@@ -414,7 +415,8 @@ def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch)
     ch = ChannelSpec([0.12, 0.01])
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     log = rep.search_log
-    assert len(calls) == log["grid_points"] + log["refine_evals"]
+    assert sum(rows) == log["grid_points"] + log["refine_evals"]
+    assert rows[0] == log["grid_points"] and rows[1:] == [1] * log["refine_evals"]
     assert len(splits) == 0
     value = rep.problem.value(rep.certificate.gamma, ch.p)
     assert len(splits) == 1
