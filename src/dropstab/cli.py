@@ -25,7 +25,6 @@ import numpy as np
 
 from . import config
 from .factorization import AssumptionViolation, validate_assumption
-from .numkernel import eigenvalues
 from .stabilizability import (
     ChannelSpec,
     ScalingProblem,
@@ -469,10 +468,8 @@ def cmd_supremum(args) -> int:
         sup = mp_supremum(model.plant, model.zeros)
     except ValueError as exc:
         raise ValueError(f"{exc}; run the rects command for this model") from exc
-    w = eigenvalues(model.plant.A).values
-    unstable = [v for v in w if abs(v) > 1.0]
     print(f"model: {model.name}")
-    print(f"unstable poles: {', '.join(_fmt_c(v) for v in unstable) or 'none'}")
+    print(f"unstable poles: {', '.join(_fmt_c(v) for v in sup.unstable) or 'none'}")
     print(f"simultaneous-dropout supremum, squared-product rule "
           f"(used for verdicts): {_fmt(sup.derived_bound)}")
     print(f"simultaneous-dropout supremum, linear-product rule "

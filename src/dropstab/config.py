@@ -33,8 +33,8 @@ UNIT_CIRCLE_BAND = 1e-9
 # rejected by the inner-outer factorization.
 ZERO_SEPARATION_TOL = 1e-6
 
-# Root clustering tolerance when comparing polynomial root multisets in the
-# assumption checker.
+# Relative distance within which the assumption checker counts two polynomial
+# roots as one repeated root (scaled by max(1, |z|)).
 ROOT_CLUSTER_TOL = 1e-6
 
 # Condition-number ceiling for feedthrough inversion.

@@ -8,7 +8,9 @@ Three related constructions live here:
 * right/left coprime factor families over a state-feedback / observer gain
   pair, with the full eight-factor identity set;
 * inner-outer splitting of square stable models by sequential extraction of
-  scalar Potapov sections, plus the model-assumption checker that feeds it.
+  scalar Potapov sections, plus the model-assumption checker that feeds it
+  (at most one simple unstable root shared by each denominator-cleared
+  column, counted root by root).
 
 Conventions: gains stabilize as ``A - B F`` and ``A - L C``; coprime factors
 are normalized so that ``M(inf) = I``; all-pass sections carry a positive
@@ -467,82 +469,42 @@ def inner_outer(sys: StateSpaceModel) -> InnerOuterPair:
 # model-class assumption checker
 
 
-def _cluster_roots(values):
-    """Greedy clustering of a root array into (representative, multiplicity)."""
-    out = []
-    for v in values:
-        for i, (rep, mult) in enumerate(out):
-            if abs(v - rep) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(rep)):
-                out[i] = ((rep * mult + v) / (mult + 1), mult + 1)
-                break
-        else:
-            out.append((v, 1))
-    return out
-
-
-def _multiset_roots(poly):
-    p = np.asarray(poly, dtype=float)
-    if p.size <= 1:
-        return []
-    return _cluster_roots(np.roots(p))
-
-
-def _multiset_subtract(a, b):
-    """Multiset difference a - b by clustering."""
-    out = [list(x) for x in a]
-    for rep, mult in b:
-        for item in out:
-            if abs(item[0] - rep) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(rep)):
-                item[1] -= mult
-                break
-    return [(rep, m) for rep, m in out if m > 0]
-
-
-def _multiset_lcm(sets):
-    """Max-multiplicity union of root multisets."""
-    out = []
-    for s in sets:
-        for rep, mult in s:
-            for i, (r0, m0) in enumerate(out):
-                if abs(rep - r0) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(r0)):
-                    out[i] = (r0, max(m0, mult))
-                    break
-            else:
-                out.append((rep, mult))
-    return out
-
-
-def _multiset_intersect(a, b):
-    out = []
-    for rep, mult in a:
-        for r0, m0 in b:
-            if abs(rep - r0) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(r0)):
-                out.append((rep, min(mult, m0)))
-                break
-    return out
-
-
 def _column_common_unstable_root(nums, dens):
-    """Unstable roots shared by a column's entries after denominator clearing.
+    """Unstable zeros shared by a column's entries after denominator clearing.
 
-    The common denominator is the root-multiset least common multiple: the
-    naive product of denominators would gift every cleared numerator the
-    other cells' poles as spurious shared roots.
+    Clearing entry i by the column's least common denominator multiplies its
+    numerator by the poles that other entries carry more often than it does,
+    so z is a root of cleared entry i with multiplicity
+    ``#num_i(z) + max_k #den_k(z) - #den_i(z)``, where ``#p(z)`` counts the
+    roots of p within ``ROOT_CLUSTER_TOL * max(1, |z|)`` of z.  The column
+    shares z with the least of these over its nonzero entries.  Candidates
+    are the unstable roots of the first nonzero numerator, then of every
+    denominator; a repeated root stands at the mean of its copies, a simple
+    one at its raw ``np.roots`` value.  Returns ``[(z, multiplicity)]``.
     """
-    den_sets = [_multiset_roots(d) for d in dens]
-    lcm = _multiset_lcm(den_sets)
-    cleared = []
-    for num, dset in zip(nums, den_sets):
-        if not any(x != 0.0 for x in num):
-            continue  # identically-zero entry vanishes everywhere; no constraint
-        extra = _multiset_subtract(lcm, dset)
-        cleared.append(_multiset_roots(num) + extra)
-    if not cleared:
+    live = [i for i, num in enumerate(nums) if any(x != 0.0 for x in num)]
+    if not live:
         raise AssumptionViolation("a plant column is identically zero")
-    common = cleared[0]
-    for other in cleared[1:]:
-        common = _multiset_intersect(common, other)
-    return [(rep, mult) for rep, mult in common if abs(rep) > 1.0]
+    num_roots = {i: np.roots(nums[i]).tolist() for i in live}
+    den_roots = [np.roots(den).tolist() for den in dens]
+
+    def near(z, roots):
+        return [r for r in roots if abs(r - z) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(z))]
+
+    candidates = []
+    for roots in [num_roots[live[0]], *den_roots]:
+        for z in roots:
+            copies = near(z, roots)
+            z = sum(copies) / len(copies)
+            if abs(z) > 1.0 and not near(z, candidates):
+                candidates.append(z)
+    common = []
+    for z in candidates:
+        lcm = max(len(near(z, roots)) for roots in den_roots)
+        mult = min(len(near(z, num_roots[i])) + lcm - len(near(z, den_roots[i])) for i in live)
+        if mult > 0:
+            common.append((z, mult))
+    return common
 
 
 def validate_assumption(plant: TransferMatrix):
@@ -581,7 +543,7 @@ def validate_assumption(plant: TransferMatrix):
         total = sum(mult for _, mult in common)
         if total == 0:
             zeros.append(None)
-        elif total == 1 and common[0][1] == 1:
+        elif total == 1:
             z = common[0][0]
             if abs(z.imag) > config.ROOT_CLUSTER_TOL * max(1.0, abs(z)):
                 raise AssumptionViolation(
@@ -603,8 +565,6 @@ def validate_assumption(plant: TransferMatrix):
             den0[i][j] = tuple(np.convolve(den0[i][j], [1.0, -z]))
     core = realize(TransferMatrix(num=tuple(map(tuple, num0)),
                                   den=tuple(map(tuple, den0))))
-    if core.D.size and np.max(np.abs(core.D)) > 1e-9:
-        raise AssumptionViolation("core model is not strictly proper")
     lead = core.C @ core.B
     if np.linalg.cond(lead) > config.INVERT_COND_MAX:
         raise AssumptionViolation(

@@ -192,7 +192,7 @@ class RectangleSet:
 class MpSupremum:
     derived_bound: float    # prod |lambda_i|^{-2}, used by every internal check
     stated_bound: float     # prod |lambda_i|^{-1}, reported alongside
-    unstable: tuple
+    unstable: tuple         # the unstable poles lambda_i, in canonical order
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +321,11 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
     """
     if any(z is not None for z in zeros):
         raise ValueError("plant is not minimum phase: use the rectangle analysis")
-    w = eigenvalues(plant.A).values
-    unstable = tuple(abs(v) for v in w if abs(v) > 1.0)
-    return MpSupremum(derived_bound=_channel_bound(unstable, None),
-                      stated_bound=1.0 / float(np.prod(unstable)),
+    unstable = tuple(v for v in eigenvalues(plant.A).values if abs(v) > 1.0)
+    # scalar abs: the vectorised complex abs can differ in the last bit
+    moduli = [abs(v) for v in unstable]
+    return MpSupremum(derived_bound=_channel_bound(moduli, None),
+                      stated_bound=1.0 / float(np.prod(moduli)),
                       unstable=unstable)
 
 
@@ -360,15 +361,17 @@ def _grid_then_simplex(objective, ndim: int):
     log = {"grid_points": len(grid), "grid_best": best_val}
     step = 0.25
     simplex = [best_x] + [best_x + step * np.eye(ndim)[i] for i in range(ndim)]
-    res = scipy.optimize.minimize(
-        objective, best_x, method="Nelder-Mead",
-        options={
-            "maxfev": config.GAMMA_REFINE_MAXFEV,
-            "initial_simplex": np.asarray(simplex),
-            "xatol": 1e-6,
-            "fatol": 1e-12,
-        },
-    )
+    # failed points are inf, and the convergence test subtracts inf from inf
+    with np.errstate(invalid="ignore"):
+        res = scipy.optimize.minimize(
+            objective, best_x, method="Nelder-Mead",
+            options={
+                "maxfev": config.GAMMA_REFINE_MAXFEV,
+                "initial_simplex": np.asarray(simplex),
+                "xatol": 1e-6,
+                "fatol": 1e-12,
+            },
+        )
     log["refine_evals"] = int(res.nfev)
     if res.fun < best_val:
         best_val = float(res.fun)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from dropstab.factorization import (
     AssumptionViolation,
     _allpass_section,
+    _column_common_unstable_root,
     bezout,
     coprime_factorize,
     enumerate_wonham_forms,
@@ -347,8 +348,110 @@ def test_validate_assumption_rejects_nmp_core():
 
 
 def test_validate_assumption_unstable_shared_pole_cleared(example_tf):
-    # clearing denominators by the root-multiset lcm must NOT invent common
+    # clearing denominators by their least common multiple must NOT invent common
     # zeros out of the other cells' poles; this plant's column-1 cells share
     # only z = -2 even though their pole sets overlap
     zeros = validate_assumption(example_tf)
     assert zeros[0] == pytest.approx(-2.0, abs=1e-8)
+
+
+def _planted_plant(rng, zeros, extra=None, nmp_core=False):
+    """``G_0 diag((z - zeta_j)/z)`` as a transfer matrix, with
+    ``G_0 = U L diag(1/(z - p_j))``: U constant unit upper triangular, L unit
+    lower triangular with entries ``a/(z - q)``, some of both left zero.  So
+    ``lim z G_0 = U``, the zeros of G_0 are the q (stable unless
+    ``nmp_core``), and the poles p_j come from a small pool shared across
+    cells.  ``extra = (j, roots)`` multiplies column j by
+    ``prod (z - w)/z`` over the given roots as well."""
+    r = len(zeros)
+    p = rng.choice([1.5, -2.0, 2.5, 0.5, -0.3], r)
+    q = rng.uniform(-0.8, 0.8, (r, r))
+    a = rng.uniform(0.5, 2.0, (r, r)) * rng.choice([-1.0, 0.0, 1.0], (r, r))
+    U = np.triu(rng.uniform(-1.5, 1.5, (r, r)) * rng.choice([0.0, 1.0], (r, r)), 1) + np.eye(r)
+    if nmp_core:
+        q[1, 0], a[1, 0] = 1.7, 1.0
+    num, den = [], []
+    for i in range(r):
+        nrow, drow = [], []
+        for j in range(r):
+            n_ij, d_ij = np.zeros(1), np.ones(1)
+            for k in range(max(i, j), r):
+                if k == j:
+                    n_ij = np.polyadd(n_ij, U[i, j] * d_ij)
+                elif U[i, k] * a[k, j] != 0.0:
+                    n_ij = np.polyadd(np.polymul(n_ij, [1.0, -q[k, j]]), U[i, k] * a[k, j] * d_ij)
+                    d_ij = np.polymul(d_ij, [1.0, -q[k, j]])
+            n_ij = np.trim_zeros(n_ij, "f")
+            if n_ij.size == 0:
+                nrow.append((0.0,))
+                drow.append((1.0,))
+                continue
+            d_ij = np.polymul(d_ij, [1.0, -p[j]])
+            roots = ([] if zeros[j] is None else [zeros[j]]) + (
+                list(extra[1]) if extra and extra[0] == j else [])
+            for w in roots:
+                n_ij = np.polymul(n_ij, [1.0, -w])
+                d_ij = np.polymul(d_ij, [1.0, 0.0])
+            nrow.append(tuple(np.real(n_ij)))
+            drow.append(tuple(d_ij))
+        num.append(tuple(nrow))
+        den.append(tuple(drow))
+    return TransferMatrix(num=tuple(num), den=tuple(den))
+
+
+def test_validate_assumption_finds_planted_zeros():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        r = int(rng.integers(1, 4))
+        zeros = tuple(None if rng.random() < 0.35
+                      else float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
+                      for _ in range(r))
+        seed = int(rng.integers(1 << 30))
+        j = int(rng.integers(r))
+        stable = float(rng.uniform(-0.9, 0.9))   # a shared stable root is not a channel zero
+        for extra in (None, (j, (stable,))):
+            found = validate_assumption(_planted_plant(np.random.default_rng(seed), zeros, extra))
+            assert [z is None for z in found] == [z is None for z in zeros]
+            assert [z for z in found if z is not None] == pytest.approx(
+                [z for z in zeros if z is not None], rel=1e-9)
+
+        own = 0 if zeros[j] is None else 1
+        eta = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
+        w = rng.uniform(1.2, 3.0) * np.exp(1j * rng.uniform(0.3, 2.8))
+        for roots in ((eta, eta), (w, np.conj(w))):
+            tf = _planted_plant(np.random.default_rng(seed), zeros, extra=(j, roots))
+            with pytest.raises(AssumptionViolation,
+                               match=f"column {j + 1} shares {2 + own} unstable zeros"):
+                validate_assumption(tf)
+        if r > 1:
+            tf = _planted_plant(np.random.default_rng(seed), zeros, nmp_core=True)
+            with pytest.raises(AssumptionViolation, match="non-minimum-phase zero at 1.7"):
+                validate_assumption(tf)
+
+
+def test_validate_assumption_counts_a_shared_root_once():
+    # column 1 clears to (z-3)^2 (z-0.2) and (z-3) z (z-0.5): z = 3 is a
+    # numerator root of the first entry and also a pole it lacks, yet the
+    # second entry keeps it only once, so the column shares one zero at 3.
+    # Counting the first entry's two copies separately would report two.
+    tf = TransferMatrix(
+        num=(((1.0, -3.0), (0.0,)), ((1.0, -3.0), (1.0,))),
+        den=((tuple(np.convolve([1.0, 0.0], [1.0, -0.5])), (1.0, -0.4)),
+             (tuple(np.convolve([1.0, -3.0], [1.0, -0.2])), (1.0, -0.4))),
+    )
+    [(z, mult)] = _column_common_unstable_root([tf.num[0][0], tf.num[1][0]],
+                                               [tf.den[0][0], tf.den[1][0]])
+    assert mult == 1 and z == pytest.approx(3.0, abs=1e-12)
+    with pytest.raises(AssumptionViolation, match=r"non-minimum-phase zero at 3[+-]0j"):
+        validate_assumption(tf)
+
+
+def test_column_root_from_a_pole_other_entries_lack():
+    # the coefficients are taken as given: the second entry's pole at -2 is
+    # cancelled once by its numerator, so clearing the first entry by the
+    # column's denominator (z + 2)^2 leaves -2 a root of both.  np.roots
+    # splits the double pole by about 1e-8; the root stands at its mean.
+    nums = [(0.7,), (1.0, 2.0)]
+    dens = [tuple(np.poly([2.0, 0.3])), tuple(np.poly([2.0, -2.0, -2.0]))]
+    [(z, mult)] = _column_common_unstable_root(nums, dens)
+    assert mult == 1 and abs(z + 2.0) < 1e-12
