@@ -336,13 +336,18 @@ def cmd_region(args) -> int:
     pool = np.vstack([pool, corners])
     p1 = np.linspace(0.0, a, 1 if a == 0.0 else n1)
     p2 = np.linspace(0.0, b, 1 if b == 0.0 else n2)
-    grid = np.array([(x, y) for x in p1 for y in p2])
-    ok = (grid[:, None, :] < pool[None, :, :] * (1.0 - config.MEMBER_GUARD))
-    member = ok.all(axis=2).any(axis=1)
+    # a cell is a member iff some pool row dominates it strictly: with
+    # reach(p1) the largest guarded p2 level among the rows whose guarded
+    # p1 level exceeds p1, that is p2 < reach(p1)
+    guarded = pool * (1.0 - config.MEMBER_GUARD)
+    above = p1[:, None] < guarded[None, :, 0]
+    reach = np.where(above, guarded[None, :, 1], -np.inf).max(axis=1)
+    ys = [_fmt(y) for y in p2]
     out = sys.stdout
     out.write("p1,p2,member\n")
-    for (x, y), m in zip(grid, member):
-        out.write(f"{_fmt(x)},{_fmt(y)},{int(m)}\n")
+    for x, lim in zip(p1, reach):
+        fx = _fmt(x)
+        out.writelines(f"{fx},{fy},{int(y < lim)}\n" for y, fy in zip(p2, ys))
     return 0
 
 

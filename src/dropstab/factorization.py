@@ -515,7 +515,7 @@ def validate_assumption(plant: TransferMatrix):
     column; after pulling those zeros out (and restoring relative degree with
     a z factor), the remaining core has all transmission zeros strictly
     inside the disc and an invertible ``lim z G_0`` (relative degree one per
-    channel).
+    channel), read from the entries' leading coefficients.
 
     Returns
     -------
@@ -563,13 +563,19 @@ def validate_assumption(plant: TransferMatrix):
         for i in range(p):
             num0[i][j] = tuple(np.convolve(num0[i][j], [1.0, 0.0]))
             den0[i][j] = tuple(np.convolve(den0[i][j], [1.0, -z]))
-    core = realize(TransferMatrix(num=tuple(map(tuple, num0)),
-                                  den=tuple(map(tuple, den0))))
-    lead = core.C @ core.B
+    # lim z G_0 = lim z G, read from each entry's leading coefficients (the
+    # grid holds them trimmed): num[0]/den[0] where the degrees differ by
+    # one, exactly 0 otherwise.  The C B of a realization would hold
+    # roundoff where the limit is 0.
+    lead = np.array([[num[0] / den[0] if len(num) == len(den) - 1 else 0.0
+                      for num, den in zip(nrow, drow)]
+                     for nrow, drow in zip(plant.num, plant.den)])
     if np.linalg.cond(lead) > config.INVERT_COND_MAX:
         raise AssumptionViolation(
             "relative degree is not one per channel: lim z G_0 is singular"
         )
+    core = realize(TransferMatrix(num=tuple(map(tuple, num0)),
+                                  den=tuple(map(tuple, den0))))
     tz = transmission_zeros(core)
     if tz.size and np.max(np.abs(tz)) >= 1.0 - config.UNIT_CIRCLE_BAND:
         worst = tz[np.argmax(np.abs(tz))]

@@ -14,9 +14,12 @@ Two complementary certificates are computed:
 * a channel-scaling search (``membership``) that tests the exact
   spectral-radius condition via the Frobenius-like bound
   ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, refining a coarse
-  log-space grid with a simplex descent.  The whole grid is one stacked
-  evaluation of phi, and its incumbent is the first minimum in
-  lexicographic order.
+  log-space grid.  The whole grid is one stacked evaluation of phi, and
+  its incumbent is the first minimum in lexicographic order.  With two
+  channels the Pick matrix is linear in ``gamma_2^-2``, and one k-by-k
+  generalized eigenproblem gives the scaling where the two channel terms
+  cross (``ScalingProblem.crossing``), the exact minimizer; with three or
+  four channels, or where that pencil fails, a simplex descent refines.
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
@@ -111,6 +114,10 @@ __all__ = [
 ]
 
 MAX_SEARCH_CHANNELS = 4
+# the two-channel crossing: Illinois steps on log10 gamma_2 stop once the
+# bracket is this narrow, or after this many steps
+CROSSING_XTOL = 1e-12
+CROSSING_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -333,8 +340,8 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
 # membership search
 
 
-def _grid_then_simplex(objective, ndim: int):
-    """Coarse-grid + simplex descent over log10-scaling space.
+def _grid_then_refine(objective, ndim: int, pencil=None):
+    """Coarse grid, then one refinement, over log10-scaling space.
 
     ``objective`` takes one point of shape (ndim,) and returns a float, or a
     stack of shape (N, ndim) and returns N values; a stack raises ValueError
@@ -342,12 +349,19 @@ def _grid_then_simplex(objective, ndim: int):
     order, point by point only if that call raises.  Its incumbent is the
     first minimum in that order (the point a scan keeping only strict
     improvements ends on), or the origin when every grid value is infinite.
-    The simplex descent then evaluates point by point.  Returns
-    (best_value, best_x, log).
+
+    ``pencil``, if given, returns the point the two-channel pencil
+    proposes, or raises ValueError saying why it cannot.  That point costs
+    one objective call and replaces the incumbent if strictly better.  When
+    there is no pencil point, or the objective fails at it, a simplex
+    descent from the incumbent refines point by point instead; the log
+    names the refinement that ran (``"refine"``) and the reason of a
+    fallback (``"refine_fallback"``).  Returns (best_value, best_x, log).
     """
     if ndim == 0:
         x0 = np.zeros(0)
-        return float(objective(x0)), x0, {"grid_points": 1, "refine_evals": 0}
+        return float(objective(x0)), x0, {"grid_points": 1, "refine_evals": 0,
+                                          "refine": "none"}
     grid_points = config.GAMMA_GRID_POINTS
     axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, grid_points)
     grid = np.array(list(itertools.product(axis, repeat=ndim)))
@@ -358,7 +372,22 @@ def _grid_then_simplex(objective, ndim: int):
     first = int(np.argmin(values))
     best_val = float(values[first])
     best_x = grid[first] if best_val < math.inf else np.zeros(ndim)
-    log = {"grid_points": len(grid), "grid_best": best_val}
+    log = {"grid_points": len(grid), "grid_best": best_val, "refine_evals": 0}
+    if pencil is not None:
+        try:
+            x = pencil()
+        except ValueError as exc:
+            log["refine_fallback"] = f"no pencil point: {exc}"
+        else:
+            val = objective(x)
+            log["refine_evals"] = 1
+            if val < math.inf:
+                log["refine"] = "pencil"
+                if val < best_val:
+                    best_val, best_x = val, x
+                return best_val, best_x, log
+            log["refine_fallback"] = "phi failed at the pencil point"
+    log["refine"] = "simplex"
     step = 0.25
     simplex = [best_x] + [best_x + step * np.eye(ndim)[i] for i in range(ndim)]
     # failed points are inf, and the convergence test subtracts inf from inf
@@ -372,7 +401,7 @@ def _grid_then_simplex(objective, ndim: int):
                 "fatol": 1e-12,
             },
         )
-    log["refine_evals"] = int(res.nfev)
+    log["refine_evals"] += int(res.nfev)
     if res.fun < best_val:
         best_val = float(res.fun)
         best_x = np.asarray(res.x)
@@ -485,6 +514,77 @@ class ScalingProblem:
             raise ValueError("phi has non-finite entries")
         return phi if g.ndim == 2 else phi[0]
 
+    def crossing(self, p) -> float:
+        """Two channels: the ``log10 gamma_2`` in the search box that
+        minimizes ``max_j p_j (phi_jj + 1)``, from one k-by-k pencil.
+
+        With ``d = gamma_2^-2`` the Pick matrix is ``B_1 + d B_2``, where
+        ``B_j = (w_j* w_j) o kernel`` for row ``w_j`` of W.  The
+        Hermitian-definite pencil ``(B_2, B_1 + B_2)`` has eigenvalues theta
+        in [0, 1] and eigenvectors V with ``V* (B_1 + B_2) V = I``, so with
+        ``u_j`` row j of W times the weights and ``den = (1 - theta) + d
+        theta``, ``phi_11 = sum |u_1 V|^2 / den`` falls and ``phi_22 = d sum
+        |u_2 V|^2 / den`` rises in d.  Their certificate terms cross once:
+        Illinois steps on ``log10 gamma_2`` find the crossing, and where
+        one term dominates across the whole box the box end that favours it
+        is returned.  ValueError for another channel count, or where
+        ``B_1 + B_2`` is not numerically positive definite or the pencil is
+        not finite.
+        """
+        if len(self.zeros) != 2:
+            raise ValueError("the pencil covers exactly two channels")
+        p1, p2 = (float(v) for v in p)
+        W, U = self._W, self._W * self._weights
+        B1, B2 = ((np.outer(W[j].conj(), W[j]) * self._kernel) for j in (0, 1))
+        try:
+            Linv = np.linalg.inv(np.linalg.cholesky(B1 + B2))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"B_1 + B_2 factorization failed ({exc})") from exc
+        theta, Q = np.linalg.eigh(Linv @ B2 @ Linv.conj().T)
+        V = Linv.conj().T @ Q
+        a, b = (np.abs(U[j] @ V) ** 2 for j in (0, 1))
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(a))
+                and np.all(np.isfinite(b))):
+            raise ValueError("the pencil has non-finite entries")
+        theta = np.clip(theta, 0.0, 1.0)
+        rest = 1.0 - theta
+
+        def gap(x):
+            """``p_1 (phi_11 + 1) - p_2 (phi_22 + 1)``; rises with x."""
+            d = 10.0 ** (-2.0 * x)
+            den = rest + d * theta
+            return p1 * (1.0 + np.sum(a / den)) - p2 * (1.0 + d * np.sum(b / den))
+
+        lo, hi = config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX
+        g_lo, g_hi = gap(lo), gap(hi)
+        if g_lo >= 0.0:
+            return lo
+        if g_hi <= 0.0:
+            return hi
+        best, g_best = (lo, -g_lo) if -g_lo < g_hi else (hi, g_hi)
+        f_lo, f_hi, side = g_lo, g_hi, 0
+        for _ in range(CROSSING_MAX_STEPS):
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            g = gap(x)
+            if abs(g) < g_best:
+                best, g_best = x, abs(g)
+            if g == 0.0 or hi - lo <= CROSSING_XTOL:
+                break
+            # Illinois: halve the stale end's value when a side repeats
+            if g > 0.0:
+                hi, f_hi = x, g
+                if side > 0:
+                    f_lo *= 0.5
+                side = 1
+            else:
+                lo, f_lo = x, g
+                if side < 0:
+                    f_hi *= 0.5
+                side = -1
+        return best
+
     def value(self, gamma, p) -> float:
         """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p.
 
@@ -505,6 +605,15 @@ def membership(plant: StateSpaceModel, zeros,
     used with unit channel gains: the searched scaling absorbs the success
     probabilities, so the certificate is reusable across p (convert with
     ``gamma * (1 - p)`` before synthesis).
+
+    The search scans a log-spaced grid (one stacked phi evaluation), then
+    refines from its incumbent.  With two channels the refinement is the
+    single point ``ScalingProblem.crossing`` proposes; with three or four
+    channels, or where the pencil cannot be formed or phi fails at its
+    point, it is a Nelder-Mead simplex.  ``search_log["refine"]`` names the
+    refinement that ran, ``"refine_fallback"`` the reason the pencil was
+    not used, and ``"refine_evals"`` counts its phi evaluations.  Every
+    point, the pencil's included, is valued by the same closed form.
 
     Returns a report whose ``bounds`` are the per-channel admissible levels
     at the certificate; search exhaustion is reported as a non-member with
@@ -534,7 +643,8 @@ def membership(plant: StateSpaceModel, zeros,
             evals[tuple(row)] = (float(val), phi)
         return vals if np.ndim(x) == 2 else float(vals[0])
 
-    best_val, best_x, log = _grid_then_simplex(objective, r - 1)
+    pencil = (lambda: np.array([problem.crossing(p)])) if r == 2 else None
+    best_val, best_x, log = _grid_then_refine(objective, r - 1, pencil)
     if math.isinf(best_val):
         raise ValueError("scaling search failed at every grid point; the plant "
                          "factorization does not admit the inner decomposition")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from dropstab import factorization
+from dropstab import config, factorization
 from dropstab.cli import _load_controller, load_model, main
-from dropstab.stabilizability import rectangle_set
+from dropstab.stabilizability import rectangle_set, sweep_bounds
 
 EXAMPLE = str(files("dropstab").joinpath("data/example1.json"))
 
@@ -253,6 +253,24 @@ def test_region_marks_rectangle_interior(capsys):
     inside = (((p1 < v1[0]) & (p2 < v1[1])) | ((p1 < v2[0]) & (p2 < v2[1])))
     assert member[inside].all()
     assert not member[p1 > v1[0]].any()
+
+
+def test_region_matches_pairwise_dominance(capsys):
+    # reference: every cell against every pool row, member iff some row's
+    # guarded levels both exceed the cell's
+    model = load_model(EXAMPLE)
+    pool = np.vstack([sweep_bounds(model.plant, model.zeros),
+                      np.array(rectangle_set(model.plant, model.zeros).vertices)])
+    code, out, _ = run_cli(
+        ["region", EXAMPLE, "--grid", "41x37", "--pmax", "0.2,0.03"], capsys)
+    assert code == 0
+    p1, p2 = np.linspace(0.0, 0.2, 41), np.linspace(0.0, 0.03, 37)
+    grid = np.array([(x, y) for x in p1 for y in p2])
+    ok = grid[:, None, :] < pool[None, :, :] * (1.0 - config.MEMBER_GUARD)
+    member = ok.all(axis=2).any(axis=1)
+    got = [int(line.rsplit(",", 1)[1]) for line in out.strip().split("\n")[1:]]
+    assert got == member.astype(int).tolist()
+    assert 0 < sum(got) < len(got)
 
 
 def test_region_needs_two_channels(scalar_mp, capsys):

@@ -337,6 +337,36 @@ def test_validate_assumption_rejects_rank_deficient_lead():
         validate_assumption(tf)
 
 
+def test_validate_assumption_rejects_a_roundoff_lead():
+    # every entry of column 1 has relative degree two, so lim z G has a
+    # zero column; the C B of a realization holds roundoff there (entries
+    # up to 5e-16, condition number 7.3) and passed a test on C B alone
+    tf = TransferMatrix(
+        num=(((-0.525,), (0.0,)), ((0.884, 1.768), (1.39,))),
+        den=((tuple(np.poly([2.0, 0.3])), (1.0,)),
+             (tuple(np.poly([2.0, -2.0, -2.0])), tuple(np.poly([-2.0, 2.0])))),
+    )
+    with pytest.raises(AssumptionViolation, match="relative degree is not one per channel"):
+        validate_assumption(tf)
+    # seeded planted plants: one more stable pole on every entry of a column
+    # gives it relative degree two
+    rng = np.random.default_rng(1479)
+    for _ in range(20):
+        r = int(rng.integers(1, 4))
+        zeros = tuple(None if rng.random() < 0.35
+                      else float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
+                      for _ in range(r))
+        tf = _planted_plant(rng, zeros)
+        assert validate_assumption(tf) == pytest.approx(zeros)
+        j, s = int(rng.integers(r)), float(rng.uniform(-0.9, 0.9))
+        den = [list(row) for row in tf.den]
+        for row in den:
+            row[j] = tuple(np.convolve(row[j], [1.0, -s]))
+        slow = TransferMatrix(num=tf.num, den=tuple(map(tuple, den)))
+        with pytest.raises(AssumptionViolation, match="relative degree is not one"):
+            validate_assumption(slow)
+
+
 def test_validate_assumption_rejects_nmp_core():
     # no column-common zeros, but det G vanishes outside the disc
     tf = TransferMatrix(
