@@ -356,7 +356,7 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
     its value; the scaling is None when it does not certify."""
     if gamma_text is not None:
         g = _parse_gamma(gamma_text, model.plant.n_inputs)
-        problem = ScalingProblem.from_plant(model.plant, model.zeros)
+        problem = ScalingProblem(model.plant, model.zeros)
     else:
         report = membership(model.plant, model.zeros, channels)
         if not report.member:

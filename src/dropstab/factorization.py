@@ -469,10 +469,33 @@ def inner_outer(sys: StateSpaceModel) -> InnerOuterPair:
 # model-class assumption checker
 
 
+def _near(z, roots) -> list:
+    """The roots within ``ROOT_CLUSTER_TOL * max(1, |z|)`` of z."""
+    return [r for r in roots if abs(r - z) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(z))]
+
+
+def _reduced_roots(num, den):
+    """Roots of an entry's numerator and denominator with the roots they
+    share cancelled pair by pair, each numerator root against the nearest
+    denominator root within ``ROOT_CLUSTER_TOL``."""
+    num_roots, den_roots = np.roots(num).tolist(), np.roots(den).tolist()
+    kept = []
+    for z in num_roots:
+        close = _near(z, den_roots)
+        if close:
+            den_roots.remove(min(close, key=lambda r: abs(r - z)))
+        else:
+            kept.append(z)
+    return kept, den_roots
+
+
 def _column_common_unstable_root(nums, dens):
     """Unstable zeros shared by a column's entries after denominator clearing.
 
-    Clearing entry i by the column's least common denominator multiplies its
+    Each nonzero entry is first reduced: the roots its numerator and
+    denominator share are cancelled (``_reduced_roots``).  Identically zero
+    entries take no part, so a pole written on one is ignored.  Clearing
+    entry i by the column's least common denominator multiplies its
     numerator by the poles that other entries carry more often than it does,
     so z is a root of cleared entry i with multiplicity
     ``#num_i(z) + max_k #den_k(z) - #den_i(z)``, where ``#p(z)`` counts the
@@ -485,23 +508,20 @@ def _column_common_unstable_root(nums, dens):
     live = [i for i, num in enumerate(nums) if any(x != 0.0 for x in num)]
     if not live:
         raise AssumptionViolation("a plant column is identically zero")
-    num_roots = {i: np.roots(nums[i]).tolist() for i in live}
-    den_roots = [np.roots(den).tolist() for den in dens]
-
-    def near(z, roots):
-        return [r for r in roots if abs(r - z) <= config.ROOT_CLUSTER_TOL * max(1.0, abs(z))]
+    num_roots, den_roots = zip(*(_reduced_roots(nums[i], dens[i]) for i in live))
 
     candidates = []
-    for roots in [num_roots[live[0]], *den_roots]:
+    for roots in [num_roots[0], *den_roots]:
         for z in roots:
-            copies = near(z, roots)
+            copies = _near(z, roots)
             z = sum(copies) / len(copies)
-            if abs(z) > 1.0 and not near(z, candidates):
+            if abs(z) > 1.0 and not _near(z, candidates):
                 candidates.append(z)
     common = []
     for z in candidates:
-        lcm = max(len(near(z, roots)) for roots in den_roots)
-        mult = min(len(near(z, num_roots[i])) + lcm - len(near(z, den_roots[i])) for i in live)
+        lcm = max(len(_near(z, roots)) for roots in den_roots)
+        mult = min(len(_near(z, nr)) + lcm - len(_near(z, dr))
+                   for nr, dr in zip(num_roots, den_roots))
         if mult > 0:
             common.append((z, mult))
     return common

@@ -18,21 +18,26 @@ Two complementary certificates are computed:
   its incumbent is the first minimum in lexicographic order.  With two
   channels the Pick matrix is linear in ``gamma_2^-2``, and one k-by-k
   generalized eigenproblem gives the scaling where the two channel terms
-  cross (``ScalingProblem.crossing``), the exact minimizer; with three or
-  four channels, or where that pencil fails, a simplex descent refines.
+  cross (``ScalingProblem.crossing``, safeguarded Newton steps from the grid
+  incumbent), the exact minimizer; with three or four channels, or where
+  that pencil fails, a simplex descent refines.
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
-the Pick data of M (``ScalingProblem.phi``): with ``lambda_1..lambda_k`` the
-unstable zeros of M, ``w_i`` the left null vectors of ``M(lambda_i)`` and
-``Y = Gamma^{-1} W``, ``phi_jj = x_j Pi^{-1} x_j*`` where
+the Pick data of M (``ScalingProblem.phi``), which are the plant's own:
+with ``lambda_1..lambda_k`` the unstable eigenvalues of A (the unstable
+zeros of M), ``w_i = B* u_i`` for the left eigenvectors ``u_i* A = lambda_i
+u_i*`` (the left null vectors of ``M(lambda_i)`` for every stabilizing
+gain) and ``Y = Gamma^{-1} W``, ``phi_jj = x_j Pi^{-1} x_j*`` where
 ``Pi_ik = y_i* y_k / (lambda_i conj(lambda_k) - 1)`` and ``x_j`` is row j
 of Y weighted entrywise by ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) -
-conj(lambda_i))`` (1 on a clean channel).  One k-by-k factorization replaces
-an inner-outer split per point, and a stack of scalings (the grid, the
-region sweep) takes one stacked factorization.  ``ScalingProblem.value``,
-the check run on a certificate before synthesis, keeps the inner-outer
-route, so every certificate is re-checked by an independent computation.
+conj(lambda_i))`` (1 on a clean channel).  So the search builds no
+decomposition, gain or coprime factor; one k-by-k factorization replaces an
+inner-outer split per point, and a stack of scalings (the grid, the region
+sweep) takes one stacked factorization.  ``ScalingProblem.value``, the
+check run on a certificate before synthesis, builds M on first use and
+keeps the inner-outer route, so every certificate is re-checked by an
+independent computation.
 
 ``synthesize`` turns a certifying scaling into the controller: the optimal
 Youla parameter over a doubly-coprime factorization of the plant with the
@@ -46,6 +51,7 @@ the diagonal of the square-root scaling with ``gamma_1 = 1``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -87,6 +93,8 @@ from .statespace import (
     stable_part,
     subsystem,
     zshift,
+    _ctrb_staircase,
+    _staircase_threshold,
 )
 
 __all__ = [
@@ -114,8 +122,8 @@ __all__ = [
 ]
 
 MAX_SEARCH_CHANNELS = 4
-# the two-channel crossing: Illinois steps on log10 gamma_2 stop once the
-# bracket is this narrow, or after this many steps
+# the two-channel crossing: Newton steps stop once a step or the bracket on
+# log10 gamma_2 is this narrow, or after this many steps
 CROSSING_XTOL = 1e-12
 CROSSING_MAX_STEPS = 100
 
@@ -179,8 +187,8 @@ class StabilizabilityReport:
     bounds: np.ndarray
     search_log: dict = field(compare=False)
     problem: ScalingProblem = field(compare=False, repr=False)
-    """The scaled coprime factor the search ran on; reusable for the same
-    plant and zeros."""
+    """The Pick data the search ran on; reusable for the same plant and
+    zeros."""
     tame_certificate: Optional[GammaScaling] = None
     """Least-extreme certifying scaling, set iff ``member``: preferred for
     synthesis, where the optimizer's railed points are ill-conditioned."""
@@ -350,9 +358,11 @@ def _grid_then_refine(objective, ndim: int, pencil=None):
     first minimum in that order (the point a scan keeping only strict
     improvements ends on), or the origin when every grid value is infinite.
 
-    ``pencil``, if given, returns the point the two-channel pencil
-    proposes, or raises ValueError saying why it cannot.  That point costs
-    one objective call and replaces the incumbent if strictly better.  When
+    ``pencil``, if given, takes the incumbent and returns the point the
+    two-channel pencil proposes with the number of steps it took to find it
+    (logged as ``"crossing_steps"``), or raises ValueError saying why it
+    cannot.  That point costs one objective call and replaces the incumbent
+    if strictly better.  When
     there is no pencil point, or the objective fails at it, a simplex
     descent from the incumbent refines point by point instead; the log
     names the refinement that ran (``"refine"``) and the reason of a
@@ -375,7 +385,7 @@ def _grid_then_refine(objective, ndim: int, pencil=None):
     log = {"grid_points": len(grid), "grid_best": best_val, "refine_evals": 0}
     if pencil is not None:
         try:
-            x = pencil()
+            x, log["crossing_steps"] = pencil(best_x)
         except ValueError as exc:
             log["refine_fallback"] = f"no pencil point: {exc}"
         else:
@@ -414,38 +424,42 @@ def _clip_log(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalingProblem:
-    """The plant's right coprime factor M and its channel zeros: evaluates
-    the diagonal ``phi`` of the all-pass factor of the scaled factor
-    ``diag(gamma) M diag(gamma)^{-1}`` at any channel scaling ``gamma``.
+    """A plant and its channel zeros: evaluates the diagonal ``phi`` of the
+    all-pass factor of the scaled right coprime factor ``diag(gamma) M
+    diag(gamma)^{-1}`` at any channel scaling ``gamma``.
 
-    The Pick data of M are computed once, at construction: the unstable
-    zeros ``lambda_i`` of M (the plant's unstable poles), the left null
-    vectors ``w_i`` of ``M(lambda_i)`` as the columns of W, the Cauchy
-    kernel ``1/(lambda_i conj(lambda_k) - 1)`` and the channel weights
-    ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) - conj(lambda_i))``, which
-    are 1 on a clean channel.  Scaling keeps each ``lambda_i`` and maps W
-    to ``Y = diag(gamma)^{-1} W``, so ``phi`` needs one k-by-k Cholesky
+    The Pick data of M are computed once, at construction, from the plant
+    pair (A, B) alone: the unstable zeros ``lambda_i`` of M are the unstable
+    eigenvalues of A, and the left null vector of ``M(lambda_i)`` is
+    ``w_i = B* u_i`` (normalized) with ``u_i* A = lambda_i u_i*``, for every
+    stabilizing gain F, because ``M^{-1} = (A, B, F, I)`` has the residue
+    ``F v_i u_i* B`` at ``lambda_i``.  With the ``w_i`` as the columns of
+    W, the Cauchy kernel ``1/(lambda_i conj(lambda_k) - 1)`` and the channel
+    weights ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) - conj(lambda_i))``,
+    which are 1 on a clean channel, scaling keeps each ``lambda_i`` and maps
+    W to ``Y = diag(gamma)^{-1} W``, so ``phi`` needs one k-by-k Cholesky
     factorization of the Pick matrix ``Pi = (Y* Y) o kernel``:
     ``phi_jj = x_j Pi^{-1} x_j*`` with ``x_j`` row j of Y times the weights.
     On a clean channel of a decoupled plant this is the product bound
     ``phi_jj + 1 = prod |lambda_i|^2``.
 
     ``value`` evaluates phi through the inner-outer split of the scaled
-    factor instead: it is the check a certificate passes before synthesis,
-    and an independent route there re-checks every certificate the closed
-    form found.
+    factor M instead, which it builds on first use (identity channel
+    ordering, default Wonham gain): it is the check a certificate passes
+    before synthesis, and an independent route there re-checks every
+    certificate the closed form found.
 
     Raises
     ------
     ValueError
-        At construction, for a wrong number of zeros, a zero of M within
-        ``UNIT_CIRCLE_BAND`` of the unit circle, two unstable zeros of M
-        closer than ``ZERO_SEPARATION_TOL``, or a channel zero inside the
-        closed unit disc or within ``1e-9 max(1, |zeta|)`` of an unstable
-        zero of M.
+        At construction, for a wrong number of zeros, an uncontrollable
+        pair (A, B), a pole within ``UNIT_CIRCLE_BAND`` of the unit circle,
+        two unstable poles closer than ``ZERO_SEPARATION_TOL``, or a channel
+        zero inside the closed unit disc or within ``1e-9 max(1, |zeta|)``
+        of an unstable pole.
     """
 
-    M: StateSpaceModel
+    plant: StateSpaceModel
     zeros: tuple
     _lam: np.ndarray = field(init=False, repr=False, compare=False)
     _W: np.ndarray = field(init=False, repr=False, compare=False)
@@ -453,10 +467,15 @@ class ScalingProblem:
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M, r = self.M, self.M.n_inputs
+        A, B = self.plant.A, self.plant.B
+        n, r = self.plant.order, self.plant.n_inputs
         if len(self.zeros) != r:
             raise ValueError(f"need {r} channel zeros, got {len(self.zeros)}")
-        poles = eigenvalues(inverse(M).A).values if M.order else np.zeros(0, complex)
+        _, reached = _ctrb_staircase(A, B, _staircase_threshold([A, B]))
+        if reached != n:
+            raise ValueError(f"{reached} of {n} states are reachable: "
+                             "pair (A, B) is uncontrollable")
+        poles = eigenvalues(A).values
         if np.any(np.abs(np.abs(poles) - 1.0) < config.UNIT_CIRCLE_BAND):
             raise ValueError("plant pole within 1e-9 of the unit circle")
         lam = poles[np.abs(poles) > 1.0]
@@ -475,19 +494,21 @@ class ScalingProblem:
             weights[j] = (z * np.conj(lam) - 1.0) / (np.conj(z) - np.conj(lam))
         W = np.empty((r, lam.size), dtype=complex)
         for i, v in enumerate(lam):
-            U, _, _ = np.linalg.svd(evaluate(M, v))
-            W[:, i] = U[:, -1]
+            U, _, _ = np.linalg.svd(A - v * np.eye(n))
+            w = B.conj().T @ U[:, -1]
+            W[:, i] = w / np.linalg.norm(w)
         kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
         for name, value in (("_lam", lam), ("_W", W), ("_kernel", kernel),
                             ("_weights", weights)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_plant(cls, plant: StateSpaceModel, zeros) -> "ScalingProblem":
-        """M built with the identity channel ordering and the default gain."""
-        form = wonham_decompose(plant, tuple(range(plant.n_inputs)))
-        M, _ = coprime_factorize(plant, wonham_gain(form))
-        return cls(M=M, zeros=tuple(zeros))
+    @functools.cached_property
+    def M(self) -> StateSpaceModel:
+        """Right coprime factor of the plant over the identity channel
+        ordering and the default gain; only ``value`` needs it."""
+        form = wonham_decompose(self.plant, tuple(range(self.plant.n_inputs)))
+        M, _ = coprime_factorize(self.plant, wonham_gain(form))
+        return M
 
     def phi(self, gamma) -> np.ndarray:
         """Per-channel ``phi_jj`` at the square-root scaling ``gamma``, in
@@ -514,9 +535,10 @@ class ScalingProblem:
             raise ValueError("phi has non-finite entries")
         return phi if g.ndim == 2 else phi[0]
 
-    def crossing(self, p) -> float:
+    def crossing(self, p, start: float) -> tuple:
         """Two channels: the ``log10 gamma_2`` in the search box that
-        minimizes ``max_j p_j (phi_jj + 1)``, from one k-by-k pencil.
+        minimizes ``max_j p_j (phi_jj + 1)``, from one k-by-k pencil, and
+        the number of evaluations of the channel gap it took.
 
         With ``d = gamma_2^-2`` the Pick matrix is ``B_1 + d B_2``, where
         ``B_j = (w_j* w_j) o kernel`` for row ``w_j`` of W.  The
@@ -524,12 +546,15 @@ class ScalingProblem:
         in [0, 1] and eigenvectors V with ``V* (B_1 + B_2) V = I``, so with
         ``u_j`` row j of W times the weights and ``den = (1 - theta) + d
         theta``, ``phi_11 = sum |u_1 V|^2 / den`` falls and ``phi_22 = d sum
-        |u_2 V|^2 / den`` rises in d.  Their certificate terms cross once:
-        Illinois steps on ``log10 gamma_2`` find the crossing, and where
-        one term dominates across the whole box the box end that favours it
-        is returned.  ValueError for another channel count, or where
-        ``B_1 + B_2`` is not numerically positive definite or the pencil is
-        not finite.
+        |u_2 V|^2 / den`` rises in d.  Their certificate terms cross once,
+        where the gap ``p_1 (phi_11 + 1) - p_2 (phi_22 + 1)``, convex and
+        falling in d, changes sign: Newton steps in d from ``start`` (a
+        ``log10 gamma_2``) find it, with a bisection on ``log10 gamma_2``
+        wherever a step leaves the bracket or does not halve the step
+        before.  Where one term dominates across the whole box the box end
+        that favours it is returned.  ValueError for another channel count,
+        or where ``B_1 + B_2`` is not numerically positive definite or the
+        pencil is not finite.
         """
         if len(self.zeros) != 2:
             raise ValueError("the pencil covers exactly two channels")
@@ -550,40 +575,47 @@ class ScalingProblem:
         rest = 1.0 - theta
 
         def gap(x):
-            """``p_1 (phi_11 + 1) - p_2 (phi_22 + 1)``; rises with x."""
+            """The gap at ``log10 gamma_2 = x`` (it rises with x), d there,
+            and the gap's slope in d."""
             d = 10.0 ** (-2.0 * x)
             den = rest + d * theta
-            return p1 * (1.0 + np.sum(a / den)) - p2 * (1.0 + d * np.sum(b / den))
+            g = p1 * (1.0 + np.sum(a / den)) - p2 * (1.0 + d * np.sum(b / den))
+            slope = -(p1 * np.sum(a * theta / den ** 2)
+                      + p2 * np.sum(b * rest / den ** 2))
+            return g, d, slope
 
         lo, hi = config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX
-        g_lo, g_hi = gap(lo), gap(hi)
+        g_lo, g_hi = gap(lo)[0], gap(hi)[0]
         if g_lo >= 0.0:
-            return lo
+            return lo, 2
         if g_hi <= 0.0:
-            return hi
+            return hi, 2
         best, g_best = (lo, -g_lo) if -g_lo < g_hi else (hi, g_hi)
-        f_lo, f_hi, side = g_lo, g_hi, 0
-        for _ in range(CROSSING_MAX_STEPS):
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-            g = gap(x)
+        x = start if lo < start < hi else 0.5 * (lo + hi)
+        last = hi - lo
+        for step in range(3, CROSSING_MAX_STEPS + 3):
+            g, d, slope = gap(x)
             if abs(g) < g_best:
                 best, g_best = x, abs(g)
-            if g == 0.0 or hi - lo <= CROSSING_XTOL:
-                break
-            # Illinois: halve the stale end's value when a side repeats
+            if g == 0.0:
+                return x, step
             if g > 0.0:
-                hi, f_hi = x, g
-                if side > 0:
-                    f_lo *= 0.5
-                side = 1
+                hi = x
             else:
-                lo, f_lo = x, g
-                if side < 0:
-                    f_hi *= 0.5
-                side = -1
-        return best
+                lo = x
+            if hi - lo <= CROSSING_XTOL:
+                return x, step
+            d_next = d - g / slope
+            x_next = -0.5 * math.log10(d_next) if d_next > 0.0 else math.nan
+            # a step this short points into the bracket: the root is found
+            if abs(x_next - x) <= CROSSING_XTOL:
+                return x_next, step
+            # bisect where the step leaves the bracket or does not halve
+            # the one before
+            if not (lo < x_next < hi and abs(x_next - x) <= 0.5 * last):
+                x_next = 0.5 * (lo + hi)
+            last, x = abs(x_next - x), x_next
+        return best, CROSSING_MAX_STEPS + 2
 
     def value(self, gamma, p) -> float:
         """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p.
@@ -612,8 +644,10 @@ def membership(plant: StateSpaceModel, zeros,
     channels, or where the pencil cannot be formed or phi fails at its
     point, it is a Nelder-Mead simplex.  ``search_log["refine"]`` names the
     refinement that ran, ``"refine_fallback"`` the reason the pencil was
-    not used, and ``"refine_evals"`` counts its phi evaluations.  Every
-    point, the pencil's included, is valued by the same closed form.
+    not used, ``"refine_evals"`` counts its phi evaluations and
+    ``"crossing_steps"`` the evaluations of the channel gap the pencil's
+    crossing took from the grid incumbent.  Every point, the pencil's
+    included, is valued by the same closed form.
 
     Returns a report whose ``bounds`` are the per-channel admissible levels
     at the certificate; search exhaustion is reported as a non-member with
@@ -624,7 +658,7 @@ def membership(plant: StateSpaceModel, zeros,
         raise ValueError(f"plant has {r} channels, spec has {channels.r}")
     if r > MAX_SEARCH_CHANNELS:
         raise ValueError(f"{r} channels exceeds the search cap {MAX_SEARCH_CHANNELS}")
-    problem = ScalingProblem.from_plant(plant, zeros)
+    problem = ScalingProblem(plant, tuple(zeros))
     p = channels.p
     failures = [0]
     evals = {}   # clipped log10 scaling -> (value, phi) at every finite point
@@ -643,8 +677,12 @@ def membership(plant: StateSpaceModel, zeros,
             evals[tuple(row)] = (float(val), phi)
         return vals if np.ndim(x) == 2 else float(vals[0])
 
-    pencil = (lambda: np.array([problem.crossing(p)])) if r == 2 else None
-    best_val, best_x, log = _grid_then_refine(objective, r - 1, pencil)
+    def pencil(start):
+        x, steps = problem.crossing(p, float(start[0]))
+        return np.array([x]), steps
+
+    best_val, best_x, log = _grid_then_refine(objective, r - 1,
+                                              pencil if r == 2 else None)
     if math.isinf(best_val):
         raise ValueError("scaling search failed at every grid point; the plant "
                          "factorization does not admit the inner decomposition")
@@ -684,7 +722,7 @@ def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481) -> np.ndarr
     """
     if plant.n_inputs != 2:
         raise ValueError("the sweep helper covers exactly two channels")
-    problem = ScalingProblem.from_plant(plant, zeros)
+    problem = ScalingProblem(plant, tuple(zeros))
     logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, n_points)
     # scalar powers: the array power may differ in the last bit
     gammas = np.array([[1.0, 10.0 ** lg] for lg in logs])

@@ -4,8 +4,17 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from dropstab.factorization import _allpass_section
-from dropstab.statespace import StateSpaceModel, TransferMatrix, cascade, realize
+from dropstab.factorization import _allpass_section, gamma_scale, inner_outer
+from dropstab.numkernel import eigenvalues
+from dropstab.stabilizability import phi_diag_entry
+from dropstab.statespace import (
+    StateSpaceModel,
+    TransferMatrix,
+    cascade,
+    evaluate,
+    inverse,
+    realize,
+)
 
 
 def _mul(*polys):
@@ -53,6 +62,15 @@ VERTEX_12 = (1.0 / 21.0, 64.0 / 2605.0)
 VERTEX_21 = (16.0 / 91.0, 9216.0 / 651245.0)
 
 
+def _replace_bindings(monkeypatch, fn, replacement) -> None:
+    """Bind ``replacement`` wherever a dropstab module binds ``fn``."""
+    for name, mod in list(sys.modules.items()):
+        if name == "dropstab" or name.startswith("dropstab."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Count the calls of library function ``fn`` made through any dropstab
     module binding of it; returns the list that grows by one per call."""
@@ -62,12 +80,40 @@ def count_calls(monkeypatch, fn) -> list:
         calls.append(None)
         return fn(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "dropstab" or name.startswith("dropstab."):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+    _replace_bindings(monkeypatch, fn, counted)
     return calls
+
+
+def raise_on_call(monkeypatch, fn) -> None:
+    """Make every dropstab module binding of library function ``fn`` raise."""
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} was called")
+
+    _replace_bindings(monkeypatch, fn, refused)
+
+
+# --- Pick data and phi oracles ------------------------------------------------
+# ``ScalingProblem`` reads its Pick data off the plant's left eigenvectors and
+# evaluates phi in closed form; these take the coprime factor M itself.
+
+
+def pick_data_svd(M: StateSpaceModel):
+    """Unstable zeros ``lambda_i`` of M and, as the columns of W, unit left
+    null vectors of ``M(lambda_i)``, each from an SVD of M evaluated there."""
+    poles = eigenvalues(inverse(M).A).values if M.order else np.zeros(0, complex)
+    lam = poles[np.abs(poles) > 1.0]
+    W = np.empty((M.n_inputs, lam.size), dtype=complex)
+    for i, v in enumerate(lam):
+        U, _, _ = np.linalg.svd(evaluate(M, v))
+        W[:, i] = U[:, -1]
+    return lam, W
+
+
+def phi_inner_outer(M: StateSpaceModel, zeros, gamma) -> np.ndarray:
+    """The diagonal phi of the all-pass factor of the scaled coprime factor
+    ``diag(gamma) M diag(gamma)^{-1}``, by an inner-outer split."""
+    io = inner_outer(gamma_scale(M, gamma))
+    return np.array([phi_diag_entry(io.inner, z, j) for j, z in enumerate(zeros)])
 
 
 # --- all-pass diagonal oracle -------------------------------------------------

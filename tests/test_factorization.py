@@ -461,27 +461,62 @@ def test_validate_assumption_finds_planted_zeros():
 
 def test_validate_assumption_counts_a_shared_root_once():
     # column 1 clears to (z-3)^2 (z-0.2) and (z-3) z (z-0.5): z = 3 is a
-    # numerator root of the first entry and also a pole it lacks, yet the
-    # second entry keeps it only once, so the column shares one zero at 3.
-    # Counting the first entry's two copies separately would report two.
+    # double root of the first entry's numerator, yet the second entry keeps
+    # it only once, so the column shares one zero at 3.  Counting the first
+    # entry's two copies separately would report two.
     tf = TransferMatrix(
-        num=(((1.0, -3.0), (0.0,)), ((1.0, -3.0), (1.0,))),
-        den=((tuple(np.convolve([1.0, 0.0], [1.0, -0.5])), (1.0, -0.4)),
-             (tuple(np.convolve([1.0, -3.0], [1.0, -0.2])), (1.0, -0.4))),
+        num=(((1.0, -6.0, 9.0), (0.0,)), ((1.0, -3.0), (1.0,))),
+        den=((tuple(np.poly([0.0, 0.0, 0.5])), (1.0, -0.4)),
+             (tuple(np.poly([0.0, 0.2])), (1.0, -0.4))),
     )
     [(z, mult)] = _column_common_unstable_root([tf.num[0][0], tf.num[1][0]],
                                                [tf.den[0][0], tf.den[1][0]])
     assert mult == 1 and z == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(AssumptionViolation, match=r"non-minimum-phase zero at 3[+-]0j"):
+    # divided by (z - 3)/z, the column keeps 3 in its first entry: the core
+    # has a zero there
+    with pytest.raises(AssumptionViolation, match=r"non-minimum-phase zero at 3"):
         validate_assumption(tf)
 
 
-def test_column_root_from_a_pole_other_entries_lack():
-    # the coefficients are taken as given: the second entry's pole at -2 is
-    # cancelled once by its numerator, so clearing the first entry by the
-    # column's denominator (z + 2)^2 leaves -2 a root of both.  np.roots
-    # splits the double pole by about 1e-8; the root stands at its mean.
+def test_no_column_root_from_a_cancelled_pole():
+    # the second entry's pole at -2 is cancelled once by its numerator, so
+    # the entry is 1/((z - 2)(z + 2)) and the column's least common
+    # denominator has -2 once: clearing makes -2 a root of the first entry
+    # only.  Taken as given, the entry's double pole made -2 a root of both.
     nums = [(0.7,), (1.0, 2.0)]
     dens = [tuple(np.poly([2.0, 0.3])), tuple(np.poly([2.0, -2.0, -2.0]))]
-    [(z, mult)] = _column_common_unstable_root(nums, dens)
-    assert mult == 1 and abs(z + 2.0) < 1e-12
+    assert _column_common_unstable_root(nums, dens) == []
+
+
+def test_validate_assumption_reduces_entries():
+    # an entry whose numerator and denominator share an unstable root, or an
+    # unstable pole written on an identically zero cell, leaves the channel
+    # zeros of the planted plant as they are
+    rng = np.random.default_rng(7)
+    shared = zero_cells = 0
+    for _ in range(40):
+        r = int(rng.integers(1, 4))
+        zeros = tuple(None if rng.random() < 0.35
+                      else float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
+                      for _ in range(r))
+        tf = _planted_plant(rng, zeros)
+        cells = [(i, j) for i in range(r) for j in range(r)]
+        live = [c for c in cells if any(x != 0.0 for x in tf.num[c[0]][c[1]])]
+        dead = [c for c in cells if c not in live]
+        s = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
+        num = [list(row) for row in tf.num]
+        den = [list(row) for row in tf.den]
+        i, j = live[int(rng.integers(len(live)))]
+        num[i][j] = tuple(np.convolve(num[i][j], [1.0, -s]))
+        den[i][j] = tuple(np.convolve(den[i][j], [1.0, -s]))
+        variants = [TransferMatrix(num=tuple(map(tuple, num)), den=tuple(map(tuple, den)))]
+        shared += 1
+        if dead:
+            i, j = dead[int(rng.integers(len(dead)))]
+            den = [list(row) for row in tf.den]
+            den[i][j] = (1.0, -s)
+            variants.append(TransferMatrix(num=tf.num, den=tuple(map(tuple, den))))
+            zero_cells += 1
+        for variant in variants:
+            assert validate_assumption(variant) == pytest.approx(zeros), (zeros, s)
+    assert shared == 40 and zero_cells > 10

@@ -15,6 +15,9 @@ from conftest import (
     VERTEX_21,
     _scalar_blaschke,
     count_calls,
+    phi_inner_outer,
+    pick_data_svd,
+    raise_on_call,
 )
 from dropstab import factorization
 from dropstab.factorization import (
@@ -23,7 +26,6 @@ from dropstab.factorization import (
     _allpass_section,
     coprime_factorize,
     gamma_scale,
-    inner_outer,
     wonham_decompose,
     wonham_gain,
 )
@@ -244,19 +246,11 @@ def test_phi_decouples_at_extreme_scalings(example_ss):
     # driving the second channel's weight to a rail decouples the joint
     # matrix measure into the per-channel scalar values of one split:
     # vanishing weight recovers the (1,0) corner, dominant weight the (0,1)
-    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
     lo = problem.phi(np.array([1.0, 1e-6]))
     assert_allclose(lo, [1.0 / VERTEX_21[0] - 1.0, 1.0 / VERTEX_21[1] - 1.0], rtol=1e-3)
     hi = problem.phi(np.array([1.0, 1e6]))
     assert_allclose(hi, [1.0 / VERTEX_12[0] - 1.0, 1.0 / VERTEX_12[1] - 1.0], rtol=1e-3)
-
-
-def phi_inner_outer(problem: ScalingProblem, gamma) -> np.ndarray:
-    """Oracle for ``ScalingProblem.phi``: the diagonal of the all-pass factor
-    of the scaled coprime factor, by an inner-outer split."""
-    io = inner_outer(gamma_scale(problem.M, gamma))
-    return np.array([phi_diag_entry(io.inner, z, j)
-                     for j, z in enumerate(problem.zeros)])
 
 
 def _rel_gap(a, b) -> float:
@@ -264,8 +258,9 @@ def _rel_gap(a, b) -> float:
 
 
 def test_phi_closed_form_matches_inner_outer_oracle(example_ss, monkeypatch):
-    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
-    assert _rel_gap(problem.phi(np.ones(2)), phi_inner_outer(problem, np.ones(2))) < 1e-12
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
+    assert _rel_gap(problem.phi(np.ones(2)),
+                    phi_inner_outer(problem.M, EXAMPLE_ZEROS, np.ones(2))) < 1e-12
     # the seeded search-family plants of the benchmark, three per structure
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     worker = importlib.import_module("worker")
@@ -273,10 +268,10 @@ def test_phi_closed_form_matches_inner_outer_oracle(example_ss, monkeypatch):
     checked = 0
     for r, structures in worker.SEARCH_STRUCTURES.items():
         for plant, zeros in worker.plants.plant_family(rng, r, structures * 3):
-            problem = ScalingProblem.from_plant(plant, zeros)
+            problem = ScalingProblem(plant, zeros)
             for _ in range(12):
                 gamma = np.concatenate([[1.0], 10.0 ** rng.uniform(-6.0, 6.0, r - 1)])
-                gap = _rel_gap(problem.phi(gamma), phi_inner_outer(problem, gamma))
+                gap = _rel_gap(problem.phi(gamma), phi_inner_outer(problem.M, zeros, gamma))
                 assert gap < 1e-9, (r, zeros, gamma, gap)
                 checked += 1
     assert checked == 12 * 3 * 9
@@ -294,10 +289,10 @@ def test_phi_closed_form_complex_poles():
     plant = StateSpaceModel(Q.T @ A @ Q, rng.normal(size=(5, 2)),
                             rng.normal(size=(2, 5)), np.zeros((2, 2)))
     for zeros in ((None, None), (2.2, -1.7), (1.3 + 0.9j, None)):
-        problem = ScalingProblem.from_plant(plant, zeros)
+        problem = ScalingProblem(plant, zeros)
         for lg in np.linspace(-6.0, 6.0, 7):
             gamma = np.array([1.0, 10.0 ** lg])
-            assert _rel_gap(problem.phi(gamma), phi_inner_outer(problem, gamma)) < 1e-9
+            assert _rel_gap(problem.phi(gamma), phi_inner_outer(problem.M, zeros, gamma)) < 1e-9
 
 
 def test_phi_clean_channels_meet_the_product_bound():
@@ -305,7 +300,7 @@ def test_phi_clean_channels_meet_the_product_bound():
     # mp_supremum reports as its reciprocal
     plant = _siso([1.0], [1.0, -0.5, -3.0])   # poles 2 and -1.5
     sup = mp_supremum(plant, (None,))
-    phi = ScalingProblem.from_plant(plant, (None,)).phi(np.ones(1))
+    phi = ScalingProblem(plant, (None,)).phi(np.ones(1))
     assert_allclose(phi + 1.0, [9.0], rtol=1e-12)
     assert_allclose(phi + 1.0, [1.0 / sup.derived_bound], rtol=1e-12)
     # decoupled: each channel carries its own pole at every scaling
@@ -313,17 +308,15 @@ def test_phi_clean_channels_meet_the_product_bound():
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
         den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, 1.5))),
     ))
-    problem = ScalingProblem.from_plant(g, (None, None))
+    problem = ScalingProblem(g, (None, None))
     for g2 in (1e-6, 1.0, 1e6):
         assert_allclose(problem.phi(np.array([1.0, g2])) + 1.0, [4.0, 2.25], rtol=1e-12)
 
 
-def _diagonal_factor(lams, poles):
-    """Stable diagonal factor ``diag((z - lam_j)/(z - a_j))``: its zeros are
-    the ``lams``."""
-    a = np.asarray(poles, dtype=float)
-    return StateSpaceModel(np.diag(a), np.eye(a.size),
-                           np.diag(a - np.asarray(lams)), np.eye(a.size))
+def _diagonal_plant(lams):
+    """Decoupled plant ``diag(1/(z - lam_j))``: its poles are the ``lams``."""
+    n = len(lams)
+    return StateSpaceModel(np.diag(lams), np.eye(n), np.eye(n), np.zeros((n, n)))
 
 
 def test_scaling_problem_rejects_what_the_split_rejects():
@@ -333,24 +326,40 @@ def test_scaling_problem_rejects_what_the_split_rejects():
         den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, -2.0))),
     ))
     with pytest.raises(ValueError, match="repeated unstable pole"):
-        ScalingProblem.from_plant(twin, (None, None))
+        ScalingProblem(twin, (None, None))
     with pytest.raises(ValueError, match="repeated unstable pole"):
         membership(twin, (None, None), ChannelSpec([0.01, 0.01]))
     with pytest.raises(ValueError, match="repeated unstable pole"):
-        ScalingProblem(_diagonal_factor([2.0, 2.0 + 1e-7], [0.1, 0.2]), (None, None))
-    # zeros of M on the unit circle band, on either side
+        ScalingProblem(_diagonal_plant([2.0, 2.0 + 1e-7]), (None, None))
+    # poles on the unit circle band, on either side
     for lam in (1.0 + 1e-10, 1.0 - 1e-10):
         with pytest.raises(ValueError, match="unit circle"):
-            ScalingProblem(_diagonal_factor([lam, 3.0], [0.1, 0.2]), (None, None))
+            ScalingProblem(_diagonal_plant([lam, 3.0]), (None, None))
     # a channel zero on an unstable pole, or inside the unit disc
-    M = _diagonal_factor([2.0, 3.0], [0.1, 0.2])
+    plant = _diagonal_plant([2.0, 3.0])
     with pytest.raises(ValueError, match="collides"):
-        ScalingProblem(M, (2.0 + 1e-10, None))
+        ScalingProblem(plant, (2.0 + 1e-10, None))
     with pytest.raises(ValueError, match="outside the unit circle"):
-        ScalingProblem(M, (None, 0.5))
+        ScalingProblem(plant, (None, 0.5))
     with pytest.raises(ValueError, match="zeros"):
-        ScalingProblem(M, (None,))
-    assert np.all(np.isfinite(ScalingProblem(M, (2.0 + 1e-3, None)).phi(np.ones(2))))
+        ScalingProblem(plant, (None,))
+    assert np.all(np.isfinite(ScalingProblem(plant, (2.0 + 1e-3, None)).phi(np.ones(2))))
+
+
+def test_scaling_problem_rejects_an_uncontrollable_pair():
+    # the stable mode 0.5 is out of reach of both inputs: the identity-ordered
+    # decomposition that M needs would reject the pair, so the search must too
+    plant = StateSpaceModel(np.diag([2.0, 0.5, 3.0]),
+                            [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                            np.ones((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="uncontrollable"):
+        wonham_decompose(plant, (0, 1))
+    with pytest.raises(ValueError, match=r"2 of 3 states .* uncontrollable"):
+        ScalingProblem(plant, (None, None))
+    with pytest.raises(ValueError, match="uncontrollable"):
+        membership(plant, (None, None), ChannelSpec([0.01, 0.01]))
+    with pytest.raises(ValueError, match="uncontrollable"):
+        sweep_bounds(plant, (None, None))
 
 
 def test_phi_never_returns_non_finite_values():
@@ -358,7 +367,7 @@ def test_phi_never_returns_non_finite_values():
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
         den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, 1.5))),
     ))
-    problem = ScalingProblem.from_plant(g, (None, None))
+    problem = ScalingProblem(g, (None, None))
     with np.errstate(all="ignore"):
         # far outside the search box: Y* Y underflows to a singular Pick
         # matrix, or overflows
@@ -372,12 +381,94 @@ def test_phi_never_returns_non_finite_values():
 
 
 def test_phi_invariant_under_gain_choice(example_ss):
-    default = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
+    # the Pick data come from the plant alone: phi of the factor over
+    # another stabilizing gain is the same
+    default = ScalingProblem(example_ss, EXAMPLE_ZEROS)
     F2 = wonham_gain(wonham_decompose(example_ss, (0, 1)), place_targets=lambda eigs: [
         0.8 / np.conj(v) if abs(v) >= 1.0 else 0.8 * v for v in eigs])
     M2, _ = coprime_factorize(example_ss, F2)
-    other = ScalingProblem(M2, EXAMPLE_ZEROS)
-    assert np.max(np.abs(default.phi(np.ones(2)) - other.phi(np.ones(2)))) < 1e-8
+    other = phi_inner_outer(M2, EXAMPLE_ZEROS, np.ones(2))
+    assert np.max(np.abs(default.phi(np.ones(2)) - other)) < 1e-8
+
+
+def _plant_with_poles(rng, r, lam_real, lam_pairs, n_stable):
+    """Random plant with r inputs and the given unstable poles (real ones,
+    and complex pairs ``rho exp(+-i omega)`` given as (rho, omega)), plus
+    ``n_stable`` stable real poles, in a random orthogonal basis."""
+    blocks = [np.diag(lam_real)] if len(lam_real) else []
+    for rho, om in lam_pairs:
+        blocks.append(rho * np.array([[np.cos(om), -np.sin(om)],
+                                      [np.sin(om), np.cos(om)]]))
+    if n_stable:
+        blocks.append(np.diag(rng.uniform(-0.8, 0.8, n_stable)))
+    n = sum(b.shape[0] for b in blocks)
+    A = np.zeros((n, n))
+    off = 0
+    for blk in blocks:
+        k = blk.shape[0]
+        A[off:off + k, off:off + k] = blk
+        off += k
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return StateSpaceModel(Q.T @ A @ Q, rng.normal(size=(n, r)),
+                           rng.normal(size=(r, n)), np.zeros((r, r)))
+
+
+def test_pick_vectors_are_input_directions_of_left_eigenvectors():
+    # w_i = B* u_i with u_i* A = lambda_i u_i*, up to a unit factor: the left
+    # null vector of M(lambda_i) by SVD, whatever the gain M is built over,
+    # on seeded plants with 1 to 4 channels, complex pairs and channel zeros
+    rng = np.random.default_rng(20)
+    checked = 0
+    for r in (1, 2, 3, 4):
+        for _ in range(6):
+            lam_real = rng.uniform(1.1, 2.4, int(rng.integers(0, 3))) * rng.choice([-1, 1])
+            pairs = [(float(rng.uniform(1.1, 2.0)), float(rng.uniform(0.3, 2.8)))
+                     for _ in range(int(rng.integers(0, 2)))]
+            if len(lam_real) + len(pairs) == 0:
+                pairs = [(1.5, 1.0)]
+            plant = _plant_with_poles(rng, r, lam_real, pairs, int(rng.integers(0, 3)))
+            zeros = tuple(None if rng.random() < 0.4
+                          else complex(rng.uniform(1.2, 3.0) * np.exp(1j * rng.uniform(0, 3.1)))
+                          if rng.random() < 0.3
+                          else float(rng.choice([-1, 1]) * rng.uniform(1.2, 3.0))
+                          for _ in range(r))
+            problem = ScalingProblem(plant, zeros)
+            k = len(lam_real) + 2 * len(pairs)
+            for targets in (None, lambda eigs: [0.6 * v if abs(v) < 1.0 else 0.5 / np.conj(v)
+                                                for v in eigs]):
+                F = wonham_gain(wonham_decompose(plant, tuple(range(r))), targets)
+                M, _ = coprime_factorize(plant, F)
+                lam, W = pick_data_svd(M)
+                assert lam.size == k
+                for i, v in enumerate(problem._lam):
+                    j = int(np.argmin(np.abs(lam - v)))
+                    assert abs(lam[j] - v) < 1e-9 * abs(v)
+                    # unit vectors, equal up to a unit factor
+                    assert abs(abs(np.vdot(W[:, j], problem._W[:, i])) - 1.0) < 1e-9
+                for _ in range(4):
+                    gamma = np.concatenate([[1.0], 10.0 ** rng.uniform(-3.0, 3.0, r - 1)])
+                    gap = _rel_gap(problem.phi(gamma), phi_inner_outer(M, zeros, gamma))
+                    assert gap < 1e-9, (r, zeros, gamma, gap)
+                checked += 1
+    assert checked == 2 * 4 * 6
+
+
+def test_search_builds_no_coprime_factor(example_ss, monkeypatch):
+    # membership and the region sweep read the Pick data off the plant: no
+    # decomposition, no pole placement, no coprime factor; the certificate
+    # check builds M, once
+    for fn in (wonham_decompose, wonham_gain, coprime_factorize):
+        raise_on_call(monkeypatch, fn)
+    ch = ChannelSpec(0.9 * np.asarray(VERTEX_21))
+    rep = membership(example_ss, EXAMPLE_ZEROS, ch)
+    bounds = sweep_bounds(example_ss, EXAMPLE_ZEROS, n_points=61)
+    assert rep.member and bounds.shape == (61, 2)
+    monkeypatch.undo()
+    factors = count_calls(monkeypatch, factorization.coprime_factorize)
+    value = rep.problem.value(rep.certificate.gamma, ch.p)
+    assert value == pytest.approx(rep.best_value, rel=1e-9)
+    rep.problem.value(rep.tame_certificate.gamma, ch.p)
+    assert len(factors) == 1
 
 
 # --- membership search -------------------------------------------------------
@@ -451,7 +542,7 @@ def test_sweep_bounds_covers_benchmark(example_ss):
     assert bounds.shape == (61, 2)
     # midpoint of the sweep is the unscaled measure
     mid = bounds[30]
-    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS).phi(np.ones(2))
+    phi = ScalingProblem(example_ss, EXAMPLE_ZEROS).phi(np.ones(2))
     assert_allclose(mid, 1.0 / (phi + 1.0), rtol=1e-9)
     # the sweep pool certifies 0.9 times both rectangle corners
     for corner in (VERTEX_12, VERTEX_21):
@@ -501,7 +592,7 @@ def test_synthesis_meets_phi_cost(example_ss):
     assert Q.order == 0 or spectral_radius(Q.A) < 1.0
     assert np.max(np.abs(Q.A.imag)) == 0.0
 
-    phi = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS).phi(gamma_free)
+    phi = ScalingProblem(example_ss, EXAMPLE_ZEROS).phi(gamma_free)
     Tg = minimal(cascade(
         parallel(gamma_scale(bez.Y, g_true),
                  cascade(gamma_scale(bez.M, g_true), gamma_scale(Q, g_true)),

@@ -56,7 +56,7 @@ def _random_problem(seed: int, r: int) -> ScalingProblem:
         zeros.append(None if kind == 0
                      else float(radius * rng.choice([-1, 1])) if kind == 1
                      else complex(radius * np.exp(1j * rng.uniform(0.1, 3.0))))
-    return ScalingProblem.from_plant(plant, tuple(zeros))
+    return ScalingProblem(plant, tuple(zeros))
 
 
 @st.composite
@@ -87,7 +87,7 @@ def test_stacked_phi_validation():
             problem.phi(bad)
     # one bad row fails the whole stack: on a decoupled plant, a scaling far
     # outside the search box underflows or overflows the Pick matrix
-    decoupled = ScalingProblem.from_plant(_decoupled(), (None, None))
+    decoupled = ScalingProblem(_decoupled(), (None, None))
     with np.errstate(all="ignore"):
         for far, message in ((1e200, "factorization failed"), (1e-200, "non-finite")):
             with pytest.raises(ValueError, match=message):
@@ -95,7 +95,7 @@ def test_stacked_phi_validation():
 
 
 def test_sweep_bounds_equals_pointwise_loop(example_ss):
-    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
     logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, 481)
     loop = np.array([1.0 / (problem.phi(np.array([1.0, 10.0 ** lg])) + 1.0)
                      for lg in logs])
@@ -179,7 +179,7 @@ def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
     ch = ChannelSpec(0.9 * np.asarray(VERTEX_12))
     failed = []
     flaky = _flaky(phi, failed)
-    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
     ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(
         lambda g: flaky(problem, g), ch.p)
     assert ref_failures == len(failed) > 0
@@ -209,7 +209,7 @@ def test_membership_three_channels_fall_back_row_by_row(monkeypatch):
     plant, zeros, ch = _three_channel(monkeypatch, 0.9)
     failed = []
     flaky = _flaky(phi, failed)
-    problem = ScalingProblem.from_plant(plant, zeros)
+    problem = ScalingProblem(plant, zeros)
     ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(
         lambda g: flaky(problem, g), ch.p)
     assert ref_failures == len(failed) > 0
@@ -246,8 +246,10 @@ def test_membership_simplex_starts_at_origin_when_the_grid_fails(example_ss, mon
     # reaches points off the grid, as without the pencil
     phi = ScalingProblem.phi
     ch = ChannelSpec([0.12, 0.01])
-    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
-    pencil = problem.crossing(ch.p)
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
+    # with no finite grid value the incumbent, and the crossing's start,
+    # is the origin
+    pencil, _ = problem.crossing(ch.p, 0.0)
     off_grid = _off_grid(phi, also=[[pencil]])
     ref_val, ref_cert, _, ref_failures = _pointwise_search(
         lambda g: off_grid(problem, g), ch.p)
@@ -275,7 +277,7 @@ def test_membership_three_channels_simplex_starts_at_origin(monkeypatch):
     phi = ScalingProblem.phi
     plant, zeros, ch = _three_channel(monkeypatch, 0.7)
     off_grid = _off_grid(phi)
-    problem = ScalingProblem.from_plant(plant, zeros)
+    problem = ScalingProblem(plant, zeros)
     ref_val, ref_cert, _, ref_failures = _pointwise_search(
         lambda g: off_grid(problem, g), ch.p)
     assert ref_failures >= config.GAMMA_GRID_POINTS ** 2 and ref_val < math.inf
@@ -291,7 +293,7 @@ def test_membership_three_channels_simplex_starts_at_origin(monkeypatch):
 def test_membership_falls_back_when_the_pencil_cannot_be_formed(example_ss, monkeypatch):
     ch = ChannelSpec([0.12, 0.01])
 
-    def no_pencil(self, p):
+    def no_pencil(self, p, start):
         raise ValueError("injected failure")
 
     monkeypatch.setattr(ScalingProblem, "crossing", no_pencil)
@@ -353,17 +355,28 @@ def test_membership_two_channels_pencil(example_ss, monkeypatch):
 
 
 def test_crossing_is_where_the_channel_terms_meet(example_ss, monkeypatch):
-    problem = ScalingProblem.from_plant(example_ss, EXAMPLE_ZEROS)
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
     p = np.array([0.12, 0.01])
-    x = problem.crossing(p)
+    x, _ = problem.crossing(p, 0.0)
     assert config.GAMMA_LOG_MIN < x < config.GAMMA_LOG_MAX
     terms = p * (problem.phi(np.array([1.0, 10.0 ** x])) + 1.0)
     assert terms[0] == pytest.approx(terms[1], rel=1e-9)
-    # one term dominating across the box: the box end that favours it
-    assert problem.crossing([0.9, 0.0]) == config.GAMMA_LOG_MIN
-    assert problem.crossing([0.0, 0.9]) == config.GAMMA_LOG_MAX
+    # one term dominating across the box: the box end that favours it, after
+    # the two evaluations at the box ends
+    assert problem.crossing([0.9, 0.0], 0.0) == (config.GAMMA_LOG_MIN, 2)
+    assert problem.crossing([0.0, 0.9], 0.0) == (config.GAMMA_LOG_MAX, 2)
+    # membership starts the crossing at its grid incumbent and logs the
+    # evaluations of the gap; from there it meets the same point
+    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+    grid = np.column_stack([np.ones_like(axis), 10.0 ** axis])
+    start = axis[np.argmin(np.max(p * (problem.phi(grid) + 1.0), axis=1))]
+    x_grid, steps = problem.crossing(p, start)
+    assert abs(x_grid - x) < 1e-12
+    rep = membership(example_ss, EXAMPLE_ZEROS, ChannelSpec(p))
+    assert rep.search_log["crossing_steps"] == steps < 10
+    assert rep.certificate.gamma[1] == 10.0 ** x_grid
     with pytest.raises(ValueError, match="exactly two channels"):
-        ScalingProblem.from_plant(*_three_channel(monkeypatch, 0.5)[:2]).crossing([0.1] * 3)
+        ScalingProblem(*_three_channel(monkeypatch, 0.5)[:2]).crossing([0.1] * 3, 0.0)
 
 
 def test_membership_leaves_no_cyclic_garbage(example_ss):
