@@ -44,8 +44,7 @@ INVERT_COND_MAX = 1e12
 # a certificate only if max_j p_j (phi_jj + 1) < 1 - MEMBER_GUARD.
 MEMBER_GUARD = 1e-9
 
-# Gamma search box (log10 of each free gamma entry) and budgets.
+# Gamma search box (log10 of each free gamma entry) and grid points per axis.
 GAMMA_LOG_MIN = -6.0
 GAMMA_LOG_MAX = 6.0
 GAMMA_GRID_POINTS = 25
-GAMMA_REFINE_MAXFEV = 200

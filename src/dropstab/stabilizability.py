@@ -20,7 +20,8 @@ Two complementary certificates are computed:
   generalized eigenproblem gives the scaling where the two channel terms
   cross (``ScalingProblem.crossing``, safeguarded Newton steps from the grid
   incumbent), the exact minimizer; with three or four channels, or where
-  that pencil fails, a simplex descent refines.
+  that pencil fails, a stencil of points around the incumbent, shrinking
+  each round and each round one stacked evaluation, refines.
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
@@ -52,13 +53,12 @@ the diagonal of the square-root scaling with ``gamma_1 = 1``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
+import scipy.optimize  # noqa: F401 -- unused; perfbench's import.scipy_optimize_s probe needs it
 
 from . import config
 from .factorization import (
@@ -126,6 +126,12 @@ MAX_SEARCH_CHANNELS = 4
 # log10 gamma_2 is this narrow, or after this many steps
 CROSSING_XTOL = 1e-12
 CROSSING_MAX_STEPS = 100
+# the stencil refinement: points per axis (odd, so that the incumbent is one
+# of them), the factor its step shrinks by each round, and the step at or
+# below which it stops
+STENCIL_WIDTH = 9
+STENCIL_SHRINK = 4.0
+STENCIL_STOP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -348,37 +354,55 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
 # membership search
 
 
+def _lattice(values, ndim: int) -> np.ndarray:
+    """Every ndim-tuple of ``values`` as the rows of an array, in
+    lexicographic order."""
+    return np.stack(np.meshgrid(*[values] * ndim, indexing="ij"), axis=-1).reshape(-1, ndim)
+
+
+def _evaluate(objective, X) -> np.ndarray:
+    """The objective on the stack X: one stacked call, row by row if it
+    raises."""
+    try:
+        return objective(X)
+    except ValueError:
+        return np.array([objective(x) for x in X])
+
+
 def _grid_then_refine(objective, ndim: int, pencil=None):
     """Coarse grid, then one refinement, over log10-scaling space.
 
     ``objective`` takes one point of shape (ndim,) and returns a float, or a
     stack of shape (N, ndim) and returns N values; a stack raises ValueError
-    where a point would fail.  The grid is one stacked call in lexicographic
-    order, point by point only if that call raises.  Its incumbent is the
-    first minimum in that order (the point a scan keeping only strict
-    improvements ends on), or the origin when every grid value is infinite.
+    where a point would fail.  Every stack (the grid, each stencil) is one
+    call, point by point only if that call raises.  The grid's incumbent is
+    the first minimum in lexicographic order (the point a scan keeping only
+    strict improvements ends on), or the origin when every grid value is
+    infinite.
 
     ``pencil``, if given, takes the incumbent and returns the point the
     two-channel pencil proposes with the number of steps it took to find it
     (logged as ``"crossing_steps"``), or raises ValueError saying why it
     cannot.  That point costs one objective call and replaces the incumbent
-    if strictly better.  When
-    there is no pencil point, or the objective fails at it, a simplex
-    descent from the incumbent refines point by point instead; the log
-    names the refinement that ran (``"refine"``) and the reason of a
-    fallback (``"refine_fallback"``).  Returns (best_value, best_x, log).
+    if strictly better.  When there is no pencil point, or the objective
+    fails at it, a shrinking stencil refines instead: each round is one
+    stack of ``STENCIL_WIDTH`` points per axis around the incumbent, spaced
+    by a step that starts at the grid spacing and shrinks by
+    ``STENCIL_SHRINK`` per round until it is at most ``STENCIL_STOP``,
+    clipped to the box; the incumbent moves to the round's first minimum
+    in lexicographic order where that is strictly better.  The log names
+    the refinement that ran (``"refine"``), the reason of a fallback
+    (``"refine_fallback"``) and the points the refinement evaluated
+    (``"refine_evals"``).  Returns (best_value, best_x, log).
     """
     if ndim == 0:
         x0 = np.zeros(0)
         return float(objective(x0)), x0, {"grid_points": 1, "refine_evals": 0,
                                           "refine": "none"}
-    grid_points = config.GAMMA_GRID_POINTS
-    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, grid_points)
-    grid = np.array(list(itertools.product(axis, repeat=ndim)))
-    try:
-        values = objective(grid)
-    except ValueError:
-        values = np.array([objective(x) for x in grid])
+    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
+                       config.GAMMA_GRID_POINTS)
+    grid = _lattice(axis, ndim)
+    values = _evaluate(objective, grid)
     first = int(np.argmin(values))
     best_val = float(values[first])
     best_x = grid[first] if best_val < math.inf else np.zeros(ndim)
@@ -397,24 +421,18 @@ def _grid_then_refine(objective, ndim: int, pencil=None):
                     best_val, best_x = val, x
                 return best_val, best_x, log
             log["refine_fallback"] = "phi failed at the pencil point"
-    log["refine"] = "simplex"
-    step = 0.25
-    simplex = [best_x] + [best_x + step * np.eye(ndim)[i] for i in range(ndim)]
-    # failed points are inf, and the convergence test subtracts inf from inf
-    with np.errstate(invalid="ignore"):
-        res = scipy.optimize.minimize(
-            objective, best_x, method="Nelder-Mead",
-            options={
-                "maxfev": config.GAMMA_REFINE_MAXFEV,
-                "initial_simplex": np.asarray(simplex),
-                "xatol": 1e-6,
-                "fatol": 1e-12,
-            },
-        )
-    log["refine_evals"] += int(res.nfev)
-    if res.fun < best_val:
-        best_val = float(res.fun)
-        best_x = np.asarray(res.x)
+    log["refine"] = "stencil"
+    half = STENCIL_WIDTH // 2
+    offsets = _lattice(np.arange(-half, half + 1, dtype=float), ndim)
+    step = axis[1] - axis[0]
+    while step > STENCIL_STOP:
+        points = _clip_log(best_x + step * offsets)
+        values = _evaluate(objective, points)
+        log["refine_evals"] += len(points)
+        first = int(np.argmin(values))
+        if values[first] < best_val:
+            best_val, best_x = float(values[first]), points[first]
+        step /= STENCIL_SHRINK
     return best_val, best_x, log
 
 
@@ -642,12 +660,17 @@ def membership(plant: StateSpaceModel, zeros,
     refines from its incumbent.  With two channels the refinement is the
     single point ``ScalingProblem.crossing`` proposes; with three or four
     channels, or where the pencil cannot be formed or phi fails at its
-    point, it is a Nelder-Mead simplex.  ``search_log["refine"]`` names the
-    refinement that ran, ``"refine_fallback"`` the reason the pencil was
-    not used, ``"refine_evals"`` counts its phi evaluations and
-    ``"crossing_steps"`` the evaluations of the channel gap the pencil's
-    crossing took from the grid incumbent.  Every point, the pencil's
-    included, is valued by the same closed form.
+    point, it is a shrinking stencil: 17 rounds of ``9^(r-1)`` points
+    around the incumbent, each round one stacked phi evaluation (see
+    ``_grid_then_refine``).  ``search_log["refine"]`` names the refinement
+    that ran (``"pencil"`` or ``"stencil"``), ``"refine_fallback"`` the
+    reason the pencil was not used, ``"refine_evals"`` counts the points
+    the refinement evaluated and ``"crossing_steps"`` the evaluations of
+    the channel gap the pencil's crossing took from the grid incumbent.
+    Every point, the pencil's included, is valued by the same closed form;
+    ``phi_diag`` is the search's own evaluation at the certificate, and
+    ``tame_certificate`` the least extreme certifying point evaluated, by
+    ``(max |log10 gamma|, value, log10 gamma)``.
 
     Returns a report whose ``bounds`` are the per-channel admissible levels
     at the certificate; search exhaustion is reported as a non-member with
@@ -661,7 +684,8 @@ def membership(plant: StateSpaceModel, zeros,
     problem = ScalingProblem(plant, tuple(zeros))
     p = channels.p
     failures = [0]
-    evals = {}   # clipped log10 scaling -> (value, phi) at every finite point
+    picked = {}   # clipped log10 scaling -> phi, at each call's first minimum
+    tame_key = [None]   # (max |x|, value, x) of the least extreme certifying point
 
     def objective(x):
         X = _clip_log(np.atleast_2d(x))
@@ -673,8 +697,19 @@ def membership(plant: StateSpaceModel, zeros,
             failures[0] += 1
             return math.inf
         vals = np.max(p * (phis + 1.0), axis=1)   # problem.value, phi kept
-        for row, val, phi in zip(X, vals, phis):
-            evals[tuple(row)] = (float(val), phi)
+        first = int(np.argmin(vals))
+        # a copy: a row of the stack would keep the whole stack alive
+        picked[tuple(X[first])] = phis[first].copy()
+        ok = np.flatnonzero(vals < 1.0 - config.MEMBER_GUARD)
+        if ok.size:
+            extent = np.max(np.abs(X[ok]), axis=1, initial=0.0)
+            # the least extent comes first in the key, so only those rows
+            # are sorted on by the rest of it
+            least = ok[extent == extent.min()]
+            k = least[np.lexsort((*X[least].T[::-1], vals[least]))[0]]
+            key = (float(extent.min()), float(vals[k]), tuple(X[k]))
+            if tame_key[0] is None or key < tame_key[0]:
+                tame_key[0] = key
         return vals if np.ndim(x) == 2 else float(vals[0])
 
     def pencil(start):
@@ -687,18 +722,13 @@ def membership(plant: StateSpaceModel, zeros,
         raise ValueError("scaling search failed at every grid point; the plant "
                          "factorization does not admit the inner decomposition")
     best_x = _clip_log(best_x)
-    # a copy: a row of the grid's stack would keep the whole stack alive
-    phi = evals[tuple(best_x)][1].copy()
+    # the search's incumbent is always some call's first minimum
+    phi = picked[tuple(best_x)]
     log["objective_failures"] = failures[0]
     member = bool(best_val < 1.0 - config.MEMBER_GUARD)
-    tame = None
-    if member:
-        # every finite objective value is recorded, so the point that made
-        # the verdict is among these
-        ok = [(x, v) for x, (v, _) in evals.items() if v < 1.0 - config.MEMBER_GUARD]
-        x, _ = min(ok, key=lambda xv: (max((abs(c) for c in xv[0]), default=0.0),
-                                       xv[1], xv[0]))
-        tame = GammaScaling(np.concatenate([[1.0], 10.0 ** np.asarray(x)]))
+    # the point that made a member verdict certifies, so tame_key is set then
+    tame = (GammaScaling(np.concatenate([[1.0], 10.0 ** np.asarray(tame_key[0][2])]))
+            if member else None)
     return StabilizabilityReport(
         member=member,
         best_value=float(best_val),

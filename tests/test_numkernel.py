@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dropstab import config
 from dropstab.numkernel import Spectrum, eigenvalues, solve_stein, spectral_radius
 
 
@@ -46,6 +47,30 @@ def test_eigenvalues_similarity_invariance():
         w1 = eigenvalues(A).values
         w2 = eigenvalues(Q @ A @ Q.T).values
         assert_allclose(w1, w2, atol=1e-7 * max(1.0, np.linalg.norm(A)))
+
+
+def test_eigenvalues_residual_gate_scales_by_the_spectral_norm(monkeypatch):
+    # the gate accepts exactly when the residual is at most the tolerance
+    # times max(1, ||A||_2), whether the cheap norm bound or the SVD decides;
+    # the eigensolver is made to return each eigenvalue off by delta, so the
+    # residual is delta; on a diagonal matrix the bound meets the norm
+    rng = np.random.default_rng(8)
+    eig = np.linalg.eig
+    for n in (2, 3, 5):
+        for diagonal in (True, False):
+            d = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-1.0, 3.0)
+            Q = np.eye(n) if diagonal else np.linalg.qr(rng.standard_normal((n, n)))[0]
+            A = Q @ np.diag(d) @ Q.T
+            scale = max(1.0, np.linalg.norm(A, 2))
+            delta = 1e-4 * scale
+            w, V = eig(A)
+            monkeypatch.setattr(np.linalg, "eig", lambda M, w=w, V=V: (w + delta, V))
+            monkeypatch.setattr(config, "EIG_RESIDUAL_TOL", delta / scale * (1.0 + 1e-6))
+            assert eigenvalues(A).residual == pytest.approx(delta, rel=1e-9)
+            tol = delta / scale * (1.0 - 1e-6)
+            monkeypatch.setattr(config, "EIG_RESIDUAL_TOL", tol)
+            with pytest.raises(ValueError, match=f"exceeds tolerance {tol * scale:.3e}"):
+                eigenvalues(A)
 
 
 def test_eigenvalues_rejects_nonfinite():

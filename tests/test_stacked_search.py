@@ -1,11 +1,12 @@
 """The stacked phi evaluation and the search stages built on it.
 
 A stack of scalings runs the same LAPACK and BLAS routines on each slice as
-one scaling alone, so every comparison of a search with the simplex is
-exact (``==``), never a tolerance.  The point-by-point search below is the
-reference the stacked grid stage must reproduce.  The two-channel pencil
-finds the minimizer by other arithmetic, so its value is held to the
-reference's and to a dense scan's within 1e-9.
+one scaling alone, so every comparison of the stacked search with its
+point-by-point copy (``_pointwise_search``: the grid, the pencil's point,
+the stencil) is exact (``==``), never a tolerance.  The Nelder-Mead search
+the stencil replaced (``_reference_search``) and a dense scan find the
+minimizer by other arithmetic, so the search's value is held to theirs
+within 1e-9.
 """
 
 import gc
@@ -102,11 +103,13 @@ def test_sweep_bounds_equals_pointwise_loop(example_ss):
     assert np.array_equal(sweep_bounds(example_ss, EXAMPLE_ZEROS), loop)
 
 
-def _pointwise_search(phi, p):
+def _pointwise_search(phi, p, crossing=None):
     """Reference search, one phi call per point: the grid scanned in
-    lexicographic order keeping strict improvements only, then the same
-    simplex descent.  Returns (best value, certificate, tame scaling or None,
-    failures)."""
+    lexicographic order keeping strict improvements only; then, given
+    ``crossing`` (the incumbent's log10 gamma_2 to the pencil's, or
+    ValueError), the pencil's point, and where there is none or phi fails
+    there, the shrinking stencil, each round scanned the same way.  Returns
+    (best value, certificate, tame scaling or None, failures)."""
     ndim = p.size - 1
     evals, failures = {}, [0]
 
@@ -120,25 +123,71 @@ def _pointwise_search(phi, p):
         evals[tuple(x)] = val = float(np.max(p * (f + 1.0)))
         return val
 
+    def scan(points, best_val, best_x):
+        for x in points:
+            val = objective(x)
+            if val < best_val:
+                best_val, best_x = val, x
+        return best_val, best_x
+
     axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
-    best_val, best_x = math.inf, np.zeros(ndim)
-    for combo in itertools.product(axis, repeat=ndim):
-        val = objective(np.asarray(combo))
-        if val < best_val:
-            best_val, best_x = val, np.asarray(combo)
-    simplex = [best_x] + [best_x + 0.25 * e for e in np.eye(ndim)]
-    with np.errstate(invalid="ignore"):
-        res = scipy.optimize.minimize(objective, best_x, method="Nelder-Mead", options={
-            "maxfev": config.GAMMA_REFINE_MAXFEV, "initial_simplex": np.asarray(simplex),
-            "xatol": 1e-6, "fatol": 1e-12})
-    if res.fun < best_val:
-        best_val, best_x = float(res.fun), np.asarray(res.x)
+    best_val, best_x = scan((np.asarray(c) for c in itertools.product(axis, repeat=ndim)),
+                            math.inf, np.zeros(ndim))
+    refine = True
+    if crossing is not None:
+        try:
+            x = np.array([crossing(best_x[0])])
+        except ValueError:
+            pass
+        else:
+            val = objective(x)
+            if val < math.inf:
+                refine = False
+                if val < best_val:
+                    best_val, best_x = val, x
+    step = axis[1] - axis[0]
+    while refine and step > 1e-10:
+        points = [np.clip(best_x + step * np.asarray(k, dtype=float),
+                          config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
+                  for k in itertools.product(range(-4, 5), repeat=ndim)]
+        best_val, best_x = scan(points, best_val, best_x)
+        step /= 4.0
     certificate = np.concatenate([[1.0], 10.0 ** np.clip(best_x, config.GAMMA_LOG_MIN,
                                                          config.GAMMA_LOG_MAX)])
     ok = [(max(abs(c) for c in x), v, x) for x, v in evals.items()
           if v < 1.0 - config.MEMBER_GUARD]
     tame = np.concatenate([[1.0], 10.0 ** np.asarray(min(ok)[2])]) if ok else None
     return best_val, certificate, tame, failures[0]
+
+
+def _reference_search(problem, p):
+    """The search as it was before the stencil: the grid, one stacked phi
+    call, then a Nelder-Mead simplex from its incumbent, point by point.
+    Returns (best value, failures)."""
+    ndim = p.size - 1
+    failures = [0]
+
+    def objective(x):
+        x = np.clip(x, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
+        try:
+            f = problem.phi(np.concatenate([[1.0], 10.0 ** x]))
+        except ValueError:
+            failures[0] += 1
+            return math.inf
+        return float(np.max(p * (f + 1.0)))
+
+    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+    grid = np.array(list(itertools.product(axis, repeat=ndim)))
+    values = np.max(p * (problem.phi(np.hstack([np.ones((len(grid), 1)), 10.0 ** grid]))
+                         + 1.0), axis=1)
+    best_val, best_x = float(values.min()), grid[int(np.argmin(values))]
+    simplex = [best_x] + [best_x + 0.25 * e for e in np.eye(ndim)]
+    # failed points are inf, and the convergence test subtracts inf from inf
+    with np.errstate(invalid="ignore"):
+        res = scipy.optimize.minimize(objective, best_x, method="Nelder-Mead", options={
+            "maxfev": 200, "initial_simplex": np.asarray(simplex),
+            "xatol": 1e-6, "fatol": 1e-12})
+    return min(best_val, float(res.fun)), failures[0]
 
 
 def _perfbench(monkeypatch, name):
@@ -148,7 +197,7 @@ def _perfbench(monkeypatch, name):
 
 def _three_channel(monkeypatch, scale):
     """A seeded 3-channel plant probed at ``scale`` times the corner of its
-    largest rectangle: the simplex refines there."""
+    largest rectangle: the stencil refines there."""
     plants = _perfbench(monkeypatch, "plants")
     plant, zeros = plants.admissible_plant(np.random.default_rng(3), 3, 3, 2, (1, 2))
     rects = rectangle_set(plant, zeros)
@@ -172,9 +221,9 @@ def _flaky(phi, failed):
 def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
     # the scaling that certifies 0.9 of the (1,2) corner sits at gamma_2 near
     # the top of the box, where every point is made to fail: the pencil's
-    # point fails too and counts as one more failure, and the simplex then
-    # runs as without the pencil, meeting inf values, which must not raise a
-    # numeric warning
+    # point fails too and counts as one more failure, and the stencil then
+    # runs as without the pencil, row by row wherever its stack meets a
+    # failing point; the inf values must not raise a numeric warning
     phi = ScalingProblem.phi
     ch = ChannelSpec(0.9 * np.asarray(VERTEX_12))
     failed = []
@@ -187,7 +236,7 @@ def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
     monkeypatch.setattr(ScalingProblem, "phi", flaky)
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     log = rep.search_log
-    assert log["refine"] == "simplex"
+    assert log["refine"] == "stencil"
     assert log["refine_fallback"] == "phi failed at the pencil point"
     assert log["objective_failures"] == len(failed) == ref_failures + 1
     assert rep.best_value == ref_val
@@ -204,7 +253,7 @@ def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_membership_three_channels_fall_back_row_by_row(monkeypatch):
-    # the simplex path, bit for bit, on a grid stack that fails
+    # the stencil path, bit for bit, on grid and stencil stacks that fail
     phi = ScalingProblem.phi
     plant, zeros, ch = _three_channel(monkeypatch, 0.9)
     failed = []
@@ -216,7 +265,7 @@ def test_membership_three_channels_fall_back_row_by_row(monkeypatch):
     failed.clear()
     monkeypatch.setattr(ScalingProblem, "phi", flaky)
     rep = membership(plant, zeros, ch)
-    assert rep.search_log["refine"] == "simplex"
+    assert rep.search_log["refine"] == "stencil"
     assert "refine_fallback" not in rep.search_log
     assert rep.search_log["objective_failures"] == len(failed) == ref_failures
     assert rep.best_value == ref_val
@@ -240,9 +289,9 @@ def _off_grid(phi, also=()):
     return off_grid
 
 
-def test_membership_simplex_starts_at_origin_when_the_grid_fails(example_ss, monkeypatch):
+def test_membership_stencil_starts_at_origin_when_the_grid_fails(example_ss, monkeypatch):
     # every grid point fails; so does the pencil's point, which counts as
-    # one more failure, and the simplex then starts at the origin and
+    # one more failure, and the stencil then starts at the origin and
     # reaches points off the grid, as without the pencil
     phi = ScalingProblem.phi
     ch = ChannelSpec([0.12, 0.01])
@@ -258,7 +307,7 @@ def test_membership_simplex_starts_at_origin_when_the_grid_fails(example_ss, mon
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     log = rep.search_log
     assert log["grid_best"] == math.inf
-    assert log["refine"] == "simplex"
+    assert log["refine"] == "stencil"
     assert log["refine_fallback"] == "phi failed at the pencil point"
     assert log["objective_failures"] == ref_failures + 1
     assert rep.best_value == ref_val
@@ -273,7 +322,7 @@ def test_membership_simplex_starts_at_origin_when_the_grid_fails(example_ss, mon
     assert np.array_equal(rep.certificate.gamma, [1.0, 10.0 ** pencil])
 
 
-def test_membership_three_channels_simplex_starts_at_origin(monkeypatch):
+def test_membership_three_channels_stencil_starts_at_origin(monkeypatch):
     phi = ScalingProblem.phi
     plant, zeros, ch = _three_channel(monkeypatch, 0.7)
     off_grid = _off_grid(phi)
@@ -284,7 +333,7 @@ def test_membership_three_channels_simplex_starts_at_origin(monkeypatch):
     monkeypatch.setattr(ScalingProblem, "phi", off_grid)
     rep = membership(plant, zeros, ch)
     assert rep.search_log["grid_best"] == math.inf
-    assert rep.search_log["refine"] == "simplex"
+    assert rep.search_log["refine"] == "stencil"
     assert rep.search_log["objective_failures"] == ref_failures
     assert rep.best_value == ref_val
     assert np.array_equal(rep.certificate.gamma, ref_cert)
@@ -300,9 +349,10 @@ def test_membership_falls_back_when_the_pencil_cannot_be_formed(example_ss, monk
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     ref_val, ref_cert, ref_tame, _ = _pointwise_search(rep.problem.phi, ch.p)
     log = rep.search_log
-    assert log["refine"] == "simplex"
+    assert log["refine"] == "stencil"
     assert log["refine_fallback"] == "no pencil point: injected failure"
-    assert log["objective_failures"] == 0 and log["refine_evals"] > 1
+    # 17 rounds of 9 points, the step shrinking from 0.5 to 0.5 / 4**16
+    assert log["objective_failures"] == 0 and log["refine_evals"] == 17 * 9
     assert rep.best_value == ref_val
     assert np.array_equal(rep.certificate.gamma, ref_cert)
     assert np.array_equal(rep.tame_certificate.gamma, ref_tame)
@@ -324,14 +374,15 @@ def _two_channel_probes(monkeypatch, n_sets):
 
 
 def test_membership_two_channels_pencil(example_ss, monkeypatch):
-    # at r = 2 the pencil's crossing replaces the simplex: the verdict is the
-    # simplex search's, the value no worse than it or than a dense scan of
-    # the box, in 26 phi evaluations and no call of scipy's minimize
+    # at r = 2 the pencil's crossing refines: the verdict is that of the
+    # Nelder-Mead search the stencil replaced, the value no worse than its or
+    # than a dense scan of the box, in 26 phi evaluations and no call of
+    # scipy's minimize
     probes = _two_channel_probes(monkeypatch, 7) + [(example_ss, EXAMPLE_ZEROS, ChannelSpec([0.12, 0.01]))]
     assert len(probes) >= 40
 
     def no_minimize(*args, **kwargs):
-        raise AssertionError("the pencil path must not run the simplex")
+        raise AssertionError("the search must not run scipy's minimize")
 
     with monkeypatch.context() as m:
         m.setattr(scipy.optimize, "minimize", no_minimize)
@@ -343,7 +394,7 @@ def test_membership_two_channels_pencil(example_ss, monkeypatch):
         log = rep.search_log
         assert log["refine"] == "pencil" and "refine_fallback" not in log
         assert log["grid_points"] + log["refine_evals"] == 26
-        ref_val, _, _, ref_failures = _pointwise_search(rep.problem.phi, ch.p)
+        ref_val, ref_failures = _reference_search(rep.problem, ch.p)
         assert ref_failures == 0
         assert rep.member == (ref_val < 1.0 - config.MEMBER_GUARD)
         assert rep.best_value <= ref_val + 1e-9
@@ -402,20 +453,107 @@ def _decoupled():
 
 @pytest.mark.parametrize("case", ["inside", "outside", "ties"])
 def test_membership_matches_pointwise_search(example_ss, monkeypatch, case):
-    # the simplex runs at three channels; at two, a pencil point that is
-    # no better than the grid's incumbent leaves the search's result as is
+    # the stencil runs at three channels; at two, the pencil's point, here
+    # no better than the grid's incumbent, leaves the search's result as is
     plant, zeros, ch = {
         "inside": lambda: _three_channel(monkeypatch, 0.7),
         "outside": lambda: (example_ss, EXAMPLE_ZEROS, ChannelSpec([0.5, 0.5])),
         "ties": lambda: (_decoupled(), (None, None), ChannelSpec([0.1, 0.1])),
     }[case]()
     rep = membership(plant, zeros, ch)
-    ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(rep.problem.phi, ch.p)
+    problem = rep.problem
+    crossing = ((lambda start: problem.crossing(ch.p, start)[0])
+                if ch.r == 2 else None)
+    ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(problem.phi, ch.p,
+                                                                  crossing)
+    assert rep.search_log["refine"] == ("pencil" if ch.r == 2 else "stencil")
+    if ch.r == 2:
+        assert rep.best_value == rep.search_log["grid_best"]
     assert rep.best_value == ref_val and ref_failures == 0
     assert np.array_equal(rep.certificate.gamma, ref_cert)
     assert (rep.tame_certificate is None) == (ref_tame is None)
     if ref_tame is not None:
         assert np.array_equal(rep.tame_certificate.gamma, ref_tame)
+
+
+#: four-channel plant structures (core order, unstable poles, zero columns)
+#: in the manner of the search-family benchmark's
+FOUR_CHANNEL_STRUCTURES = ((4, 1, (0,)), (4, 2, (1, 2)), (5, 2, (0,)))
+
+
+def test_membership_stencil_no_worse_than_nelder_mead(monkeypatch):
+    # seeded 3- and 4-channel plants of the search-family structures, each
+    # drawn twice and probed inside, then outside, its largest rectangle:
+    # the verdict is the Nelder-Mead search's and the value no worse than
+    # its by more than 1e-9; the probes where the stencil does better are
+    # printed
+    worker = _perfbench(monkeypatch, "worker")
+    rng = np.random.default_rng(23)
+    better, members, count = [], 0, 0
+    for r, structures in ((3, worker.SEARCH_STRUCTURES[3]), (4, FOUR_CHANNEL_STRUCTURES)):
+        for k, (plant, zeros) in enumerate(worker.plants.plant_family(rng, r, structures * 2)):
+            scale = rng.uniform(*(worker.INSIDE if k < len(structures) else worker.OUTSIDE))
+            rects = rectangle_set(plant, zeros)
+            corner = np.asarray(rects.vertices[int(np.argmax(rects.volumes))])
+            ch = ChannelSpec(np.minimum(scale * corner, worker.P_CEIL))
+            rep = membership(plant, zeros, ch)
+            ref_val, ref_failures = _reference_search(rep.problem, ch.p)
+            assert ref_failures == 0 and rep.search_log["objective_failures"] == 0
+            assert rep.member == (ref_val < 1.0 - config.MEMBER_GUARD), (r, k)
+            assert rep.best_value <= ref_val + 1e-9, (r, k)
+            if rep.best_value < ref_val - 1e-9:
+                better.append((r, k, ref_val - rep.best_value))
+            members += rep.member
+            count += 1
+    assert 0 < members < count
+    print(f"stencil better than Nelder-Mead by more than 1e-9 at {len(better)} of "
+          f"{count} probes (r, probe, by): {better}")
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_membership_bookkeeping_matches_the_evaluated_rows(example_ss, monkeypatch, r):
+    # every row phi evaluates is collected: the tame certificate is the
+    # least extreme certifying row by (max |x|, value, x), phi_diag and the
+    # best value are the certificate's own row, and the r = 2 pencil path
+    # evaluates the 25 grid rows and the pencil's row alone
+    if r == 2:
+        plant, zeros, ch = example_ss, EXAMPLE_ZEROS, ChannelSpec([0.12, 0.01])
+    elif r == 3:
+        plant, zeros, ch = _three_channel(monkeypatch, 0.7)
+    else:
+        plants = _perfbench(monkeypatch, "plants")
+        plant, zeros = plants.admissible_plant(np.random.default_rng(1), 4, 5, 2, (0, 2))
+        rects = rectangle_set(plant, zeros)
+        ch = ChannelSpec(0.7 * np.asarray(rects.vertices[int(np.argmax(rects.volumes))]))
+    phi = ScalingProblem.phi
+    calls = []
+
+    def collected(self, gamma):
+        out = phi(self, gamma)
+        calls.append((np.atleast_2d(gamma).copy(), np.atleast_2d(out).copy()))
+        return out
+
+    monkeypatch.setattr(ScalingProblem, "phi", collected)
+    rep = membership(plant, zeros, ch)
+    log = rep.search_log
+    gammas = np.vstack([g for g, _ in calls])
+    phis = np.vstack([f for _, f in calls])
+    values = np.max(ch.p * (phis + 1.0), axis=1)
+    assert len(gammas) == log["grid_points"] + log["refine_evals"]
+    if r == 2:
+        assert log["refine"] == "pencil"
+        assert [len(g) for g, _ in calls] == [config.GAMMA_GRID_POINTS, 1]
+    else:
+        assert log["refine"] == "stencil" and len(calls) == 18
+    at = np.flatnonzero(np.all(gammas == rep.certificate.gamma, axis=1))
+    assert at.size > 0
+    assert np.array_equal(rep.phi_diag, phis[at[0]])
+    assert rep.best_value == values[at[0]]
+    x = np.log10(gammas[:, 1:])
+    ok = np.flatnonzero(values < 1.0 - config.MEMBER_GUARD)
+    assert rep.member and ok.size > 0
+    tame = min(ok, key=lambda i: (np.max(np.abs(x[i])), values[i], tuple(x[i])))
+    assert np.array_equal(rep.tame_certificate.gamma, gammas[tame])
 
 
 def test_membership_four_channels(monkeypatch):
