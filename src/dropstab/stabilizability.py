@@ -14,14 +14,14 @@ Two complementary certificates are computed:
 * a channel-scaling search (``membership``) that tests the exact
   spectral-radius condition via the Frobenius-like bound
   ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, refining a coarse
-  log-space grid.  The whole grid is one stacked evaluation of phi, and
-  its incumbent is the first minimum in lexicographic order.  With two
+  log-space grid.  Every stack of points (the grid, the two-channel
+  crossing, each stencil round) is one stacked evaluation of phi, and the
+  incumbent is the first minimum in lexicographic order.  With two
   channels the Pick matrix is linear in ``gamma_2^-2``, and one k-by-k
   generalized eigenproblem gives the scaling where the two channel terms
-  cross (``ScalingProblem.crossing``, safeguarded Newton steps from the grid
-  incumbent), the exact minimizer; with three or four channels, or where
-  that pencil fails, a stencil of points around the incumbent, shrinking
-  each round and each round one stacked evaluation, refines.
+  cross (``ScalingProblem.crossing``, plain Newton steps), the exact
+  minimizer; with three or four channels, or where that pencil fails, a
+  stencil of points around the incumbent, shrinking each round, refines.
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
@@ -81,7 +81,6 @@ from .statespace import (
     balanced_truncate,
     blockdiag_systems,
     cascade,
-    constant_system,
     evaluate,
     h2_norm_sq,
     hstack_systems,
@@ -122,8 +121,8 @@ __all__ = [
 ]
 
 MAX_SEARCH_CHANNELS = 4
-# the two-channel crossing: Newton steps stop once a step or the bracket on
-# log10 gamma_2 is this narrow, or after this many steps
+# the two-channel crossing: Newton steps stop once a step on log10 gamma_2
+# is this short, or after this many steps
 CROSSING_XTOL = 1e-12
 CROSSING_MAX_STEPS = 100
 # the stencil refinement: points per axis (odd, so that the incumbent is one
@@ -360,86 +359,6 @@ def _lattice(values, ndim: int) -> np.ndarray:
     return np.stack(np.meshgrid(*[values] * ndim, indexing="ij"), axis=-1).reshape(-1, ndim)
 
 
-def _evaluate(objective, X) -> np.ndarray:
-    """The objective on the stack X: one stacked call, row by row if it
-    raises."""
-    try:
-        return objective(X)
-    except ValueError:
-        return np.array([objective(x) for x in X])
-
-
-def _grid_then_refine(objective, ndim: int, pencil=None):
-    """Coarse grid, then one refinement, over log10-scaling space.
-
-    ``objective`` takes one point of shape (ndim,) and returns a float, or a
-    stack of shape (N, ndim) and returns N values; a stack raises ValueError
-    where a point would fail.  Every stack (the grid, each stencil) is one
-    call, point by point only if that call raises.  The grid's incumbent is
-    the first minimum in lexicographic order (the point a scan keeping only
-    strict improvements ends on), or the origin when every grid value is
-    infinite.
-
-    ``pencil``, if given, takes the incumbent and returns the point the
-    two-channel pencil proposes with the number of steps it took to find it
-    (logged as ``"crossing_steps"``), or raises ValueError saying why it
-    cannot.  That point costs one objective call and replaces the incumbent
-    if strictly better.  When there is no pencil point, or the objective
-    fails at it, a shrinking stencil refines instead: each round is one
-    stack of ``STENCIL_WIDTH`` points per axis around the incumbent, spaced
-    by a step that starts at the grid spacing and shrinks by
-    ``STENCIL_SHRINK`` per round until it is at most ``STENCIL_STOP``,
-    clipped to the box; the incumbent moves to the round's first minimum
-    in lexicographic order where that is strictly better.  The log names
-    the refinement that ran (``"refine"``), the reason of a fallback
-    (``"refine_fallback"``) and the points the refinement evaluated
-    (``"refine_evals"``).  Returns (best_value, best_x, log).
-    """
-    if ndim == 0:
-        x0 = np.zeros(0)
-        return float(objective(x0)), x0, {"grid_points": 1, "refine_evals": 0,
-                                          "refine": "none"}
-    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
-                       config.GAMMA_GRID_POINTS)
-    grid = _lattice(axis, ndim)
-    values = _evaluate(objective, grid)
-    first = int(np.argmin(values))
-    best_val = float(values[first])
-    best_x = grid[first] if best_val < math.inf else np.zeros(ndim)
-    log = {"grid_points": len(grid), "grid_best": best_val, "refine_evals": 0}
-    if pencil is not None:
-        try:
-            x, log["crossing_steps"] = pencil(best_x)
-        except ValueError as exc:
-            log["refine_fallback"] = f"no pencil point: {exc}"
-        else:
-            val = objective(x)
-            log["refine_evals"] = 1
-            if val < math.inf:
-                log["refine"] = "pencil"
-                if val < best_val:
-                    best_val, best_x = val, x
-                return best_val, best_x, log
-            log["refine_fallback"] = "phi failed at the pencil point"
-    log["refine"] = "stencil"
-    half = STENCIL_WIDTH // 2
-    offsets = _lattice(np.arange(-half, half + 1, dtype=float), ndim)
-    step = axis[1] - axis[0]
-    while step > STENCIL_STOP:
-        points = _clip_log(best_x + step * offsets)
-        values = _evaluate(objective, points)
-        log["refine_evals"] += len(points)
-        first = int(np.argmin(values))
-        if values[first] < best_val:
-            best_val, best_x = float(values[first]), points[first]
-        step /= STENCIL_SHRINK
-    return best_val, best_x, log
-
-
-def _clip_log(x) -> np.ndarray:
-    return np.clip(x, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
-
-
 @dataclass(frozen=True)
 class ScalingProblem:
     """A plant and its channel zeros: evaluates the diagonal ``phi`` of the
@@ -553,10 +472,10 @@ class ScalingProblem:
             raise ValueError("phi has non-finite entries")
         return phi if g.ndim == 2 else phi[0]
 
-    def crossing(self, p, start: float) -> tuple:
+    def crossing(self, p) -> tuple:
         """Two channels: the ``log10 gamma_2`` in the search box that
         minimizes ``max_j p_j (phi_jj + 1)``, from one k-by-k pencil, and
-        the number of evaluations of the channel gap it took.
+        the number of Newton steps it took.
 
         With ``d = gamma_2^-2`` the Pick matrix is ``B_1 + d B_2``, where
         ``B_j = (w_j* w_j) o kernel`` for row ``w_j`` of W.  The
@@ -566,13 +485,16 @@ class ScalingProblem:
         theta``, ``phi_11 = sum |u_1 V|^2 / den`` falls and ``phi_22 = d sum
         |u_2 V|^2 / den`` rises in d.  Their certificate terms cross once,
         where the gap ``p_1 (phi_11 + 1) - p_2 (phi_22 + 1)``, convex and
-        falling in d, changes sign: Newton steps in d from ``start`` (a
-        ``log10 gamma_2``) find it, with a bisection on ``log10 gamma_2``
-        wherever a step leaves the bracket or does not halve the step
-        before.  Where one term dominates across the whole box the box end
-        that favours it is returned.  ValueError for another channel count,
-        or where ``B_1 + B_2`` is not numerically positive definite or the
-        pencil is not finite.
+        falling in d, changes sign.  The gap is evaluated on the search
+        grid's axis: where one term dominates across the whole box, the box
+        end that favours it is returned after 0 steps; otherwise Newton
+        steps in d start at the first axis point where the gap is positive.
+        From there, by convexity, each step rises towards the root without
+        passing it, so no safeguard is needed; the steps stop where the gap
+        is no longer positive or a step moves ``log10 gamma_2`` by at most
+        ``CROSSING_XTOL``.  ValueError for another channel count, or where
+        ``B_1 + B_2`` is not numerically positive definite or the pencil is
+        not finite.
         """
         if len(self.zeros) != 2:
             raise ValueError("the pencil covers exactly two channels")
@@ -593,47 +515,34 @@ class ScalingProblem:
         rest = 1.0 - theta
 
         def gap(x):
-            """The gap at ``log10 gamma_2 = x`` (it rises with x), d there,
-            and the gap's slope in d."""
-            d = 10.0 ** (-2.0 * x)
-            den = rest + d * theta
-            g = p1 * (1.0 + np.sum(a / den)) - p2 * (1.0 + d * np.sum(b / den))
-            slope = -(p1 * np.sum(a * theta / den ** 2)
-                      + p2 * np.sum(b * rest / den ** 2))
+            """The gap at ``log10 gamma_2 = x`` (a point or an array; the
+            gap rises with x), d there, and the gap's slope in d."""
+            d = 10.0 ** (-2.0 * np.asarray(x))
+            den = rest + d[..., None] * theta
+            g = (p1 * (1.0 + np.sum(a / den, axis=-1))
+                 - p2 * (1.0 + d * np.sum(b / den, axis=-1)))
+            slope = -(p1 * np.sum(a * theta / den ** 2, axis=-1)
+                      + p2 * np.sum(b * rest / den ** 2, axis=-1))
             return g, d, slope
 
-        lo, hi = config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX
-        g_lo, g_hi = gap(lo)[0], gap(hi)[0]
-        if g_lo >= 0.0:
-            return lo, 2
-        if g_hi <= 0.0:
-            return hi, 2
-        best, g_best = (lo, -g_lo) if -g_lo < g_hi else (hi, g_hi)
-        x = start if lo < start < hi else 0.5 * (lo + hi)
-        last = hi - lo
-        for step in range(3, CROSSING_MAX_STEPS + 3):
-            g, d, slope = gap(x)
-            if abs(g) < g_best:
-                best, g_best = x, abs(g)
-            if g == 0.0:
-                return x, step
-            if g > 0.0:
-                hi = x
-            else:
-                lo = x
-            if hi - lo <= CROSSING_XTOL:
-                return x, step
-            d_next = d - g / slope
-            x_next = -0.5 * math.log10(d_next) if d_next > 0.0 else math.nan
-            # a step this short points into the bracket: the root is found
+        axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
+                           config.GAMMA_GRID_POINTS)
+        g, d, slope = gap(axis)
+        if g[0] >= 0.0:
+            return float(axis[0]), 0
+        if g[-1] <= 0.0:
+            return float(axis[-1]), 0
+        i = int(np.argmax(g > 0.0))
+        x, g, d, slope = float(axis[i]), g[i], d[i], slope[i]
+        for steps in range(1, CROSSING_MAX_STEPS + 1):
+            x_next = -0.5 * math.log10(d - g / slope)
             if abs(x_next - x) <= CROSSING_XTOL:
-                return x_next, step
-            # bisect where the step leaves the bracket or does not halve
-            # the one before
-            if not (lo < x_next < hi and abs(x_next - x) <= 0.5 * last):
-                x_next = 0.5 * (lo + hi)
-            last, x = abs(x_next - x), x_next
-        return best, CROSSING_MAX_STEPS + 2
+                return x_next, steps
+            x = x_next
+            g, d, slope = gap(x)
+            if g <= 0.0:
+                break
+        return x, steps
 
     def value(self, gamma, p) -> float:
         """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p.
@@ -656,25 +565,31 @@ def membership(plant: StateSpaceModel, zeros,
     probabilities, so the certificate is reusable across p (convert with
     ``gamma * (1 - p)`` before synthesis).
 
-    The search scans a log-spaced grid (one stacked phi evaluation), then
-    refines from its incumbent.  With two channels the refinement is the
-    single point ``ScalingProblem.crossing`` proposes; with three or four
-    channels, or where the pencil cannot be formed or phi fails at its
-    point, it is a shrinking stencil: 17 rounds of ``9^(r-1)`` points
-    around the incumbent, each round one stacked phi evaluation (see
-    ``_grid_then_refine``).  ``search_log["refine"]`` names the refinement
-    that ran (``"pencil"`` or ``"stencil"``), ``"refine_fallback"`` the
-    reason the pencil was not used, ``"refine_evals"`` counts the points
-    the refinement evaluated and ``"crossing_steps"`` the evaluations of
-    the channel gap the pencil's crossing took from the grid incumbent.
-    Every point, the pencil's included, is valued by the same closed form;
+    The search values stacks of log10 scalings, each with one stacked phi
+    evaluation (row by row only where that raises; a failed row is
+    infinite and counted in ``search_log["objective_failures"]``): first a
+    log-spaced grid, a single point with one channel, then a refinement of
+    its incumbent.  With two channels the refinement is the single point
+    ``ScalingProblem.crossing`` proposes (``"crossing_steps"`` logs its
+    Newton steps); with three or four channels, or where the pencil cannot
+    be formed or phi fails at its point, it is a shrinking stencil: each
+    round ``STENCIL_WIDTH`` points per axis around the incumbent, spaced by
+    a step that starts at the grid spacing and shrinks by
+    ``STENCIL_SHRINK`` per round until it is at most ``STENCIL_STOP`` (17
+    rounds of ``9^(r-1)`` points), clipped to the box.  The incumbent moves
+    only to a stack's first minimum in lexicographic order, and only where
+    that is strictly better.  ``search_log["refine"]`` names the refinement
+    that ran (``"pencil"``, ``"stencil"``, or ``"none"`` with one channel),
+    ``"refine_fallback"`` the reason the pencil was not used and
+    ``"refine_evals"`` counts the points the refinement evaluated.
     ``phi_diag`` is the search's own evaluation at the certificate, and
     ``tame_certificate`` the least extreme certifying point evaluated, by
     ``(max |log10 gamma|, value, log10 gamma)``.
 
     Returns a report whose ``bounds`` are the per-channel admissible levels
     at the certificate; search exhaustion is reported as a non-member with
-    the best value found, never as an exception.
+    the best value found.  ValueError only where phi fails at every point
+    the search evaluated.
     """
     r = plant.n_inputs
     if channels.r != r:
@@ -683,68 +598,101 @@ def membership(plant: StateSpaceModel, zeros,
         raise ValueError(f"{r} channels exceeds the search cap {MAX_SEARCH_CHANNELS}")
     problem = ScalingProblem(plant, tuple(zeros))
     p = channels.p
-    failures = [0]
-    picked = {}   # clipped log10 scaling -> phi, at each call's first minimum
-    tame_key = [None]   # (max |x|, value, x) of the least extreme certifying point
+    ndim = r - 1
+    best_val, best_x, best_phi = math.inf, np.zeros(ndim), None
+    tame_key = None   # (max |x|, value, x) of the least extreme certifying point
+    failures = 0
 
-    def objective(x):
-        X = _clip_log(np.atleast_2d(x))
+    def scan(X):
+        """Value the stack X of log10 scalings, clipped to the box, and
+        update the incumbent, the tame key and the failure count; returns
+        the values."""
+        nonlocal best_val, best_x, best_phi, tame_key, failures
+        X = np.clip(X, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
+        gammas = np.hstack([np.ones((len(X), 1)), 10.0 ** X])
         try:
-            phis = problem.phi(np.hstack([np.ones((len(X), 1)), 10.0 ** X]))
+            phis = problem.phi(gammas)
+            vals = np.max(p * (phis + 1.0), axis=1)
         except ValueError:
-            if np.ndim(x) == 2:
-                raise
-            failures[0] += 1
-            return math.inf
-        vals = np.max(p * (phis + 1.0), axis=1)   # problem.value, phi kept
+            # a failed row is infinite, not valued from its phi (0 * inf is
+            # nan where p_j = 0); a single row has been tried already
+            phis = np.zeros((len(X), r))
+            vals = np.full(len(X), math.inf)
+            for i in range(len(X) if len(X) > 1 else 0):
+                try:
+                    phis[i] = problem.phi(gammas[i])
+                except ValueError:
+                    continue
+                vals[i] = np.max(p * (phis[i] + 1.0))
+            failures += int(np.count_nonzero(np.isinf(vals)))
         first = int(np.argmin(vals))
-        # a copy: a row of the stack would keep the whole stack alive
-        picked[tuple(X[first])] = phis[first].copy()
-        ok = np.flatnonzero(vals < 1.0 - config.MEMBER_GUARD)
-        if ok.size:
-            extent = np.max(np.abs(X[ok]), axis=1, initial=0.0)
+        if vals[first] < best_val:
+            # copies: a row of the stack would keep the whole stack alive
+            best_val, best_x, best_phi = (float(vals[first]), X[first].copy(),
+                                          phis[first].copy())
+        cert = np.flatnonzero(vals < 1.0 - config.MEMBER_GUARD)
+        if cert.size:
+            extent = np.max(np.abs(X[cert]), axis=1, initial=0.0)
             # the least extent comes first in the key, so only those rows
             # are sorted on by the rest of it
-            least = ok[extent == extent.min()]
+            least = cert[extent == extent.min()]
             k = least[np.lexsort((*X[least].T[::-1], vals[least]))[0]]
             key = (float(extent.min()), float(vals[k]), tuple(X[k]))
-            if tame_key[0] is None or key < tame_key[0]:
-                tame_key[0] = key
-        return vals if np.ndim(x) == 2 else float(vals[0])
+            if tame_key is None or key < tame_key:
+                tame_key = key
+        return vals
 
-    def pencil(start):
-        x, steps = problem.crossing(p, float(start[0]))
-        return np.array([x]), steps
-
-    best_val, best_x, log = _grid_then_refine(objective, r - 1,
-                                              pencil if r == 2 else None)
+    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
+                       config.GAMMA_GRID_POINTS)
+    grid = _lattice(axis, ndim) if ndim else np.zeros((1, 0))
+    scan(grid)
+    log = {"grid_points": len(grid), "grid_best": best_val, "refine_evals": 0}
+    if r == 1:
+        log["refine"] = "none"
+    elif r == 2:
+        try:
+            x, log["crossing_steps"] = problem.crossing(p)
+        except ValueError as exc:
+            log["refine_fallback"] = f"no pencil point: {exc}"
+        else:
+            log["refine_evals"] = 1
+            if scan(np.array([[x]]))[0] < math.inf:
+                log["refine"] = "pencil"
+            else:
+                log["refine_fallback"] = "phi failed at the pencil point"
+    if "refine" not in log:
+        log["refine"] = "stencil"
+        half = STENCIL_WIDTH // 2
+        offsets = _lattice(np.arange(-half, half + 1, dtype=float), ndim)
+        step = axis[1] - axis[0]
+        while step > STENCIL_STOP:
+            scan(best_x + step * offsets)
+            log["refine_evals"] += len(offsets)
+            step /= STENCIL_SHRINK
     if math.isinf(best_val):
         raise ValueError("scaling search failed at every grid point; the plant "
                          "factorization does not admit the inner decomposition")
-    best_x = _clip_log(best_x)
-    # the search's incumbent is always some call's first minimum
-    phi = picked[tuple(best_x)]
-    log["objective_failures"] = failures[0]
+    log["objective_failures"] = failures
     member = bool(best_val < 1.0 - config.MEMBER_GUARD)
     # the point that made a member verdict certifies, so tame_key is set then
-    tame = (GammaScaling(np.concatenate([[1.0], 10.0 ** np.asarray(tame_key[0][2])]))
+    tame = (GammaScaling(np.concatenate([[1.0], 10.0 ** np.asarray(tame_key[2])]))
             if member else None)
     return StabilizabilityReport(
         member=member,
-        best_value=float(best_val),
+        best_value=best_val,
         certificate=GammaScaling(np.concatenate([[1.0], 10.0 ** best_x])),
-        phi_diag=phi,
-        bounds=1.0 / (phi + 1.0),
+        phi_diag=best_phi,
+        bounds=1.0 / (best_phi + 1.0),
         search_log=log,
         problem=problem,
         tame_certificate=tame,
     )
 
 
-def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481) -> np.ndarray:
+def sweep_bounds(plant: StateSpaceModel, zeros) -> np.ndarray:
     """Per-channel bound vectors over a dense scaling sweep (two channels).
 
-    Returns an (n_points, 2) array of ``1/(phi_jj + 1)`` evaluated along
+    Returns a (481, 2) array of ``1/(phi_jj + 1)`` evaluated along
     ``log10 gamma_2`` uniformly spanning the search box, endpoints included.
     A dropout vector is certified by the sweep when some row dominates it
     strictly; this reproduces the membership decision rule with the scaling
@@ -753,7 +701,7 @@ def sweep_bounds(plant: StateSpaceModel, zeros, n_points: int = 481) -> np.ndarr
     if plant.n_inputs != 2:
         raise ValueError("the sweep helper covers exactly two channels")
     problem = ScalingProblem(plant, tuple(zeros))
-    logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, n_points)
+    logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, 481)
     # scalar powers: the array power may differ in the last bit
     gammas = np.array([[1.0, 10.0 ** lg] for lg in logs])
     return 1.0 / (problem.phi(gammas) + 1.0)
@@ -867,14 +815,13 @@ def synthesize_Q(plant: StateSpaceModel, bez: DoublyCoprime, gamma,
         return Q
 
 
-def controller(bez: DoublyCoprime,
-               Q: Optional[StateSpaceModel] = None) -> StateSpaceModel:
+def controller(bez: DoublyCoprime, Q: StateSpaceModel) -> StateSpaceModel:
     """Stabilizing controller ``(Xt - Q Nt)^{-1} (Yt - Q Mt)``.
 
     Realized directly in observer form with the parameter wrapped around
     the innovation (state count: plant order plus parameter order), which
     is equivalent to the fraction formula but avoids building explicit
-    inverses.  With ``Q = None`` this is the central (observer-based)
+    inverses.  With a zero ``Q`` this is the central (observer-based)
     design.
     """
     AL = bez.Xt.A          # A - L C
@@ -882,11 +829,7 @@ def controller(bez: DoublyCoprime,
     C = bez.Nt.C
     F = bez.F
     L = bez.L
-    n = AL.shape[0]
-    if Q is None:
-        Q = constant_system(np.zeros((B.shape[1], C.shape[0])))
     Aq, Bq, Cq, Dq = Q.A, Q.B, Q.C, Q.D
-    nq = Q.order
     AK = np.block([
         [AL - B @ F + B @ Dq @ C, B @ Cq],
         [Bq @ C, Aq],

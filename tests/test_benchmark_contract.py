@@ -1,12 +1,14 @@
 """What the benchmark harness in ``perfbench/`` reads from the library.
 
-The traced benchmark worker wraps every function listed in
-``perfbench/spans.py`` by looking it up on its module, and reads a few
-report fields; a renamed or deleted one kills the worker, and the run then
-prints no result line.  The harness also checks the example1 CLI session
-against the output digests in ``perfbench/reference.json``.
+The benchmark worker calls library functions through their modules, the
+traced worker wraps every function listed in ``perfbench/spans.py`` by
+looking it up on its module, and both read a few report fields; a renamed
+or deleted one kills the worker, and the run then prints no result line.
+The harness also checks the example1 CLI session against the output
+digests in ``perfbench/reference.json``.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -26,6 +28,7 @@ from dropstab.stabilizability import ChannelSpec, membership
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+WORKER = PERFBENCH / "worker.py"
 
 #: runs the worker's CLI session in process and prints each command's exit
 #: code and stdout SHA-256 as JSON; argv: perfbench dir, controller path
@@ -64,8 +67,44 @@ def test_traced_functions_resolve():
             assert callable(getattr(home, fname, None)), f"{mod_name}.{fname}"
 
 
+def _library_reads(path):
+    """Every ``<module>.<name>`` read in the file at ``path`` whose left side
+    is a dropstab module: imported from ``dropstab`` or a tuple-assigned
+    alias of such a name (``fz, st = factorization, stabilizability``).
+    Returns (module, attribute, line) triples, and the names imported with
+    ``from dropstab.<module> import ...``."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules, imported = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dropstab":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dropstab."):
+            imported += [(node.module, a.name, node.lineno) for a in node.names]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                and len(node.targets) == 1 and isinstance(node.targets[0], ast.Tuple)):
+            for target, value in zip(node.targets[0].elts, node.value.elts):
+                if isinstance(value, ast.Name) and value.id in modules:
+                    modules[target.id] = modules[value.id]
+    reads = [(f"dropstab.{modules[node.value.id]}", node.attr, node.lineno)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules]
+    return reads, imported
+
+
+def test_worker_library_names_resolve():
+    # a deleted or renamed library name kills the worker that reads it,
+    # the verify-order worker included, which the gated runs never start
+    reads, imported = _library_reads(WORKER)
+    assert {mod for mod, _, _ in reads} == {
+        f"dropstab.{m}" for m in ("cli", "factorization", "stabilizability",
+                                  "statespace", "verification")}
+    for mod, name, line in reads + imported:
+        assert hasattr(importlib.import_module(mod), name), f"worker.py:{line}: {mod}.{name}"
+
+
 def test_report_fields_the_worker_reads(example_ss):
-    assert callable(stabilizability._true_gamma)
     report = membership(example_ss, EXAMPLE_ZEROS,
                         ChannelSpec(0.9 * np.asarray(VERTEX_21)))
     assert report.member

@@ -52,6 +52,7 @@ from dropstab.statespace import (
     StateSpaceModel,
     TransferMatrix,
     cascade,
+    constant_system,
     evaluate,
     h2_norm_sq,
     minimal,
@@ -461,8 +462,8 @@ def test_search_builds_no_coprime_factor(example_ss, monkeypatch):
         raise_on_call(monkeypatch, fn)
     ch = ChannelSpec(0.9 * np.asarray(VERTEX_21))
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
-    bounds = sweep_bounds(example_ss, EXAMPLE_ZEROS, n_points=61)
-    assert rep.member and bounds.shape == (61, 2)
+    bounds = sweep_bounds(example_ss, EXAMPLE_ZEROS)
+    assert rep.member and bounds.shape == (481, 2)
     monkeypatch.undo()
     factors = count_calls(monkeypatch, factorization.coprime_factorize)
     value = rep.problem.value(rep.certificate.gamma, ch.p)
@@ -538,10 +539,10 @@ def test_membership_input_validation(example_ss):
 
 
 def test_sweep_bounds_covers_benchmark(example_ss):
-    bounds = sweep_bounds(example_ss, EXAMPLE_ZEROS, n_points=61)
-    assert bounds.shape == (61, 2)
+    bounds = sweep_bounds(example_ss, EXAMPLE_ZEROS)
+    assert bounds.shape == (481, 2)
     # midpoint of the sweep is the unscaled measure
-    mid = bounds[30]
+    mid = bounds[240]
     phi = ScalingProblem(example_ss, EXAMPLE_ZEROS).phi(np.ones(2))
     assert_allclose(mid, 1.0 / (phi + 1.0), rtol=1e-9)
     # the sweep pool certifies 0.9 times both rectangle corners
@@ -627,7 +628,7 @@ def test_controller_central_form(example_ss):
     design = synthesize(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
     Gmu, bez = design.plant_mu, design.bez
     F, L = bez.F, bez.L
-    K0 = controller(bez)
+    K0 = controller(bez, constant_system(np.zeros((2, 2))))
     manual = StateSpaceModel(Gmu.A - Gmu.B @ F - L @ Gmu.C, L, -F, np.zeros((2, 2)))
     for s in (1.4 + 0.2j, -0.9, 2.8):
         assert_allclose(evaluate(K0, s), evaluate(manual, s), atol=1e-8)

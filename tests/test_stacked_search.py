@@ -106,10 +106,10 @@ def test_sweep_bounds_equals_pointwise_loop(example_ss):
 def _pointwise_search(phi, p, crossing=None):
     """Reference search, one phi call per point: the grid scanned in
     lexicographic order keeping strict improvements only; then, given
-    ``crossing`` (the incumbent's log10 gamma_2 to the pencil's, or
-    ValueError), the pencil's point, and where there is none or phi fails
-    there, the shrinking stencil, each round scanned the same way.  Returns
-    (best value, certificate, tame scaling or None, failures)."""
+    ``crossing`` (the pencil's log10 gamma_2), that point, and where there
+    is none or phi fails there, the shrinking stencil, each round scanned
+    the same way.  Returns (best value, certificate, tame scaling or None,
+    failures)."""
     ndim = p.size - 1
     evals, failures = {}, [0]
 
@@ -135,16 +135,12 @@ def _pointwise_search(phi, p, crossing=None):
                             math.inf, np.zeros(ndim))
     refine = True
     if crossing is not None:
-        try:
-            x = np.array([crossing(best_x[0])])
-        except ValueError:
-            pass
-        else:
-            val = objective(x)
-            if val < math.inf:
-                refine = False
-                if val < best_val:
-                    best_val, best_x = val, x
+        x = np.array([crossing])
+        val = objective(x)
+        if val < math.inf:
+            refine = False
+            if val < best_val:
+                best_val, best_x = val, x
     step = axis[1] - axis[0]
     while refine and step > 1e-10:
         points = [np.clip(best_x + step * np.asarray(k, dtype=float),
@@ -273,6 +269,33 @@ def test_membership_three_channels_fall_back_row_by_row(monkeypatch):
     assert rep.member and np.array_equal(rep.tame_certificate.gamma, ref_tame)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_membership_failed_rows_are_infinite_without_nan(example_ss, monkeypatch):
+    # with p_1 = 0 a failed row valued by arithmetic on an infinite phi
+    # would be 0 * inf = nan: every failed row must be infinite, the
+    # pencil's point (the top of the box, where phi is made to fail) one
+    # phi call and one failure, and the stencil as its point-by-point copy
+    phi = ScalingProblem.phi
+    ch = ChannelSpec([0.0, 0.9 * VERTEX_12[1]])
+    failed = []
+    flaky = _flaky(phi, failed)
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
+    assert problem.crossing(ch.p) == (config.GAMMA_LOG_MAX, 0)
+    ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(
+        lambda g: flaky(problem, g), ch.p)
+    assert ref_failures == len(failed) > 0
+    failed.clear()
+    monkeypatch.setattr(ScalingProblem, "phi", flaky)
+    rep = membership(example_ss, EXAMPLE_ZEROS, ch)
+    log = rep.search_log
+    assert log["refine"] == "stencil"
+    assert log["refine_fallback"] == "phi failed at the pencil point"
+    assert log["objective_failures"] == len(failed) == ref_failures + 1
+    assert rep.best_value == ref_val
+    assert np.array_equal(rep.certificate.gamma, ref_cert)
+    assert rep.member and np.array_equal(rep.tame_certificate.gamma, ref_tame)
+
+
 def _off_grid(phi, also=()):
     """phi failing at every grid point (each log10 gamma a multiple of 1/2)
     and at the free scalings ``also``."""
@@ -296,9 +319,8 @@ def test_membership_stencil_starts_at_origin_when_the_grid_fails(example_ss, mon
     phi = ScalingProblem.phi
     ch = ChannelSpec([0.12, 0.01])
     problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
-    # with no finite grid value the incumbent, and the crossing's start,
-    # is the origin
-    pencil, _ = problem.crossing(ch.p, 0.0)
+    # with no finite grid value the incumbent is the origin
+    pencil, _ = problem.crossing(ch.p)
     off_grid = _off_grid(phi, also=[[pencil]])
     ref_val, ref_cert, _, ref_failures = _pointwise_search(
         lambda g: off_grid(problem, g), ch.p)
@@ -342,7 +364,7 @@ def test_membership_three_channels_stencil_starts_at_origin(monkeypatch):
 def test_membership_falls_back_when_the_pencil_cannot_be_formed(example_ss, monkeypatch):
     ch = ChannelSpec([0.12, 0.01])
 
-    def no_pencil(self, p, start):
+    def no_pencil(self, p):
         raise ValueError("injected failure")
 
     monkeypatch.setattr(ScalingProblem, "crossing", no_pencil)
@@ -408,26 +430,55 @@ def test_membership_two_channels_pencil(example_ss, monkeypatch):
 def test_crossing_is_where_the_channel_terms_meet(example_ss, monkeypatch):
     problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
     p = np.array([0.12, 0.01])
-    x, _ = problem.crossing(p, 0.0)
-    assert config.GAMMA_LOG_MIN < x < config.GAMMA_LOG_MAX
+    x, steps = problem.crossing(p)
+    assert config.GAMMA_LOG_MIN < x < config.GAMMA_LOG_MAX and 0 < steps < 10
     terms = p * (problem.phi(np.array([1.0, 10.0 ** x])) + 1.0)
     assert terms[0] == pytest.approx(terms[1], rel=1e-9)
-    # one term dominating across the box: the box end that favours it, after
-    # the two evaluations at the box ends
-    assert problem.crossing([0.9, 0.0], 0.0) == (config.GAMMA_LOG_MIN, 2)
-    assert problem.crossing([0.0, 0.9], 0.0) == (config.GAMMA_LOG_MAX, 2)
-    # membership starts the crossing at its grid incumbent and logs the
-    # evaluations of the gap; from there it meets the same point
-    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
-    grid = np.column_stack([np.ones_like(axis), 10.0 ** axis])
-    start = axis[np.argmin(np.max(p * (problem.phi(grid) + 1.0), axis=1))]
-    x_grid, steps = problem.crossing(p, start)
-    assert abs(x_grid - x) < 1e-12
+    # one term dominating across the box: the box end that favours it,
+    # after no Newton step
+    assert problem.crossing([0.9, 0.0]) == (config.GAMMA_LOG_MIN, 0)
+    assert problem.crossing([0.0, 0.9]) == (config.GAMMA_LOG_MAX, 0)
+    # membership evaluates that point and logs the Newton steps
     rep = membership(example_ss, EXAMPLE_ZEROS, ChannelSpec(p))
-    assert rep.search_log["crossing_steps"] == steps < 10
-    assert rep.certificate.gamma[1] == 10.0 ** x_grid
+    assert rep.search_log["crossing_steps"] == steps
+    assert rep.certificate.gamma[1] == 10.0 ** x
     with pytest.raises(ValueError, match="exactly two channels"):
-        ScalingProblem(*_three_channel(monkeypatch, 0.5)[:2]).crossing([0.1] * 3, 0.0)
+        ScalingProblem(*_three_channel(monkeypatch, 0.5)[:2]).crossing([0.1] * 3)
+
+
+def _terms(problem, p, logs):
+    """The channel terms ``p_j (phi_jj + 1)`` at each log10 gamma_2."""
+    logs = np.atleast_1d(logs)
+    return p * (problem.phi(np.column_stack([np.ones(logs.size), 10.0 ** logs])) + 1.0)
+
+
+def test_crossing_is_a_box_end_or_an_interior_meeting(monkeypatch):
+    # seeded two-channel plants of the search-family structures: where one
+    # term dominates on the whole grid axis, the crossing is the box end
+    # that favours it, after no Newton step; elsewhere it is an interior
+    # point where the terms agree, reached in at most 12 steps.  Either way
+    # its value is no worse than a dense scan of the box
+    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+    dense = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, 2001)
+    kinds = []
+    for plant, zeros, ch in _two_channel_probes(monkeypatch, 2):
+        problem = ScalingProblem(plant, zeros)
+        x, steps = problem.crossing(ch.p)
+        on_axis = _terms(problem, ch.p, axis)
+        gap = on_axis[:, 0] - on_axis[:, 1]
+        terms = _terms(problem, ch.p, x)[0]
+        if np.all(gap >= 0.0) or np.all(gap <= 0.0):
+            end = config.GAMMA_LOG_MIN if gap[0] >= 0.0 else config.GAMMA_LOG_MAX
+            assert (x, steps) == (end, 0)
+            kinds.append("box end")
+        else:
+            assert config.GAMMA_LOG_MIN < x < config.GAMMA_LOG_MAX
+            assert 0 < steps <= 12
+            assert terms[0] == pytest.approx(terms[1], rel=1e-9)
+            kinds.append("interior")
+        scan = np.max(_terms(problem, ch.p, dense), axis=1).min()
+        assert terms.max() <= scan + 1e-12
+    assert len(kinds) == 12 and set(kinds) == {"box end", "interior"}
 
 
 def test_membership_leaves_no_cyclic_garbage(example_ss):
@@ -462,8 +513,7 @@ def test_membership_matches_pointwise_search(example_ss, monkeypatch, case):
     }[case]()
     rep = membership(plant, zeros, ch)
     problem = rep.problem
-    crossing = ((lambda start: problem.crossing(ch.p, start)[0])
-                if ch.r == 2 else None)
+    crossing = problem.crossing(ch.p)[0] if ch.r == 2 else None
     ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(problem.phi, ch.p,
                                                                   crossing)
     assert rep.search_log["refine"] == ("pencil" if ch.r == 2 else "stencil")
