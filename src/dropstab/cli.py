@@ -80,12 +80,28 @@ def _poly_grid(body, key, path):
     return cells
 
 
-def _shaped(raw, key, shape, path):
+def _matrix(raw, path, field, shape=None) -> np.ndarray:
+    """``raw`` as a float array with finite entries, reshaped to ``shape``
+    when given; every error names the file and the field."""
+    if raw is None:
+        raise ValueError(f"{path}: {field} is missing")
     try:
-        arr = np.asarray(raw[key], dtype=float).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: ss.{key} is missing or badly shaped") from exc
-    return arr
+        M = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {field} must be a nested list of numbers") from exc
+    if not np.isfinite(M).all():
+        raise ValueError(f"{path}: {field} has non-finite entries")
+    try:
+        return M if shape is None else M.reshape(shape)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {field} cannot be reshaped to {shape}") from exc
+
+
+def _count(d, key, path) -> int:
+    v = d[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"{path}: {key} must be a non-negative integer, got {v!r}")
+    return v
 
 
 def load_model(path: str) -> ModelFile:
@@ -140,18 +156,18 @@ def load_model(path: str) -> ModelFile:
         body = raw["ss"]
         if not isinstance(body, dict):
             raise ValueError(f"{path}: ss must be an object with A/B/C/D")
-        A = np.asarray(body.get("A", []), dtype=float)
+        A = _matrix(body.get("A", []), path, "ss.A")
         if A.ndim == 1 and A.size == 0:
             A = A.reshape(0, 0)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"{path}: ss.A must be square")
         n = A.shape[0]
-        B = np.asarray(body.get("B"), dtype=float)
+        B = _matrix(body.get("B"), path, "ss.B")
         if B.ndim != 2 or B.shape[0] != n:
             raise ValueError(f"{path}: ss.B must have {n} rows")
         r = B.shape[1]
-        C = _shaped(body, "C", (-1, n) if n else (-1, 0), path)
-        D = _shaped(body, "D", (C.shape[0], r), path)
+        C = _matrix(body.get("C"), path, "ss.C", (-1, n) if n else (-1, 0))
+        D = _matrix(body.get("D"), path, "ss.D", (C.shape[0], r))
         if C.shape[0] != r:
             raise ValueError(f"{path}: model must be square "
                              f"({C.shape[0]} outputs, {r} inputs)")
@@ -428,24 +444,15 @@ def _load_controller(path: str) -> StateSpaceModel:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: controller file must be a JSON object")
     d = raw.get("controller", raw)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: controller must be a JSON object")
     for key in ("A", "B", "C", "D", "state_count", "input_count",
                 "output_count"):
         if key not in d:
             raise ValueError(f"{path}: controller block lacks '{key}'")
-    n, m, q = int(d["state_count"]), int(d["input_count"]), int(d["output_count"])
-    try:
-        A = np.asarray(d["A"], dtype=float).reshape(n, n)
-        B = np.asarray(d["B"], dtype=float).reshape(n, m)
-        C = np.asarray(d["C"], dtype=float).reshape(q, n)
-        D = np.asarray(d["D"], dtype=float).reshape(q, m)
-    except ValueError as exc:
-        raise ValueError(f"{path}: controller matrices do not match the "
-                         "declared sizes") from exc
-    for name, M in zip("ABCD", (A, B, C, D)):
-        if not np.all(np.isfinite(M)):
-            raise ValueError(f"{path}: controller matrix {name} has non-finite "
-                             "entries")
-    return StateSpaceModel(A, B, C, D)
+    n, m, q = (_count(d, key, path) for key in ("state_count", "input_count", "output_count"))
+    return StateSpaceModel(*(_matrix(d[key], path, f"controller matrix {key}", shape)
+                             for key, shape in zip("ABCD", ((n, n), (n, m), (q, n), (q, m)))))
 
 
 def cmd_simulate(args) -> int:
@@ -453,6 +460,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--steps: must be at least 0, got {args.steps}")
     if args.trials < 1:
         raise ValueError(f"--trials: must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed: must be at least 0, got {args.seed}")
     model = load_model(args.model)
     p = _parse_probs(args.probs, model.plant.n_inputs)
     channels = ChannelSpec(p)

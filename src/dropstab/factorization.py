@@ -46,7 +46,6 @@ __all__ = [
     "AssumptionViolation",
     "DoublyCoprime",
     "InnerOuterPair",
-    "PotapovFactor",
     "WonhamBlock",
     "WonhamForm",
     "bezout",
@@ -154,7 +153,7 @@ def wonham_decompose(plant: StateSpaceModel, ordering) -> WonhamForm:
         T[:, off:] = T[:, off:] @ U
         Acur = U.conj().T @ Acur @ U
         Bcur = U.conj().T @ Bcur
-        blk_eigs = eigenvalues(Acur[:nc, :nc]).values if nc else np.zeros(0, complex)
+        blk_eigs = eigenvalues(Acur[:nc, :nc]) if nc else np.zeros(0, complex)
         blocks.append(WonhamBlock(channel=ch, dim=nc, lam=_unstable(blk_eigs)))
         off += nc
         Acur = Acur[nc:, nc:]
@@ -230,7 +229,7 @@ def wonham_gain(form: WonhamForm,
             continue
         Ak = form.Aw[sl, sl]
         bk = form.Bw[sl, k]
-        goals = targets_of(eigenvalues(Ak).values)
+        goals = targets_of(eigenvalues(Ak))
         # placement convention is eig(A + b f); stabilizing A - b f needs -f
         Fw[k, sl] = -place_single_input(Ak, bk, goals)
     P = np.zeros((r, r))
@@ -373,19 +372,9 @@ def gamma_scale(sys: StateSpaceModel, gamma) -> StateSpaceModel:
 
 
 @dataclass(frozen=True)
-class PotapovFactor:
-    zero: complex
-    direction: np.ndarray
-
-    def __post_init__(self):
-        self.direction.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class InnerOuterPair:
     inner: StateSpaceModel
     outer: StateSpaceModel
-    factors: tuple
 
 
 def _potapov_section(lam: complex, eta: np.ndarray) -> StateSpaceModel:
@@ -427,7 +416,7 @@ def inner_outer(sys: StateSpaceModel) -> InnerOuterPair:
         raise ValueError("inner-outer factorization needs a square model")
     r = sys.n_inputs
     zinv = inverse(sys)  # also validates cond(D)
-    zeros = eigenvalues(zinv.A).values if sys.order else np.zeros(0, complex)
+    zeros = eigenvalues(zinv.A) if sys.order else np.zeros(0, complex)
     if zeros.size and np.any(np.abs(np.abs(zeros) - 1.0) < config.UNIT_CIRCLE_BAND):
         raise ValueError("transmission zero within 1e-9 of the unit circle")
     unstable = [z for z in zeros if abs(z) > 1.0]
@@ -440,19 +429,19 @@ def inner_outer(sys: StateSpaceModel) -> InnerOuterPair:
     if not unstable:
         return InnerOuterPair(inner=StateSpaceModel(np.zeros((0, 0)), np.zeros((0, r)),
                                                     np.zeros((r, 0)), np.eye(r)),
-                              outer=sys, factors=())
-    factors = []
+                              outer=sys)
+    factors = []    # (zero, direction) of each section
     for z in unstable:
         V = evaluate(sys, z)
-        for fac in factors:
-            V = _section_eval_inv(fac.zero, fac.direction, z) @ V
+        for zero, direction in factors:
+            V = _section_eval_inv(zero, direction, z) @ V
         U, _, _ = np.linalg.svd(V)
         eta = U[:, -1]
         # pin the phase so the factorization is deterministic
         k = int(np.argmax(np.abs(eta)))
         eta = eta * (np.conj(eta[k]) / abs(eta[k]))
-        factors.append(PotapovFactor(zero=complex(z), direction=eta))
-    sections = [_potapov_section(f.zero, f.direction) for f in factors]
+        factors.append((complex(z), eta))
+    sections = [_potapov_section(zero, direction) for zero, direction in factors]
     inner = sections[-1]
     for sec in sections[-2::-1]:
         inner = cascade(sec, inner)
@@ -462,7 +451,7 @@ def inner_outer(sys: StateSpaceModel) -> InnerOuterPair:
     outer = minimal(cascade(inv_chain, sys))
     if outer.order and spectral_radius(outer.A) >= 1.0:
         raise ValueError("outer factor kept unstable modes: deflation failed")
-    return InnerOuterPair(inner=inner, outer=outer, factors=tuple(factors))
+    return InnerOuterPair(inner=inner, outer=outer)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,12 @@ that downstream factorizations are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import linalg as sla
 
 from . import config
 
-__all__ = ["Spectrum", "eigenvalues", "solve_stein", "spectral_radius"]
+__all__ = ["eigenvalues", "solve_stein", "spectral_radius"]
 
 #: Largest matrix order accepted by the dense Stein solver (the Kronecker
 #: system has order n**2).
@@ -63,27 +61,7 @@ def _canonical_order(w: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=int)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a matrix in canonical order plus a quality figure.
-
-    Attributes
-    ----------
-    values : ndarray
-        Eigenvalues sorted by ascending modulus, ties by ascending angle.
-    residual : float
-        ``max_i ||A v_i - w_i v_i||_2`` over the unit right eigenvectors
-        returned by the solver.
-    """
-
-    values: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
-def eigenvalues(M) -> Spectrum:
+def eigenvalues(M) -> np.ndarray:
     """Eigenvalues of a square matrix, canonically ordered and residual-checked.
 
     Parameters
@@ -93,17 +71,20 @@ def eigenvalues(M) -> Spectrum:
 
     Returns
     -------
-    Spectrum
+    ndarray
+        The eigenvalues sorted by ascending modulus, ties by ascending angle.
 
     Raises
     ------
     ValueError
-        If the QR iteration fails to converge or the residual exceeds
-        ``config.EIG_RESIDUAL_TOL`` times ``max(1, ||M||_2)``.
+        If the QR iteration fails to converge or the residual
+        ``max_i ||M v_i - w_i v_i||_2`` over the solver's unit right
+        eigenvectors exceeds ``config.EIG_RESIDUAL_TOL`` times
+        ``max(1, ||M||_2)``.
     """
     A = _as_matrix(M, "M", square=True)
     if A.shape[0] == 0:
-        return Spectrum(values=np.zeros(0, dtype=complex), residual=0.0)
+        return np.zeros(0, dtype=complex)
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -123,8 +104,7 @@ def eigenvalues(M) -> Spectrum:
                 f"eigenvalue residual {res:.3e} exceeds tolerance "
                 f"{config.EIG_RESIDUAL_TOL * scale:.3e}"
             )
-    order = _canonical_order(w)
-    return Spectrum(values=w[order], residual=res)
+    return w[_canonical_order(w)]
 
 
 def spectral_radius(M) -> float:

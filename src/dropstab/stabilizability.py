@@ -341,7 +341,7 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
     """
     if any(z is not None for z in zeros):
         raise ValueError("plant is not minimum phase: use the rectangle analysis")
-    unstable = tuple(v for v in eigenvalues(plant.A).values if abs(v) > 1.0)
+    unstable = tuple(v for v in eigenvalues(plant.A) if abs(v) > 1.0)
     # scalar abs: the vectorised complex abs can differ in the last bit
     moduli = [abs(v) for v in unstable]
     return MpSupremum(derived_bound=_channel_bound(moduli, None),
@@ -412,7 +412,7 @@ class ScalingProblem:
         if reached != n:
             raise ValueError(f"{reached} of {n} states are reachable: "
                              "pair (A, B) is uncontrollable")
-        poles = eigenvalues(A).values
+        poles = eigenvalues(A)
         if np.any(np.abs(np.abs(poles) - 1.0) < config.UNIT_CIRCLE_BAND):
             raise ValueError("plant pole within 1e-9 of the unit circle")
         lam = poles[np.abs(poles) > 1.0]

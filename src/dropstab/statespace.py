@@ -31,7 +31,6 @@ __all__ = [
     "balanced_truncate",
     "blockdiag_systems",
     "cascade",
-    "constant_system",
     "evaluate",
     "h2_norm_sq",
     "hstack_systems",
@@ -379,13 +378,6 @@ def add_constant(sys: StateSpaceModel, K) -> StateSpaceModel:
     return StateSpaceModel(sys.A, sys.B, sys.C, sys.D + _as_matrix(K, "K"))
 
 
-def constant_system(K) -> StateSpaceModel:
-    """Order-zero model with feedthrough K."""
-    K = _as_matrix(K, "K")
-    n0 = np.zeros((0, 0))
-    return StateSpaceModel(n0, np.zeros((0, K.shape[1])), np.zeros((K.shape[0], 0)), K)
-
-
 def hstack_systems(systems) -> StateSpaceModel:
     """Column-concatenate models that share output dimension: [G1 G2 ...]."""
     p = systems[0].n_outputs
@@ -562,8 +554,8 @@ def place_single_input(A, b, targets) -> np.ndarray:
     f = -(row @ phi) @ T.conj().T
     if np.max(np.abs(f.imag)) < 1e-9 * max(1.0, np.max(np.abs(f.real))):
         f = f.real.astype(float)
-    achieved = eigenvalues(A + b @ f.reshape(1, -1)).values
-    wanted = eigenvalues(np.diag(targets)).values
+    achieved = eigenvalues(A + b @ f.reshape(1, -1))
+    wanted = eigenvalues(np.diag(targets))
     err = float(np.max(np.abs(achieved - wanted)))
     if err > 1e-7 * max(1.0, float(np.max(np.abs(targets)))):
         raise ValueError(f"placement residual {err:.2e} too large")

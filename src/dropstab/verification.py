@@ -12,13 +12,18 @@ two ways that share no code with the synthesis path:
 The multiplicative noise convention: channel j delivers ``alpha_j u_j``
 with ``alpha_j`` Bernoulli(1 - p_j); centering and normalizing by the mean
 gives ``alpha_j = mu_j (1 + w_j)`` with ``E w_j = 0`` and
-``E w_j^2 = p_j / (1 - p_j)``.
+``E w_j^2 = s_j^2 = p_j / (1 - p_j)``.  Channel j's fluctuation adds the
+rank-one term ``w_j b_j c_j`` to the mean loop matrix A, so a step maps the
+covariance as ``P -> A P A' + sum_j s_j^2 (c_j P c_j') b_j b_j'`` and a
+simulated state as ``x -> A x + sum_j w_j (c_j x) b_j``.  The loop stacks
+the ``b_j`` as the columns of ``noise_in`` (n x r) and the ``c_j`` as the
+rows of ``noise_out`` (r x n), which makes each step one rank-r update.
+Both traces start from e_0, the plant's first state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,8 +55,8 @@ class StochasticClosedLoop:
     """Mean dynamics plus the rank-one noise injection of each channel."""
 
     A: np.ndarray                 # mean closed-loop state matrix
-    noise_in: tuple               # per channel: column the noise enters through
-    noise_out: tuple              # per channel: row mapping state to channel input
+    noise_in: np.ndarray          # n x r; column j: where channel j's noise enters
+    noise_out: np.ndarray         # r x n; row j: state to channel j's input
     channels: ChannelSpec
     nominal_radius: float
     plant_order: int
@@ -98,18 +103,14 @@ def assemble(plant: StateSpaceModel, K: StateSpaceModel,
         [A + Bmu @ DK @ C, Bmu @ CK],
         [BK @ C, AK],
     ])
-    noise_in = []
-    noise_out = []
-    for j in range(r):
-        col = np.concatenate([Bmu[:, j], np.zeros(nk)]).reshape(-1, 1)
-        row = np.concatenate([DK[j, :] @ C, CK[j, :]]).reshape(1, -1)
-        noise_in.append(col)
-        noise_out.append(row)
+    # row by row: DK @ C rounds differently, and the last bits of
+    # second_moment_radius follow these rows
+    DKC = np.array([DK[j, :] @ C for j in range(r)]).reshape(r, n)
     nominal = float(np.max(np.abs(np.linalg.eigvals(Acl)))) if Acl.size else 0.0
     return StochasticClosedLoop(
         A=Acl,
-        noise_in=tuple(noise_in),
-        noise_out=tuple(noise_out),
+        noise_in=np.vstack([Bmu, np.zeros((nk, r))]),
+        noise_out=np.hstack([DKC, CK]),
         channels=channels,
         nominal_radius=nominal,
         plant_order=n,
@@ -121,8 +122,9 @@ def second_moment_radius(loop: StochasticClosedLoop) -> float:
 
     The covariance recursion ``P -> Acl P Acl' + sum_j s_j^2 E_j P E_j'``
     is linear; in vectorized form its matrix is
-    ``kron(Acl, Acl) + sum_j s_j^2 kron(E_j, E_j)`` and the loop is
-    mean-square stable exactly when this matrix is Schur stable.
+    ``kron(Acl, Acl) + sum_j s_j^2 kron(E_j, E_j)``, with ``E_j = b_j c_j``,
+    and the loop is mean-square stable exactly when this matrix is Schur
+    stable.
     """
     n = loop.order
     if n > MAX_EXACT_ORDER:
@@ -132,50 +134,48 @@ def second_moment_radius(loop: StochasticClosedLoop) -> float:
         return 0.0
     T = np.kron(loop.A, loop.A)
     for j, s2 in enumerate(loop.channels.sigma_sq):
-        E = loop.noise_in[j] @ loop.noise_out[j]
+        E = loop.noise_in[:, [j]] @ loop.noise_out[[j], :]
         T = T + s2 * np.kron(E, E)
     return float(np.max(np.abs(np.linalg.eigvals(T))))
 
 
-def _default_x0(loop: StochasticClosedLoop) -> np.ndarray:
+def _start(loop: StochasticClosedLoop) -> np.ndarray:
+    """The deterministic start state: e_0, the plant's first state."""
     x0 = np.zeros(loop.order)
     if loop.plant_order:
         x0[0] = 1.0
     return x0
 
 
-def exact_moment_trace(loop: StochasticClosedLoop, steps: int,
-                       x0: Optional[np.ndarray] = None) -> np.ndarray:
+def exact_moment_trace(loop: StochasticClosedLoop, steps: int) -> np.ndarray:
     """Expected squared state norm at each step, computed exactly.
 
     Iterates the covariance recursion from the deterministic start
-    ``P_0 = x0 x0'`` and returns ``trace(P_t)`` for t = 0..steps.
+    ``P_0 = e_0 e_0'`` and returns ``trace(P_t)`` for t = 0..steps.
     """
-    x0 = _default_x0(loop) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != loop.order:
-        raise ValueError(f"x0 must have length {loop.order}")
+    x0 = _start(loop)
     P = np.outer(x0, x0)
-    Es = [loop.noise_in[j] @ loop.noise_out[j] for j in range(loop.channels.r)]
+    A, B, C = loop.A, loop.noise_in, loop.noise_out
+    s2 = loop.channels.sigma_sq
     out = np.empty(steps + 1)
     out[0] = np.trace(P)
     for t in range(1, steps + 1):
-        nxt = loop.A @ P @ loop.A.T
-        for E, s2 in zip(Es, loop.channels.sigma_sq):
-            nxt += s2 * (E @ P @ E.T)
-        P = nxt
+        # channel j adds s_j^2 (c_j P c_j') b_j b_j'
+        v = s2 * np.sum((C @ P) * C, axis=1)
+        P = A @ P @ A.T + (B * v) @ B.T
         out[t] = np.trace(P)
     return out
 
 
 def monte_carlo_trace(loop: StochasticClosedLoop, steps: int, trials: int,
-                      seed: int = 0,
-                      x0: Optional[np.ndarray] = None) -> np.ndarray:
+                      seed: int = 0) -> np.ndarray:
     """Average squared state norm over simulated packet-drop runs.
 
-    Each trial t draws its Bernoulli schedule from an independent stream
-    ``default_rng([seed, t])``, so results are reproducible and invariant
-    to the number of trials run alongside.  Returns the per-step empirical
-    mean of ``||x||^2`` (length ``steps + 1``).
+    Each trial t starts at e_0 and draws its Bernoulli schedule from an
+    independent stream ``default_rng([seed, t])``, so results are
+    reproducible and invariant to the number of trials run alongside.
+    Returns the per-step empirical mean of ``||x||^2`` (length
+    ``steps + 1``).
     """
     if steps < 0 or trials <= 0:
         raise ValueError("need steps >= 0 and trials >= 1")
@@ -184,9 +184,6 @@ def monte_carlo_trace(loop: StochasticClosedLoop, steps: int, trials: int,
     if need > MAX_SIM_BYTES:
         raise ValueError(f"simulation would need {need:.1e} bytes of drop "
                          f"schedule; reduce steps or trials")
-    x0 = _default_x0(loop) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != loop.order:
-        raise ValueError(f"x0 must have length {loop.order}")
     p = loop.channels.p
     mu = loop.channels.mu
     # per-trial schedules, assembled once, simulated in one vectorized sweep
@@ -195,15 +192,11 @@ def monte_carlo_trace(loop: StochasticClosedLoop, steps: int, trials: int,
         rng = np.random.default_rng([seed, t])
         alpha = (rng.random((steps, r)) >= p).astype(float)
         omega[:, :, t] = alpha / mu - 1.0
-    X = np.tile(x0.reshape(-1, 1), (1, trials))
-    rows = [loop.noise_out[j] for j in range(r)]
-    cols = [loop.noise_in[j] for j in range(r)]
+    X = np.tile(_start(loop).reshape(-1, 1), (1, trials))
+    A, B, C = loop.A, loop.noise_in, loop.noise_out
     out = np.empty(steps + 1)
     out[0] = float(np.sum(X * X) / trials)
     for k in range(steps):
-        nxt = loop.A @ X
-        for j in range(r):
-            nxt += cols[j] @ (omega[k, j] * (rows[j] @ X))
-        X = nxt
+        X = A @ X + B @ (omega[k] * (C @ X))
         out[k + 1] = float(np.sum(X * X) / trials)
     return out

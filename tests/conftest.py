@@ -62,6 +62,12 @@ VERTEX_12 = (1.0 / 21.0, 64.0 / 2605.0)
 VERTEX_21 = (16.0 / 91.0, 9216.0 / 651245.0)
 
 
+def constant_system(K) -> StateSpaceModel:
+    """Order-zero model with feedthrough K."""
+    K = np.asarray(K, dtype=float)
+    return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, K.shape[1])), np.zeros((K.shape[0], 0)), K)
+
+
 def _replace_bindings(monkeypatch, fn, replacement) -> None:
     """Bind ``replacement`` wherever a dropstab module binds ``fn``."""
     for name, mod in list(sys.modules.items()):
@@ -100,7 +106,7 @@ def raise_on_call(monkeypatch, fn) -> None:
 def pick_data_svd(M: StateSpaceModel):
     """Unstable zeros ``lambda_i`` of M and, as the columns of W, unit left
     null vectors of ``M(lambda_i)``, each from an SVD of M evaluated there."""
-    poles = eigenvalues(inverse(M).A).values if M.order else np.zeros(0, complex)
+    poles = eigenvalues(inverse(M).A) if M.order else np.zeros(0, complex)
     lam = poles[np.abs(poles) > 1.0]
     W = np.empty((M.n_inputs, lam.size), dtype=complex)
     for i, v in enumerate(lam):

@@ -109,6 +109,51 @@ def test_load_rejects_malformed(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: controller matrix A has non-finite entries")):
         _load_controller(path)
+    path = _write(tmp_path, "number_controller.json", {"controller": 5})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: controller must be a JSON object")):
+        _load_controller(path)
+
+
+_SS = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
+_CONTROLLER = dict(_SS, state_count=1, input_count=1, output_count=1)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("model", "A", {"a": 1}),
+    ("model", "A", [["a"]]),
+    ("model", "B", [["b"]]),
+    ("model", "A", [[None]]),
+    ("controller", "state_count", None),
+    ("controller", "state_count", "x"),
+    ("controller", "state_count", 18.5),
+    ("controller", "state_count", True),
+    ("controller", "state_count", -1),
+    ("controller", "A", {"a": 1}),
+    ("controller", "A", [["a"]]),
+    ("controller", "B", [["b"]]),
+], ids=["ss.A-object", "ss.A-string", "ss.B-string", "ss.A-null", "count-null",
+        "count-string", "count-fraction", "count-bool", "count-negative",
+        "matrix-object", "matrix-A-string", "matrix-B-string"])
+def test_malformed_file_names_path_and_field(tmp_path, scalar_mp, capsys, kind, field, value):
+    # one error line naming the file and the field, never a traceback
+    if kind == "model":
+        path = _write(tmp_path, "model.json", {
+            "name": "x", "format": "ss", "ss": dict(_SS, **{field: value}),
+            "channel_zeros": [None]})
+        argv, want = ["rects", path], f"ss.{field}"
+    else:
+        path = _write(tmp_path, "ctrl.json", {"controller": dict(_CONTROLLER, **{field: value})})
+        argv = ["simulate", scalar_mp, "--probs", "0.2", "--controller", path,
+                "--steps", "2", "--trials", "1"]
+        want = field if field.endswith("_count") else f"controller matrix {field}"
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    prefix = f"error: {path}: "
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    assert want in err[len(prefix):], err
 
 
 def test_ss_format_matches_tf(tmp_path, example_ss, capsys):
@@ -460,7 +505,7 @@ def test_simulate_requires_controller(scalar_mp, capsys):
 def test_simulate_validates_steps_and_trials(tmp_path, scalar_mp, capsys):
     # checked before anything is read, so the missing controller never shows
     absent = str(tmp_path / "absent.json")
-    for flag, value in (("--steps", "-3"), ("--trials", "0")):
+    for flag, value in (("--steps", "-3"), ("--trials", "0"), ("--seed", "-1")):
         code, out, err = run_cli(
             ["simulate", scalar_mp, "--probs", "0.2", "--controller", absent,
              flag, value], capsys)

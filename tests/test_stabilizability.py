@@ -14,6 +14,7 @@ from conftest import (
     VERTEX_12,
     VERTEX_21,
     _scalar_blaschke,
+    constant_system,
     count_calls,
     phi_inner_outer,
     pick_data_svd,
@@ -52,7 +53,6 @@ from dropstab.statespace import (
     StateSpaceModel,
     TransferMatrix,
     cascade,
-    constant_system,
     evaluate,
     h2_norm_sq,
     minimal,

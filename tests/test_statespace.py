@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import constant_system
 from dropstab import config
 from dropstab.statespace import (
     StateSpaceModel,
@@ -9,7 +10,6 @@ from dropstab.statespace import (
     add_constant,
     blockdiag_systems,
     cascade,
-    constant_system,
     evaluate,
     h2_norm_sq,
     hstack_systems,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import EXAMPLE_ZEROS, VERTEX_21
+from conftest import EXAMPLE_ZEROS, VERTEX_21, constant_system
 from dropstab.stabilizability import ChannelSpec, membership, synthesize
-from dropstab.statespace import StateSpaceModel, constant_system
+from dropstab.statespace import StateSpaceModel
 from dropstab.verification import (
     StochasticClosedLoop,
     assemble,
@@ -29,7 +29,7 @@ def test_assemble_scalar_static_gain():
     mu = 1.0 - p
     assert loop.order == 1
     assert_allclose(loop.A, [[a + mu * k]])
-    assert_allclose(loop.noise_in[0] @ loop.noise_out[0], [[mu * k]])
+    assert_allclose(loop.noise_in @ loop.noise_out, [[mu * k]])
     assert_allclose(loop.nominal_radius, abs(a + mu * k))
     # hand-derived scalar covariance rate
     want = (a + mu * k) ** 2 + (p / (1 - p)) * (mu * k) ** 2
@@ -65,13 +65,13 @@ def test_exact_trace_matches_vectorized_operator():
     K = constant_system(0.1 * rng.normal(size=(2, 2)))
     ch = ChannelSpec([0.15, 0.3])
     loop = assemble(plant, K, ch)
-    x0 = rng.normal(size=loop.order)
-    trace = exact_moment_trace(loop, 12, x0=x0)
+    trace = exact_moment_trace(loop, 12)
 
     T = np.kron(loop.A, loop.A)
     for j, s2 in enumerate(ch.sigma_sq):
-        E = loop.noise_in[j] @ loop.noise_out[j]
+        E = loop.noise_in[:, [j]] @ loop.noise_out[[j], :]
         T += s2 * np.kron(E, E)
+    x0 = np.eye(loop.order)[0]
     v = np.outer(x0, x0).reshape(-1, order="F")
     for t in range(13):
         P = v.reshape(loop.order, loop.order, order="F")
@@ -85,7 +85,7 @@ def test_exact_trace_grows_when_radius_exceeds_one():
     assert loop.nominal_radius < 1.0
     rad = second_moment_radius(loop)
     assert rad > 1.0
-    trace = exact_moment_trace(loop, 400, x0=np.array([1.0]))
+    trace = exact_moment_trace(loop, 400)
     assert trace[400] > trace[200] > trace[100]
 
 
@@ -96,6 +96,91 @@ def test_second_moment_radius_order_cap():
     loop = assemble(plant, constant_system([[0.0]]), ChannelSpec([0.1]))
     with pytest.raises(ValueError, match="cap"):
         second_moment_radius(loop)
+
+
+# --- against a per-channel reference loop --------------------------------------
+# The reference keeps one noise column b_j and row c_j per channel and adds
+# the channels one at a time, as the covariance recursion is written.
+
+
+def _random_loop(rng):
+    """A seeded loop with 1-4 channels and order 2-12, and its per-channel
+    noise terms built straight from the plant and controller."""
+    r = int(rng.integers(1, 5))
+    n = int(rng.integers(2, 13))
+    nk = int(rng.integers(0, n - 1))
+    npl = n - nk
+    A = rng.normal(size=(npl, npl))
+    plant = StateSpaceModel(0.9 * A / max(np.abs(np.linalg.eigvals(A))),
+                            rng.normal(size=(npl, r)), rng.normal(size=(r, npl)),
+                            np.zeros((r, r)))
+    AK = rng.normal(size=(nk, nk))
+    if nk:
+        AK *= 0.8 / max(np.abs(np.linalg.eigvals(AK)))
+    K = StateSpaceModel(AK, rng.normal(size=(nk, r)), 0.3 * rng.normal(size=(r, nk)),
+                        0.3 * rng.normal(size=(r, r)))
+    ch = ChannelSpec(rng.uniform(0.0, 0.4, r))
+    loop = assemble(plant, K, ch)
+    # contiguous real copies, as assemble takes them: a product on a strided
+    # view can round differently
+    B, C, CK, DK = (np.real(M).astype(float) for M in (plant.B, plant.C, K.C, K.D))
+    Bmu = B * ch.mu
+    cols = [np.concatenate([Bmu[:, j], np.zeros(nk)]).reshape(-1, 1) for j in range(r)]
+    rows = [np.concatenate([DK[j, :] @ C, CK[j, :]]).reshape(1, -1) for j in range(r)]
+    return loop, cols, rows
+
+
+def _reference_exact(loop, cols, rows, steps):
+    x0 = np.eye(loop.order)[0]
+    P = np.outer(x0, x0)
+    out = [np.trace(P)]
+    for _ in range(steps):
+        nxt = loop.A @ P @ loop.A.T
+        for b, c, s2 in zip(cols, rows, loop.channels.sigma_sq):
+            nxt += s2 * ((b @ c) @ P @ (b @ c).T)
+        P = nxt
+        out.append(np.trace(P))
+    return np.array(out)
+
+
+def _reference_monte_carlo(loop, cols, rows, steps, trials, seed):
+    p, mu = loop.channels.p, loop.channels.mu
+    X = np.tile(np.eye(loop.order)[:, [0]], (1, trials))
+    omega = np.empty((steps, len(cols), trials))
+    for t in range(trials):
+        alpha = (np.random.default_rng([seed, t]).random((steps, len(cols))) >= p)
+        omega[:, :, t] = alpha / mu - 1.0
+    out = [np.sum(X * X) / trials]
+    for k in range(steps):
+        nxt = loop.A @ X
+        for j, (b, c) in enumerate(zip(cols, rows)):
+            nxt += b @ (omega[k, j] * (c @ X))
+        X = nxt
+        out.append(np.sum(X * X) / trials)
+    return np.array(out)
+
+
+def test_traces_match_per_channel_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        loop, cols, rows = _random_loop(rng)
+        assert loop.noise_in.shape == (loop.order, loop.channels.r)
+        assert loop.noise_out.shape == (loop.channels.r, loop.order)
+        assert_allclose(exact_moment_trace(loop, 60),
+                        _reference_exact(loop, cols, rows, 60), rtol=1e-12)
+        seed = int(rng.integers(100))
+        assert_allclose(monte_carlo_trace(loop, 60, trials=7, seed=seed),
+                        _reference_monte_carlo(loop, cols, rows, 60, 7, seed), rtol=1e-12)
+
+
+def test_second_moment_radius_equals_per_channel_kronecker_sum():
+    rng = np.random.default_rng(77)
+    for _ in range(30):
+        loop, cols, rows = _random_loop(rng)
+        T = np.kron(loop.A, loop.A)
+        for b, c, s2 in zip(cols, rows, loop.channels.sigma_sq):
+            T = T + s2 * np.kron(b @ c, b @ c)
+        assert second_moment_radius(loop) == float(np.max(np.abs(np.linalg.eigvals(T))))
 
 
 # --- simulation ----------------------------------------------------------------
