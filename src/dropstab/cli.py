@@ -10,10 +10,10 @@ simulate    exact and Monte-Carlo second-moment traces as CSV
 supremum    simultaneous-dropout threshold for minimum-phase models
 
 Exit codes: 0 success (and, for verdict commands, "member"); 2 negative
-verdict (dropout vector not certified); 1 any error, including a
-synthesized controller that fails its own stability check.  Reports print
-numbers with six significant digits, rectangle corners with four
-decimals, and volumes in two-decimal scientific notation.
+verdict (dropout vector not certified); 1 any error, including a search
+certificate or a synthesized controller that fails its own check.
+Reports print numbers with six significant digits, rectangle corners
+with four decimals, and volumes in two-decimal scientific notation.
 """
 
 import argparse
@@ -59,36 +59,43 @@ class ModelFile:
     """A parsed and validated model document."""
 
     name: str
-    format: str
     plant: StateSpaceModel
     zeros: tuple        # per-channel unstable zero or None
 
 
-def _poly_grid(body, key, path):
-    grid = body.get(key)
+def _read_object(path, what) -> dict:
+    """The JSON object at the top of the file ``path``."""
     try:
-        cells = tuple(tuple(tuple(float(c) for c in cell) for cell in row)
-                      for row in grid)
-    except (TypeError, ValueError):
-        cells = None
-    if (not isinstance(grid, list) or not cells
-            or not all(cell for row in cells for cell in row)):
-        raise ValueError(f"{path}: tf.{key} must be a non-empty nested list "
-                         "of numbers")
-    if not all(np.isfinite(c) for row in cells for cell in row for c in cell):
-        raise ValueError(f"{path}: tf.{key} coefficients must be finite")
-    return cells
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return raw
 
 
-def _matrix(raw, path, field, shape=None) -> np.ndarray:
-    """``raw`` as a float array with finite entries, reshaped to ``shape``
-    when given; every error names the file and the field."""
+def _leaves(raw) -> list:
+    return [v for x in raw for v in _leaves(x)] if isinstance(raw, list) else [raw]
+
+
+def _numbers(raw, path, field, shape=None) -> np.ndarray:
+    """``raw``, a JSON number or a rectangular nested list of them, as a
+    float array, reshaped to ``shape`` when given.  The one rule for every
+    number a file holds: only finite JSON ints and floats pass (not
+    booleans, strings, null or objects), and every error names the file and
+    the field."""
     if raw is None:
         raise ValueError(f"{path}: {field} is missing")
+    for v in _leaves(raw):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{path}: {field} must hold numbers, got {v!r}")
     try:
         M = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {field} must be a nested list of numbers") from exc
+    except OverflowError as exc:        # an int beyond the float range
+        raise ValueError(f"{path}: {field} has non-finite entries") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {field} must be a rectangular nested list") from exc
     if not np.isfinite(M).all():
         raise ValueError(f"{path}: {field} has non-finite entries")
     try:
@@ -97,9 +104,23 @@ def _matrix(raw, path, field, shape=None) -> np.ndarray:
         raise ValueError(f"{path}: {field} cannot be reshaped to {shape}") from exc
 
 
+def _poly_grid(body, key, path) -> tuple:
+    """``tf.<key>``: rows of non-empty coefficient lists."""
+    field = f"tf.{key}"
+    bad = f"{path}: {field} must be a non-empty nested list of numbers"
+    grid = body.get(key)
+    if not (isinstance(grid, list) and grid and all(isinstance(row, list) for row in grid)):
+        raise ValueError(bad)
+    cells = [[_numbers(cell, path, field) for cell in row] for row in grid]
+    if not all(c.ndim == 1 and c.size for row in cells for c in row):
+        raise ValueError(bad)
+    return tuple(tuple(tuple(c.tolist()) for c in row) for row in cells)
+
+
 def _count(d, key, path) -> int:
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    v = d.get(key)
+    _numbers(v, path, key)
+    if not isinstance(v, int) or v < 0:
         raise ValueError(f"{path}: {key} must be a non-negative integer, got {v!r}")
     return v
 
@@ -122,23 +143,15 @@ def load_model(path: str) -> ModelFile:
     AssumptionViolation
         Transfer-function model outside the admissible class.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
+    raw = _read_object(path, "model file")
     name = raw.get("name")
     fmt = raw.get("format")
     if not isinstance(name, str) or not name:
         raise ValueError(f"{path}: missing model name")
     if fmt not in ("tf", "ss"):
         raise ValueError(f"{path}: format must be 'tf' or 'ss'")
-    if ("tf" in raw) == ("ss" in raw):
-        raise ValueError(f"{path}: exactly one of tf/ss must be present")
-    if fmt not in raw:
-        raise ValueError(f"{path}: format is '{fmt}' but that block is absent")
+    if {"tf", "ss"} & raw.keys() != {fmt}:
+        raise ValueError(f"{path}: format '{fmt}' needs a {fmt} block and no other")
 
     if fmt == "tf":
         body = raw["tf"]
@@ -156,18 +169,16 @@ def load_model(path: str) -> ModelFile:
         body = raw["ss"]
         if not isinstance(body, dict):
             raise ValueError(f"{path}: ss must be an object with A/B/C/D")
-        A = _matrix(body.get("A", []), path, "ss.A")
-        if A.ndim == 1 and A.size == 0:
-            A = A.reshape(0, 0)
+        A = _numbers(body.get("A"), path, "ss.A")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"{path}: ss.A must be square")
         n = A.shape[0]
-        B = _matrix(body.get("B"), path, "ss.B")
+        B = _numbers(body.get("B"), path, "ss.B")
         if B.ndim != 2 or B.shape[0] != n:
             raise ValueError(f"{path}: ss.B must have {n} rows")
         r = B.shape[1]
-        C = _matrix(body.get("C"), path, "ss.C", (-1, n) if n else (-1, 0))
-        D = _matrix(body.get("D"), path, "ss.D", (C.shape[0], r))
+        C = _numbers(body.get("C"), path, "ss.C", (-1, n))
+        D = _numbers(body.get("D"), path, "ss.D", (C.shape[0], r))
         if C.shape[0] != r:
             raise ValueError(f"{path}: model must be square "
                              f"({C.shape[0]} outputs, {r} inputs)")
@@ -178,16 +189,11 @@ def load_model(path: str) -> ModelFile:
 
     if "channel_zeros" in raw:
         zl = raw["channel_zeros"]
-        if not isinstance(zl, list) or len(zl) != r:
-            raise ValueError(f"{path}: channel_zeros must list {r} entries")
-        try:
-            zeros = tuple(None if z is None else float(z) for z in zl)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: channel zeros must be numbers or null "
-                             f"({exc})") from exc
+        if not isinstance(zl, list) or len(zl) != r or any(isinstance(z, list) for z in zl):
+            raise ValueError(f"{path}: channel_zeros must list {r} numbers or nulls")
+        zeros = tuple(None if z is None else _numbers(z, path, "channel_zeros").item()
+                      for z in zl)
         for z in zeros:
-            if z is not None and not np.isfinite(z):
-                raise ValueError(f"{path}: channel zero {z} is not finite")
             if z is not None and abs(z) <= 1.0:
                 raise ValueError(f"{path}: channel zero {z} is not outside "
                                  "the unit circle")
@@ -196,7 +202,7 @@ def load_model(path: str) -> ModelFile:
     else:
         raise ValueError(f"{path}: state-space models need explicit "
                          "channel_zeros")
-    return ModelFile(name=name, format=fmt, plant=plant, zeros=zeros)
+    return ModelFile(name=name, plant=plant, zeros=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +231,34 @@ def _blaschke_str(lams) -> str:
         return "1"
     num, den = [], []
     for lam in lams:
-        c = complex(lam)
-        if abs(c.imag) <= 1e-12 * max(1.0, abs(c)):
-            v = c.real
-            num.append(f"(z + {-v:.6g})" if v < 0 else f"(z - {v:.6g})")
-            den.append(f"({v:.6g} z - 1)")
-        else:
-            num.append(f"(z - {_fmt_c(c)})")
-            den.append(f"({_fmt_c(c)} z - 1)")
+        c = _fmt_c(lam)
+        negative_real = complex(lam).real < 0.0 and not c.endswith("j")
+        num.append(f"(z + {c[1:]})" if negative_real else f"(z - {c})")
+        den.append(f"({c} z - 1)")
     bottom = "".join(den) if len(den) == 1 else "(" + "".join(den) + ")"
     return "".join(num) + "/" + bottom
 
 
-def _parse_probs(text: str, r: int) -> np.ndarray:
+def _floats(flag, text, count) -> np.ndarray:
+    """The ``count`` comma-separated numbers given to ``flag``."""
     try:
-        vals = [float(tok) for tok in text.split(",")]
+        vals = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
-        raise ValueError(f"--probs: could not parse '{text}'") from exc
-    if len(vals) != r:
-        raise ValueError(f"--probs: expected {r} values, got {len(vals)}")
-    return np.asarray(vals)
+        raise ValueError(f"{flag}: could not parse '{text}'") from exc
+    if vals.size != count:
+        raise ValueError(f"{flag}: expected {count} values, got {vals.size}")
+    return vals
 
 
 def _parse_gamma(text: str, r: int) -> np.ndarray:
-    try:
-        vals = [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"--gamma: could not parse '{text}'") from exc
-    if len(vals) != r:
-        raise ValueError(f"--gamma: expected {r} values, got {len(vals)}")
-    if not all(np.isfinite(v) and v > 0.0 for v in vals):
+    vals = _floats("--gamma", text, r)
+    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
         raise ValueError(f"--gamma: entries must be finite and positive, "
                          f"got '{text}'")
     if vals[0] != 1.0:
         raise ValueError("--gamma: the first channel is the reference and "
                          "must be scaled by 1")
-    return np.asarray(vals)
+    return vals
 
 
 def _parse_grid(text: str) -> tuple:
@@ -274,14 +272,11 @@ def _parse_grid(text: str) -> tuple:
     return n1, n2
 
 
-def _parse_pmax(text: str) -> tuple:
-    try:
-        a, b = (float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"--pmax: expected a,b, got '{text}'") from exc
-    if not (0.0 <= a < 1.0 and 0.0 <= b < 1.0):   # NaN fails too
+def _parse_pmax(text: str) -> np.ndarray:
+    bounds = _floats("--pmax", text, 2)
+    if not ((0.0 <= bounds) & (bounds < 1.0)).all():   # NaN fails too
         raise ValueError("--pmax: bounds must lie in [0, 1)")
-    return a, b
+    return bounds
 
 
 def _zeros_str(zeros) -> str:
@@ -316,7 +311,7 @@ def cmd_rects(args) -> int:
 
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
-    p = _parse_probs(args.probs, model.plant.n_inputs)
+    p = _floats("--probs", args.probs, model.plant.n_inputs)
     channels = ChannelSpec(p)
     print(f"model: {model.name}")
     print(f"dropout probabilities: {', '.join(_fmt(v) for v in p)}")
@@ -369,7 +364,8 @@ def cmd_region(args) -> int:
 
 def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
     """Free scaling certificate, the user's or the search's tame point, and
-    its value; the scaling is None when it does not certify."""
+    its value; the scaling is None when it does not certify.  The search
+    certified p, so its own certificate failing the re-check is an error."""
     if gamma_text is not None:
         g = _parse_gamma(gamma_text, model.plant.n_inputs)
         problem = ScalingProblem(model.plant, model.zeros)
@@ -382,16 +378,19 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
         g = report.tame_certificate.gamma
         problem = report.problem
     value = problem.value(g, channels.p)
-    if value >= 1.0 - config.MEMBER_GUARD:
-        print(f"error: the supplied scaling does not certify this "
-              f"dropout vector (value {_fmt(value)})", file=sys.stderr)
-        return None, value
-    return g, value
+    if value < 1.0 - config.MEMBER_GUARD:
+        return g, value
+    if gamma_text is None:
+        raise ValueError(f"the search's certificate fails its inner-outer re-check "
+                         f"(value {_fmt(value)}); no controller is printed")
+    print(f"error: the supplied scaling does not certify this "
+          f"dropout vector (value {_fmt(value)})", file=sys.stderr)
+    return None, value
 
 
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
-    p = _parse_probs(args.probs, model.plant.n_inputs)
+    p = _floats("--probs", args.probs, model.plant.n_inputs)
     channels = ChannelSpec(p)
     gamma_free, value = _certificate_for(model, channels, args.gamma)
     if gamma_free is None:
@@ -436,34 +435,22 @@ def cmd_synthesize(args) -> int:
 
 
 def _load_controller(path: str) -> StateSpaceModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: controller file must be a JSON object")
+    raw = _read_object(path, "controller file")
     d = raw.get("controller", raw)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: controller must be a JSON object")
-    for key in ("A", "B", "C", "D", "state_count", "input_count",
-                "output_count"):
-        if key not in d:
-            raise ValueError(f"{path}: controller block lacks '{key}'")
     n, m, q = (_count(d, key, path) for key in ("state_count", "input_count", "output_count"))
-    return StateSpaceModel(*(_matrix(d[key], path, f"controller matrix {key}", shape)
+    return StateSpaceModel(*(_numbers(d.get(key), path, f"controller matrix {key}", shape)
                              for key, shape in zip("ABCD", ((n, n), (n, m), (q, n), (q, m)))))
 
 
 def cmd_simulate(args) -> int:
-    if args.steps < 0:
-        raise ValueError(f"--steps: must be at least 0, got {args.steps}")
-    if args.trials < 1:
-        raise ValueError(f"--trials: must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        raise ValueError(f"--seed: must be at least 0, got {args.seed}")
+    for flag, value, least in (("--steps", args.steps, 0), ("--trials", args.trials, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValueError(f"{flag}: must be at least {least}, got {value}")
     model = load_model(args.model)
-    p = _parse_probs(args.probs, model.plant.n_inputs)
+    p = _floats("--probs", args.probs, model.plant.n_inputs)
     channels = ChannelSpec(p)
     K = _load_controller(args.controller)
     loop = assemble(model.plant, K, channels)

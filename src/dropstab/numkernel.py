@@ -42,23 +42,15 @@ def _canonical_order(w: np.ndarray) -> np.ndarray:
     to exactly 0 or pi first, eliminating the +/-pi branch noise of values
     like ``-1.5 - 1e-17j``.
     """
-    if w.size == 0:
-        return np.zeros(0, dtype=int)
     mods = np.abs(w)
     ang = np.angle(w)
     real_mask = np.abs(w.imag) <= 1e-12 * (mods + 1.0)
     ang = np.where(real_mask, np.where(w.real < 0.0, np.pi, 0.0), ang)
-    tol = 1e-9 * max(1.0, float(mods.max()))
-    idx = list(np.argsort(mods, kind="stable"))
-    out: list[int] = []
-    i = 0
-    while i < len(idx):
-        j = i + 1
-        while j < len(idx) and mods[idx[j]] - mods[idx[j - 1]] <= tol:
-            j += 1
-        out.extend(sorted(idx[i:j], key=lambda k: (ang[k], mods[k])))
-        i = j
-    return np.asarray(out, dtype=int)
+    tol = 1e-9 * max(1.0, float(mods.max(initial=0.0)))
+    order = np.argsort(mods, kind="stable")
+    m = mods[order]
+    group = np.cumsum(np.diff(m, prepend=m[:1]) > tol)
+    return order[np.lexsort((m, ang[order], group))]
 
 
 def eigenvalues(M) -> np.ndarray:

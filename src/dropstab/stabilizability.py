@@ -318,9 +318,12 @@ def rectangle_set(plant: StateSpaceModel, zeros) -> RectangleSet:
 def union_membership(rects: RectangleSet, p) -> tuple:
     """First rectangle covering p (closed comparison), or (False, None)."""
     p = np.asarray(p, dtype=float).reshape(-1)
+    r = rects.vertices[0].size
+    if p.size != r:
+        raise ValueError(f"need {r} dropout probabilities, got {p.size}")
     for idx, v in enumerate(rects.vertices):
         # closed inequality with a rounding guard so exact corners count
-        if p.size == v.size and np.all(p <= v + 1e-12 * (1.0 + np.abs(v))):
+        if np.all(p <= v + 1e-12 * (1.0 + np.abs(v))):
             return True, idx
     return False, None
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import count_calls
 from dropstab import config, factorization
 from dropstab.cli import _load_controller, load_model, main
-from dropstab.stabilizability import rectangle_set, sweep_bounds
+from dropstab.stabilizability import ScalingProblem, rectangle_set, sweep_bounds
 
 EXAMPLE = str(files("dropstab").joinpath("data/example1.json"))
 
@@ -57,7 +57,6 @@ def stable2(tmp_path):
 def test_load_example_detects_zeros():
     model = load_model(EXAMPLE)
     assert model.name == "example1"
-    assert model.format == "tf"
     assert model.plant.n_inputs == 2
     assert model.zeros == (-2.0, 1.5)
 
@@ -83,19 +82,26 @@ def test_load_rejects_malformed(tmp_path):
                          .read_text(encoding="utf-8"))
     named = [
         (dict(example, channel_zeros=[float("nan"), None]),
-         "channel zero nan is not finite"),
+         "channel_zeros has non-finite entries"),
         (dict(example, channel_zeros=[float("inf"), None]),
-         "channel zero inf is not finite"),
+         "channel_zeros has non-finite entries"),
+        (dict(example, channel_zeros=[10 ** 400, None]),
+         "channel_zeros has non-finite entries"),
         ({"name": "x", "format": "tf",
           "tf": {"num": [[[float("nan")]]], "den": [[[1, -2]]]}},
-         "tf.num coefficients must be finite"),
+         "tf.num has non-finite entries"),
         ({"name": "x", "format": "tf",
           "tf": {"num": [[[1]]], "den": [[[1, float("nan")]]]}},
-         "tf.den coefficients must be finite"),
+         "tf.den has non-finite entries"),
         ({"name": "x", "format": "tf", "tf": {"num": [[[1]]], "den": [[[]]]}},
          "tf.den must be a non-empty nested list of numbers"),
         (dict(example, channel_zeros=["a", None]),
-         "channel zeros must be numbers or null"),
+         "channel_zeros must hold numbers, got 'a'"),
+        (dict(example, channel_zeros=[[3], None]),
+         "channel_zeros must list 2 numbers or nulls"),
+        ({"name": "x", "format": "ss", "channel_zeros": [None],
+          "ss": {"B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}},
+         "ss.A is missing"),
     ]
     for k, (payload, message) in enumerate(named):
         path = _write(tmp_path, f"named{k}.json", payload)
@@ -113,6 +119,12 @@ def test_load_rejects_malformed(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: controller must be a JSON object")):
         _load_controller(path)
+    for key, message in (("B", "controller matrix B is missing"),
+                         ("state_count", "state_count is missing")):
+        path = _write(tmp_path, f"no_{key}.json", {"controller": {
+            k: v for k, v in dict(scalar, A=[[0.5]]).items() if k != key}})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            _load_controller(path)
 
 
 _SS = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
@@ -124,6 +136,8 @@ _CONTROLLER = dict(_SS, state_count=1, input_count=1, output_count=1)
     ("model", "A", [["a"]]),
     ("model", "B", [["b"]]),
     ("model", "A", [[None]]),
+    ("model", "A", [[0.5], [1, 2]]),
+    ("model", "B", [[10 ** 400]]),
     ("controller", "state_count", None),
     ("controller", "state_count", "x"),
     ("controller", "state_count", 18.5),
@@ -132,7 +146,8 @@ _CONTROLLER = dict(_SS, state_count=1, input_count=1, output_count=1)
     ("controller", "A", {"a": 1}),
     ("controller", "A", [["a"]]),
     ("controller", "B", [["b"]]),
-], ids=["ss.A-object", "ss.A-string", "ss.B-string", "ss.A-null", "count-null",
+], ids=["ss.A-object", "ss.A-string", "ss.B-string", "ss.A-null", "ss.A-ragged",
+        "ss.B-overflow", "count-null",
         "count-string", "count-fraction", "count-bool", "count-negative",
         "matrix-object", "matrix-A-string", "matrix-B-string"])
 def test_malformed_file_names_path_and_field(tmp_path, scalar_mp, capsys, kind, field, value):
@@ -154,6 +169,56 @@ def test_malformed_file_names_path_and_field(tmp_path, scalar_mp, capsys, kind, 
     prefix = f"error: {path}: "
     assert err.count("\n") == 1 and err.startswith(prefix), err
     assert want in err[len(prefix):], err
+
+
+def _first(nested):
+    return _first(nested[0]) if isinstance(nested, list) else nested
+
+
+def _with_first(nested, value):
+    """``nested`` with its first number replaced by ``value``."""
+    if isinstance(nested, list):
+        return [_with_first(nested[0], value)] + nested[1:]
+    return value
+
+
+_DOCUMENTS = {
+    "tf": {"name": "x", "format": "tf", "tf": {"num": [[[1]]], "den": [[[1, -2]]]}},
+    "ss": {"name": "x", "format": "ss", "ss": _SS, "channel_zeros": [3.0]},
+    "controller": {"controller": _CONTROLLER},
+}
+
+
+@pytest.mark.parametrize("spoil", [str, bool], ids=["string", "bool"])
+@pytest.mark.parametrize("keys", [
+    ("tf", "tf", "num"), ("tf", "tf", "den"),
+    ("ss", "ss", "A"), ("ss", "ss", "B"), ("ss", "ss", "C"), ("ss", "ss", "D"),
+    ("ss", "channel_zeros"),
+    ("controller", "controller", "A"), ("controller", "controller", "B"),
+    ("controller", "controller", "C"), ("controller", "controller", "D"),
+], ids=lambda keys: ".".join(keys[1:]))
+def test_file_numbers_must_be_json_numbers(tmp_path, scalar_mp, capsys, keys, spoil):
+    # a number written as a string, or a boolean, is refused by name where
+    # the same document with the plain number is read
+    kind, *outer, key = keys
+    doc = json.loads(json.dumps(_DOCUMENTS[kind]))
+    block = doc[outer[0]] if outer else doc
+    good = block[key]
+    if kind == "controller":
+        field = f"controller matrix {key}"
+        argv = ["simulate", scalar_mp, "--probs", "0.2", "--controller",
+                str(tmp_path / "doc.json"), "--steps", "2", "--trials", "1"]
+    else:
+        field = ".".join(keys[1:])
+        argv = ["rects", str(tmp_path / "doc.json")]
+    _write(tmp_path, "doc.json", doc)
+    assert run_cli(argv, capsys)[0] == 0
+    bad = spoil(_first(good))
+    block[key] = _with_first(good, bad)
+    path = _write(tmp_path, "doc.json", doc)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {field} must hold numbers, got {bad!r}\n"
 
 
 def test_ss_format_matches_tf(tmp_path, example_ss, capsys):
@@ -384,6 +449,21 @@ def test_synthesize_supplied_gamma_must_certify(capsys):
     code, _, err = run_cli(argv + ["--gamma", "1,1"], capsys)
     assert code == 2
     assert "does not certify" in err
+
+
+def test_synthesize_search_certificate_failing_its_recheck_exits_1(monkeypatch, capsys):
+    # the search certifies p, so a failed re-check of its own certificate is
+    # an error of the tool, not a negative verdict; a supplied scaling that
+    # fails it is the user's, and stays a verdict
+    monkeypatch.setattr(ScalingProblem, "value", lambda self, gamma, p: 1.0)
+    argv = ["synthesize", EXAMPLE, "--probs", "0.158,0.0128"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: the search's certificate fails its inner-outer re-check "
+                   "(value 1); no controller is printed\n")
+    code, out, err = run_cli(argv + ["--gamma", "1,1"], capsys)
+    assert (code, out) == (2, "")
+    assert "the supplied scaling does not certify" in err
 
 
 def test_synthesize_gamma_reference_entry(capsys):

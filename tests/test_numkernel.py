@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dropstab import config
-from dropstab.numkernel import eigenvalues, solve_stein, spectral_radius
+from dropstab.numkernel import _canonical_order, eigenvalues, solve_stein, spectral_radius
 
 
 def test_eigenvalues_diagonal_ordering():
@@ -34,6 +34,37 @@ def test_eigenvalues_conjugate_pair_consecutive():
     spec = eigenvalues(A)
     assert_allclose(spec[0], np.conj(spec[1]), atol=1e-12)
     assert spec[0].imag < 0 < spec[1].imag
+
+
+def _grouping_loop_order(w):
+    """The canonical order by an explicit loop over modulus groups."""
+    mods = np.abs(w)
+    real_mask = np.abs(w.imag) <= 1e-12 * (mods + 1.0)
+    ang = np.where(real_mask, np.where(w.real < 0.0, np.pi, 0.0), np.angle(w))
+    tol = 1e-9 * max(1.0, float(mods.max()))
+    idx = list(np.argsort(mods, kind="stable"))
+    out, i = [], 0
+    while i < len(idx):
+        j = i + 1
+        while j < len(idx) and mods[idx[j]] - mods[idx[j - 1]] <= tol:
+            j += 1
+        out.extend(sorted(idx[i:j], key=lambda k: (ang[k], mods[k])))
+        i = j
+    return np.asarray(out, dtype=int)
+
+
+def test_canonical_order_matches_grouping_loop():
+    # spectra rich in ties: conjugates, sign flips, exact and near
+    # duplicates, values rounded to few digits
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        k = int(rng.integers(1, 5))
+        base = rng.standard_normal(k) + 1j * rng.standard_normal(k) * rng.integers(0, 2, k)
+        parts = [base, np.conj(base), -base, base * (1.0 + 1e-13),
+                 np.round(base, int(rng.integers(0, 3)))]
+        w = np.concatenate([parts[k] for k in rng.choice(5, int(rng.integers(1, 6)))])
+        w = w[rng.permutation(w.size)] * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert np.array_equal(_canonical_order(w), _grouping_loop_order(w)), w
 
 
 def test_eigenvalues_similarity_invariance():

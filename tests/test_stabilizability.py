@@ -170,6 +170,13 @@ def test_union_membership_spots(example_ss):
     assert union_membership(rects, VERTEX_12) == (True, 0)
 
 
+@pytest.mark.parametrize("p", [(0.01,), (0.01, 0.01, 0.01)], ids=["short", "long"])
+def test_union_membership_rejects_wrong_length(example_ss, p):
+    rects = rectangle_set(example_ss, EXAMPLE_ZEROS)
+    with pytest.raises(ValueError, match=f"need 2 dropout probabilities, got {len(p)}"):
+        union_membership(rects, p)
+
+
 def test_rectangle_vertex_stable_plant():
     g = realize(TransferMatrix(
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
