@@ -250,6 +250,14 @@ def _floats(flag, text, count) -> np.ndarray:
     return vals
 
 
+def _channels(text: str, r: int) -> ChannelSpec:
+    p = _floats("--probs", text, r)
+    try:
+        return ChannelSpec(p)
+    except ValueError as exc:
+        raise ValueError(f"--probs: {exc}") from exc
+
+
 def _parse_gamma(text: str, r: int) -> np.ndarray:
     vals = _floats("--gamma", text, r)
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
@@ -311,12 +319,11 @@ def cmd_rects(args) -> int:
 
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
-    p = _floats("--probs", args.probs, model.plant.n_inputs)
-    channels = ChannelSpec(p)
+    channels = _channels(args.probs, model.plant.n_inputs)
     print(f"model: {model.name}")
-    print(f"dropout probabilities: {', '.join(_fmt(v) for v in p)}")
+    print(f"dropout probabilities: {', '.join(_fmt(v) for v in channels.p)}")
     rects = rectangle_set(model.plant, model.zeros)
-    covered, idx = union_membership(rects, p)
+    covered, idx = union_membership(rects, channels.p)
     if covered:
         print(f"rectangle union: member (decomposition {idx + 1})")
     else:
@@ -390,8 +397,7 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
 
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
-    p = _floats("--probs", args.probs, model.plant.n_inputs)
-    channels = ChannelSpec(p)
+    channels = _channels(args.probs, model.plant.n_inputs)
     gamma_free, value = _certificate_for(model, channels, args.gamma)
     if gamma_free is None:
         return 2
@@ -427,7 +433,7 @@ def cmd_synthesize(args) -> int:
         "model": model.name,
         "ms_radius": float(analysis_radius),
         "nominal_radius": float(loop.nominal_radius),
-        "probs": [float(v) for v in p],
+        "probs": [float(v) for v in channels.p],
         "second_moment_radius": float(verify_radius),
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -450,8 +456,7 @@ def cmd_simulate(args) -> int:
         if value < least:
             raise ValueError(f"{flag}: must be at least {least}, got {value}")
     model = load_model(args.model)
-    p = _floats("--probs", args.probs, model.plant.n_inputs)
-    channels = ChannelSpec(p)
+    channels = _channels(args.probs, model.plant.n_inputs)
     K = _load_controller(args.controller)
     loop = assemble(model.plant, K, channels)
     exact = exact_moment_trace(loop, args.steps)

@@ -59,6 +59,8 @@ __all__ = [
     "wonham_gain",
 ]
 
+# bounds the r! orderings of the enumeration and the 9^(r-1) points of each
+# stencil round in the scaling search
 MAX_CHANNELS = 6
 
 

@@ -13,15 +13,15 @@ Two complementary certificates are computed:
   and the zero each channel carries (cheap, conservative);
 * a channel-scaling search (``membership``) that tests the exact
   spectral-radius condition via the Frobenius-like bound
-  ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, refining a coarse
-  log-space grid.  Every stack of points (the grid, the two-channel
-  crossing, each stencil round) is one stacked evaluation of phi, and the
-  incumbent is the first minimum in lexicographic order.  With two
-  channels the Pick matrix is linear in ``gamma_2^-2``, and one k-by-k
-  generalized eigenproblem gives the scaling where the two channel terms
-  cross (``ScalingProblem.crossing``, plain Newton steps), the exact
-  minimizer; with three or four channels, or where that pencil fails, a
-  stencil of points around the incumbent, shrinking each round, refines.
+  ``max_j p_j (phi_jj + 1) < 1`` over diagonal scalings, each stack of
+  points one stacked evaluation of phi, the incumbent its first minimum in
+  lexicographic order.  With two channels the Pick matrix is linear in
+  ``gamma_2^-2``, and one k-by-k generalized eigenproblem gives the
+  scaling where the two channel terms cross (``ScalingProblem.crossing``,
+  plain Newton steps), the exact minimizer, after a log-spaced axis; with
+  three or more channels, or where that pencil fails, a stencil of points
+  around the incumbent, spanning the box at first and shrinking each
+  round, refines.
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
@@ -34,8 +34,8 @@ gain) and ``Y = Gamma^{-1} W``, ``phi_jj = x_j Pi^{-1} x_j*`` where
 of Y weighted entrywise by ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) -
 conj(lambda_i))`` (1 on a clean channel).  So the search builds no
 decomposition, gain or coprime factor; one k-by-k factorization replaces an
-inner-outer split per point, and a stack of scalings (the grid, the region
-sweep) takes one stacked factorization.  ``ScalingProblem.value``, the
+inner-outer split per point, and a stack of scalings (a stencil round, the
+region sweep) takes one stacked factorization.  ``ScalingProblem.value``, the
 check run on a certificate before synthesis, builds M on first use and
 keeps the inner-outer route, so every certificate is re-checked by an
 independent computation.
@@ -62,6 +62,7 @@ import scipy.optimize  # noqa: F401 -- unused; perfbench's import.scipy_optimize
 
 from . import config
 from .factorization import (
+    MAX_CHANNELS,
     DoublyCoprime,
     WonhamForm,
     _allpass_section,
@@ -120,7 +121,6 @@ __all__ = [
     "union_membership",
 ]
 
-MAX_SEARCH_CHANNELS = 4
 # the two-channel crossing: Newton steps stop once a step on log10 gamma_2
 # is this short, or after this many steps
 CROSSING_XTOL = 1e-12
@@ -188,7 +188,6 @@ class StabilizabilityReport:
     member: bool
     best_value: float
     certificate: GammaScaling
-    phi_diag: np.ndarray
     bounds: np.ndarray
     search_log: dict = field(compare=False)
     problem: ScalingProblem = field(compare=False, repr=False)
@@ -354,12 +353,6 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
 
 # ---------------------------------------------------------------------------
 # membership search
-
-
-def _lattice(values, ndim: int) -> np.ndarray:
-    """Every ndim-tuple of ``values`` as the rows of an array, in
-    lexicographic order."""
-    return np.stack(np.meshgrid(*[values] * ndim, indexing="ij"), axis=-1).reshape(-1, ndim)
 
 
 @dataclass(frozen=True)
@@ -570,35 +563,33 @@ def membership(plant: StateSpaceModel, zeros,
 
     The search values stacks of log10 scalings, each with one stacked phi
     evaluation (row by row only where that raises; a failed row is
-    infinite and counted in ``search_log["objective_failures"]``): first a
-    log-spaced grid, a single point with one channel, then a refinement of
-    its incumbent.  With two channels the refinement is the single point
-    ``ScalingProblem.crossing`` proposes (``"crossing_steps"`` logs its
-    Newton steps); with three or four channels, or where the pencil cannot
-    be formed or phi fails at its point, it is a shrinking stencil: each
-    round ``STENCIL_WIDTH`` points per axis around the incumbent, spaced by
-    a step that starts at the grid spacing and shrinks by
-    ``STENCIL_SHRINK`` per round until it is at most ``STENCIL_STOP`` (17
-    rounds of ``9^(r-1)`` points), clipped to the box.  The incumbent moves
-    only to a stack's first minimum in lexicographic order, and only where
-    that is strictly better.  ``search_log["refine"]`` names the refinement
-    that ran (``"pencil"``, ``"stencil"``, or ``"none"`` with one channel),
-    ``"refine_fallback"`` the reason the pencil was not used and
-    ``"refine_evals"`` counts the points the refinement evaluated.
-    ``phi_diag`` is the search's own evaluation at the certificate, and
-    ``tame_certificate`` the least extreme certifying point evaluated, by
-    ``(max |log10 gamma|, value, log10 gamma)``.
+    infinite and counted in ``search_log["objective_failures"]``), and
+    moves its incumbent only to a stack's first minimum in lexicographic
+    order, where that is strictly better.  Two channels value a log-spaced
+    axis (``"grid_points"``), then the point ``ScalingProblem.crossing``
+    proposes (``"crossing_steps"`` logs its Newton steps).  Three or more
+    channels, or two where the pencil fails, run a shrinking stencil: 17
+    rounds of ``STENCIL_WIDTH`` points per axis around the incumbent,
+    clipped to the box, whose step starts at ``(GAMMA_LOG_MAX -
+    GAMMA_LOG_MIN) / (STENCIL_WIDTH - 1)``, so that the first round around
+    the box centre spans the box, and shrinks by ``STENCIL_SHRINK`` per
+    round until it is at most ``STENCIL_STOP``.  ``"refine"`` names the
+    refinement that ran (``"pencil"``, ``"stencil"``, or ``"none"`` with one
+    channel), ``"refine_fallback"`` why the pencil was not used and
+    ``"refine_evals"`` counts the points after the axis.
+    ``tame_certificate`` is the least extreme certifying point evaluated,
+    by ``(max |log10 gamma|, value, log10 gamma)``.
 
     Returns a report whose ``bounds`` are the per-channel admissible levels
     at the certificate; search exhaustion is reported as a non-member with
-    the best value found.  ValueError only where phi fails at every point
-    the search evaluated.
+    the best value found.  ValueError above ``factorization.MAX_CHANNELS``
+    channels, before anything is built, or where phi fails at every point.
     """
     r = plant.n_inputs
     if channels.r != r:
         raise ValueError(f"plant has {r} channels, spec has {channels.r}")
-    if r > MAX_SEARCH_CHANNELS:
-        raise ValueError(f"{r} channels exceeds the search cap {MAX_SEARCH_CHANNELS}")
+    if r > MAX_CHANNELS:
+        raise ValueError(f"{r} channels exceeds the channel cap {MAX_CHANNELS}")
     problem = ScalingProblem(plant, tuple(zeros))
     p = channels.p
     ndim = r - 1
@@ -645,14 +636,14 @@ def membership(plant: StateSpaceModel, zeros,
                 tame_key = key
         return vals
 
-    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
-                       config.GAMMA_GRID_POINTS)
-    grid = _lattice(axis, ndim) if ndim else np.zeros((1, 0))
-    scan(grid)
-    log = {"grid_points": len(grid), "grid_best": best_val, "refine_evals": 0}
+    log = {"grid_points": 0, "refine_evals": 0}
     if r == 1:
-        log["refine"] = "none"
+        scan(np.zeros((1, 0)))
+        log["grid_points"], log["refine"] = 1, "none"
     elif r == 2:
+        axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+        scan(axis[:, None])
+        log["grid_points"] = len(axis)
         try:
             x, log["crossing_steps"] = problem.crossing(p)
         except ValueError as exc:
@@ -665,15 +656,17 @@ def membership(plant: StateSpaceModel, zeros,
                 log["refine_fallback"] = "phi failed at the pencil point"
     if "refine" not in log:
         log["refine"] = "stencil"
-        half = STENCIL_WIDTH // 2
-        offsets = _lattice(np.arange(-half, half + 1, dtype=float), ndim)
-        step = axis[1] - axis[0]
+        # every ndim-tuple of the ticks, in lexicographic order
+        ticks = np.arange(-(STENCIL_WIDTH // 2), STENCIL_WIDTH // 2 + 1, dtype=float)
+        offsets = np.stack(np.meshgrid(*[ticks] * ndim, indexing="ij"), -1).reshape(-1, ndim)
+        # the first round from the box centre spans the box
+        step = (config.GAMMA_LOG_MAX - config.GAMMA_LOG_MIN) / (STENCIL_WIDTH - 1)
         while step > STENCIL_STOP:
             scan(best_x + step * offsets)
             log["refine_evals"] += len(offsets)
             step /= STENCIL_SHRINK
     if math.isinf(best_val):
-        raise ValueError("scaling search failed at every grid point; the plant "
+        raise ValueError("scaling search failed at every point; the plant "
                          "factorization does not admit the inner decomposition")
     log["objective_failures"] = failures
     member = bool(best_val < 1.0 - config.MEMBER_GUARD)
@@ -684,7 +677,6 @@ def membership(plant: StateSpaceModel, zeros,
         member=member,
         best_value=best_val,
         certificate=GammaScaling(np.concatenate([[1.0], 10.0 ** best_x])),
-        phi_diag=best_phi,
         bounds=1.0 / (best_phi + 1.0),
         search_log=log,
         problem=problem,

@@ -327,6 +327,19 @@ def test_analyze_malformed_probs(capsys):
         assert "must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate"])
+@pytest.mark.parametrize("probs, reason", [("nan,0.1", "must be finite"),
+                                           ("1.2,0.1", "must lie in [0, 1)")])
+def test_probs_range_errors_name_the_flag(tmp_path, capsys, command, probs, reason):
+    # checked before the controller file is read, so its absence never shows
+    argv = [command, EXAMPLE, "--probs", probs]
+    if command == "simulate":
+        argv += ["--controller", str(tmp_path / "absent.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: --probs: dropout probabilities {reason}\n"
+
+
 # ---------------------------------------------------------------------------
 # region
 

@@ -498,7 +498,7 @@ def test_membership_benchmark_verdicts(example_ss):
 
 
 def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch):
-    # phi_diag and bounds come from the search's own evaluation at its best
+    # the bounds come from the search's own evaluation at its best
     # point, not from one more evaluation after the search; the search uses
     # the closed form only, and the certificate check one inner-outer split;
     # the grid is one stacked call, each refinement point a call of its own
@@ -522,7 +522,8 @@ def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch)
     value = rep.problem.value(rep.certificate.gamma, ch.p)
     assert len(splits) == 1
     assert value == pytest.approx(rep.best_value, rel=1e-9)
-    assert_allclose(rep.phi_diag, phi(rep.problem, rep.certificate.gamma), rtol=1e-12)
+    assert_allclose(rep.bounds, 1.0 / (phi(rep.problem, rep.certificate.gamma) + 1.0),
+                    rtol=1e-12)
 
 
 def test_membership_zero_vector_always_inside(example_ss):

@@ -2,11 +2,12 @@
 
 A stack of scalings runs the same LAPACK and BLAS routines on each slice as
 one scaling alone, so every comparison of the stacked search with its
-point-by-point copy (``_pointwise_search``: the grid, the pencil's point,
-the stencil) is exact (``==``), never a tolerance.  The Nelder-Mead search
-the stencil replaced (``_reference_search``) and a dense scan find the
-minimizer by other arithmetic, so the search's value is held to theirs
-within 1e-9.
+point-by-point copy (``_pointwise_search``: the two-channel axis, the
+pencil's point, the stencil) is exact (``==``), never a tolerance.  The
+Nelder-Mead search the stencil replaced (``_reference_search``), the grid
+search that the box-spanning stencil replaced at three or more channels
+(``_grid_search``) and a dense scan find the minimizer by other arithmetic,
+so the search's value is held to theirs within 1e-9.
 """
 
 import gc
@@ -21,9 +22,11 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose
 
 from conftest import EXAMPLE_ZEROS, VERTEX_12
 from dropstab import config
+from dropstab.factorization import MAX_CHANNELS
 from dropstab.stabilizability import (
     ChannelSpec,
     ScalingProblem,
@@ -104,12 +107,14 @@ def test_sweep_bounds_equals_pointwise_loop(example_ss):
 
 
 def _pointwise_search(phi, p, crossing=None):
-    """Reference search, one phi call per point: the grid scanned in
-    lexicographic order keeping strict improvements only; then, given
-    ``crossing`` (the pencil's log10 gamma_2), that point, and where there
-    is none or phi fails there, the shrinking stencil, each round scanned
-    the same way.  Returns (best value, certificate, tame scaling or None,
-    failures)."""
+    """Reference search, one phi call per point: with two channels the
+    axis scanned in order keeping strict improvements only, then, given
+    ``crossing`` (the pencil's log10 gamma_2), that point; with three or
+    more channels, and with two where there is no crossing or phi fails
+    there, the shrinking stencil from the incumbent (the origin while no
+    value is finite), its step starting at 12 decades over 8 steps, each
+    round scanned the same way.  Returns (best value, certificate, tame
+    scaling or None, failures)."""
     ndim = p.size - 1
     evals, failures = {}, [0]
 
@@ -130,9 +135,10 @@ def _pointwise_search(phi, p, crossing=None):
                 best_val, best_x = val, x
         return best_val, best_x
 
-    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
-    best_val, best_x = scan((np.asarray(c) for c in itertools.product(axis, repeat=ndim)),
-                            math.inf, np.zeros(ndim))
+    best_val, best_x = math.inf, np.zeros(ndim)
+    if ndim == 1:
+        axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+        best_val, best_x = scan((np.array([c]) for c in axis), best_val, best_x)
     refine = True
     if crossing is not None:
         x = np.array([crossing])
@@ -141,7 +147,7 @@ def _pointwise_search(phi, p, crossing=None):
             refine = False
             if val < best_val:
                 best_val, best_x = val, x
-    step = axis[1] - axis[0]
+    step = 12.0 / 8.0
     while refine and step > 1e-10:
         points = [np.clip(best_x + step * np.asarray(k, dtype=float),
                           config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
@@ -154,6 +160,31 @@ def _pointwise_search(phi, p, crossing=None):
           if v < 1.0 - config.MEMBER_GUARD]
     tame = np.concatenate([[1.0], 10.0 ** np.asarray(min(ok)[2])]) if ok else None
     return best_val, certificate, tame, failures[0]
+
+
+def _grid_search(problem, p):
+    """The search before its stencil spanned the box at three or more
+    channels: a ``GAMMA_GRID_POINTS^(r-1)``-point grid in one stacked phi
+    call, then the shrinking stencil from the grid's first minimum, its
+    step starting at the grid spacing.  Returns the best value."""
+    ndim = p.size - 1
+    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+
+    def values(X):
+        X = np.clip(X, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
+        phis = problem.phi(np.hstack([np.ones((len(X), 1)), 10.0 ** X]))
+        return X, np.max(p * (phis + 1.0), axis=1)
+
+    X, vals = values(np.array(list(itertools.product(axis, repeat=ndim))))
+    best_val, best_x = float(vals.min()), X[int(np.argmin(vals))]
+    offsets = np.array(list(itertools.product(range(-4, 5), repeat=ndim)), dtype=float)
+    step = axis[1] - axis[0]
+    while step > 1e-10:
+        X, vals = values(best_x + step * offsets)
+        if vals.min() < best_val:
+            best_val, best_x = float(vals.min()), X[int(np.argmin(vals))]
+        step /= 4.0
+    return best_val
 
 
 def _reference_search(problem, p):
@@ -213,6 +244,25 @@ def _flaky(phi, failed):
     return flaky
 
 
+def _recording(phi, stacks):
+    """phi logging the log10 free scalings of every stack of more than one
+    row before it evaluates them."""
+    def recording(self, gamma):
+        g = np.atleast_2d(gamma)
+        if len(g) > 1:
+            stacks.append(np.log10(g[:, 1:]))
+        return phi(self, gamma)
+    return recording
+
+
+def _stencil_round(centre, step):
+    """The log10 scalings of one stencil round around ``centre``, clipped to
+    the box, in lexicographic order."""
+    ticks = itertools.product(range(-4, 5), repeat=len(centre))
+    return np.clip(np.asarray(centre) + step * np.array(list(ticks), dtype=float),
+                   config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
     # the scaling that certifies 0.9 of the (1,2) corner sits at gamma_2 near
@@ -243,24 +293,27 @@ def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
         raise ValueError("injected failure")
 
     monkeypatch.setattr(ScalingProblem, "phi", broken)
-    with pytest.raises(ValueError, match="failed at every grid point"):
+    with pytest.raises(ValueError, match="failed at every point"):
         membership(example_ss, EXAMPLE_ZEROS, ch)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_membership_three_channels_fall_back_row_by_row(monkeypatch):
-    # the stencil path, bit for bit, on grid and stencil stacks that fail
+    # the stencil path, bit for bit, on stencil stacks that fail: the
+    # first round, around the box centre, spans the box and meets the
+    # failing points at its top
     phi = ScalingProblem.phi
     plant, zeros, ch = _three_channel(monkeypatch, 0.9)
-    failed = []
+    failed, stacks = [], []
     flaky = _flaky(phi, failed)
     problem = ScalingProblem(plant, zeros)
     ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(
         lambda g: flaky(problem, g), ch.p)
     assert ref_failures == len(failed) > 0
     failed.clear()
-    monkeypatch.setattr(ScalingProblem, "phi", flaky)
+    monkeypatch.setattr(ScalingProblem, "phi", _recording(flaky, stacks))
     rep = membership(plant, zeros, ch)
+    assert_allclose(stacks[0], _stencil_round([0.0, 0.0], 1.5), rtol=0, atol=1e-12)
     assert rep.search_log["refine"] == "stencil"
     assert "refine_fallback" not in rep.search_log
     assert rep.search_log["objective_failures"] == len(failed) == ref_failures
@@ -313,22 +366,27 @@ def _off_grid(phi, also=()):
 
 
 def test_membership_stencil_starts_at_origin_when_the_grid_fails(example_ss, monkeypatch):
-    # every grid point fails; so does the pencil's point, which counts as
-    # one more failure, and the stencil then starts at the origin and
-    # reaches points off the grid, as without the pencil
+    # every axis point fails; so does the pencil's point, which counts as
+    # one more failure, and the stencil then starts at the origin, where
+    # its first round (multiples of 1.5) fails too, and reaches points off
+    # the axis from the origin in its second, as without the pencil
     phi = ScalingProblem.phi
     ch = ChannelSpec([0.12, 0.01])
     problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
-    # with no finite grid value the incumbent is the origin
     pencil, _ = problem.crossing(ch.p)
     off_grid = _off_grid(phi, also=[[pencil]])
     ref_val, ref_cert, _, ref_failures = _pointwise_search(
         lambda g: off_grid(problem, g), ch.p)
     assert ref_failures > config.GAMMA_GRID_POINTS and ref_val < math.inf
-    monkeypatch.setattr(ScalingProblem, "phi", off_grid)
+    stacks = []
+    monkeypatch.setattr(ScalingProblem, "phi", _recording(off_grid, stacks))
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     log = rep.search_log
-    assert log["grid_best"] == math.inf
+    # the axis, then the stencil's rounds, around the origin while no value
+    # is finite
+    assert len(stacks[0]) == config.GAMMA_GRID_POINTS
+    assert_allclose(stacks[1], _stencil_round([0.0], 1.5), rtol=0, atol=1e-12)
+    assert_allclose(stacks[2], _stencil_round([0.0], 1.5 / 4), rtol=0, atol=1e-12)
     assert log["refine"] == "stencil"
     assert log["refine_fallback"] == "phi failed at the pencil point"
     assert log["objective_failures"] == ref_failures + 1
@@ -345,16 +403,22 @@ def test_membership_stencil_starts_at_origin_when_the_grid_fails(example_ss, mon
 
 
 def test_membership_three_channels_stencil_starts_at_origin(monkeypatch):
+    # no axis at three channels: the stencil's first round spans the box
+    # around the origin; made to fail there, the second round shrinks
+    # around the origin too
     phi = ScalingProblem.phi
     plant, zeros, ch = _three_channel(monkeypatch, 0.7)
     off_grid = _off_grid(phi)
     problem = ScalingProblem(plant, zeros)
     ref_val, ref_cert, _, ref_failures = _pointwise_search(
         lambda g: off_grid(problem, g), ch.p)
-    assert ref_failures >= config.GAMMA_GRID_POINTS ** 2 and ref_val < math.inf
-    monkeypatch.setattr(ScalingProblem, "phi", off_grid)
+    assert ref_failures >= 9 ** 2 and ref_val < math.inf
+    stacks = []
+    monkeypatch.setattr(ScalingProblem, "phi", _recording(off_grid, stacks))
     rep = membership(plant, zeros, ch)
-    assert rep.search_log["grid_best"] == math.inf
+    assert_allclose(stacks[0], _stencil_round([0.0, 0.0], 1.5), rtol=0, atol=1e-12)
+    assert_allclose(stacks[1], _stencil_round([0.0, 0.0], 1.5 / 4), rtol=0, atol=1e-12)
+    assert rep.search_log["grid_points"] == 0
     assert rep.search_log["refine"] == "stencil"
     assert rep.search_log["objective_failures"] == ref_failures
     assert rep.best_value == ref_val
@@ -367,14 +431,21 @@ def test_membership_falls_back_when_the_pencil_cannot_be_formed(example_ss, monk
     def no_pencil(self, p):
         raise ValueError("injected failure")
 
+    stacks = []
     monkeypatch.setattr(ScalingProblem, "crossing", no_pencil)
+    monkeypatch.setattr(ScalingProblem, "phi", _recording(ScalingProblem.phi, stacks))
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     ref_val, ref_cert, ref_tame, _ = _pointwise_search(rep.problem.phi, ch.p)
     log = rep.search_log
     assert log["refine"] == "stencil"
     assert log["refine_fallback"] == "no pencil point: injected failure"
-    # 17 rounds of 9 points, the step shrinking from 0.5 to 0.5 / 4**16
+    # 17 rounds of 9 points, the first around the axis's best point, the
+    # step shrinking from 1.5 to 1.5 / 4**16
     assert log["objective_failures"] == 0 and log["refine_evals"] == 17 * 9
+    assert len(stacks) == 18
+    axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+    start = axis[int(np.argmin(np.max(_terms(rep.problem, ch.p, axis), axis=1)))]
+    assert_allclose(stacks[1], _stencil_round([start], 1.5), rtol=0, atol=1e-12)
     assert rep.best_value == ref_val
     assert np.array_equal(rep.certificate.gamma, ref_cert)
     assert np.array_equal(rep.tame_certificate.gamma, ref_tame)
@@ -518,7 +589,8 @@ def test_membership_matches_pointwise_search(example_ss, monkeypatch, case):
                                                                   crossing)
     assert rep.search_log["refine"] == ("pencil" if ch.r == 2 else "stencil")
     if ch.r == 2:
-        assert rep.best_value == rep.search_log["grid_best"]
+        axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
+        assert rep.best_value == np.max(_terms(problem, ch.p, axis), axis=1).min()
     assert rep.best_value == ref_val and ref_failures == 0
     assert np.array_equal(rep.certificate.gamma, ref_cert)
     assert (rep.tame_certificate is None) == (ref_tame is None)
@@ -560,12 +632,41 @@ def test_membership_stencil_no_worse_than_nelder_mead(monkeypatch):
           f"{count} probes (r, probe, by): {better}")
 
 
+def test_membership_no_worse_than_the_grid_search(monkeypatch):
+    # the grid search the box-spanning stencil replaced at three or more
+    # channels is the oracle: on the search-family benchmark's 3-channel
+    # probes (seeds 1-3, workers 0-2) and on a seeded 4-channel family,
+    # every verdict is the grid search's and the value no worse than its by
+    # more than 1e-9
+    worker = _perfbench(monkeypatch, "worker")
+    probes = [op[:3] for seed in (1, 2, 3) for part in range(3)
+              for op in worker.SearchFamily(seed, part, None, True).ops if op[2].r == 3]
+    assert len(probes) == 54
+    rng = np.random.default_rng(29)
+    for k, (plant, zeros) in enumerate(worker.plants.plant_family(
+            rng, 4, FOUR_CHANNEL_STRUCTURES * 2)):
+        scale = rng.uniform(*(worker.INSIDE if k < 3 else worker.OUTSIDE))
+        rects = rectangle_set(plant, zeros)
+        corner = np.asarray(rects.vertices[int(np.argmax(rects.volumes))])
+        probes.append((plant, zeros, ChannelSpec(np.minimum(scale * corner, worker.P_CEIL))))
+    members = 0
+    for k, (plant, zeros, ch) in enumerate(probes):
+        rep = membership(plant, zeros, ch)
+        ref_val = _grid_search(rep.problem, ch.p)
+        assert rep.search_log["objective_failures"] == 0
+        assert rep.member == (ref_val < 1.0 - config.MEMBER_GUARD), k
+        assert rep.best_value <= ref_val + 1e-9, k
+        members += rep.member
+    assert 0 < members < len(probes)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_membership_bookkeeping_matches_the_evaluated_rows(example_ss, monkeypatch, r):
     # every row phi evaluates is collected: the tame certificate is the
-    # least extreme certifying row by (max |x|, value, x), phi_diag and the
-    # best value are the certificate's own row, and the r = 2 pencil path
-    # evaluates the 25 grid rows and the pencil's row alone
+    # least extreme certifying row by (max |x|, value, x), the bounds and the
+    # best value are the certificate's own row, the r = 2 pencil path
+    # evaluates the 25 axis rows and the pencil's row alone, and at r >= 3
+    # the stencil's 17 rounds start with the box-spanning one
     if r == 2:
         plant, zeros, ch = example_ss, EXAMPLE_ZEROS, ChannelSpec([0.12, 0.01])
     elif r == 3:
@@ -594,10 +695,12 @@ def test_membership_bookkeeping_matches_the_evaluated_rows(example_ss, monkeypat
         assert log["refine"] == "pencil"
         assert [len(g) for g, _ in calls] == [config.GAMMA_GRID_POINTS, 1]
     else:
-        assert log["refine"] == "stencil" and len(calls) == 18
+        assert log["refine"] == "stencil" and len(calls) == 17
+        assert_allclose(np.log10(calls[0][0][:, 1:]), _stencil_round([0.0] * (r - 1), 1.5),
+                        rtol=0, atol=1e-12)
     at = np.flatnonzero(np.all(gammas == rep.certificate.gamma, axis=1))
     assert at.size > 0
-    assert np.array_equal(rep.phi_diag, phis[at[0]])
+    assert np.array_equal(rep.bounds, 1.0 / (phis[at[0]] + 1.0))
     assert rep.best_value == values[at[0]]
     x = np.log10(gammas[:, 1:])
     ok = np.flatnonzero(values < 1.0 - config.MEMBER_GUARD)
@@ -612,12 +715,35 @@ def test_membership_four_channels(monkeypatch):
     rects = rectangle_set(plant, zeros)
     corner = np.asarray(rects.vertices[int(np.argmax(rects.volumes))])
     rep = membership(plant, zeros, ChannelSpec(0.7 * corner))
-    assert rep.member and rep.search_log["grid_points"] == config.GAMMA_GRID_POINTS ** 3
+    log = rep.search_log
+    assert rep.member and log["grid_points"] == 0 and log["refine_evals"] == 17 * 9 ** 3
     assert rep.best_value < 1.0 and np.all(0.7 * corner < rep.bounds)
 
 
-def test_membership_search_cap():
-    plant = StateSpaceModel(np.diag([2.0, 0.5, 0.3, 0.2, 0.1]), np.eye(5), np.eye(5),
-                            np.zeros((5, 5)))
-    with pytest.raises(ValueError, match="exceeds the search cap"):
-        membership(plant, (None,) * 5, ChannelSpec([0.01] * 5))
+def test_membership_five_channels(monkeypatch):
+    # above the old four-channel search cap: a seeded 5-channel plant is a
+    # member inside its largest rectangle and not one far outside it
+    plants = _perfbench(monkeypatch, "plants")
+    plant, zeros = plants.admissible_plant(np.random.default_rng(5), 5, 5, 2, (1,))
+    rects = rectangle_set(plant, zeros)
+    corner = np.asarray(rects.vertices[int(np.argmax(rects.volumes))])
+    inside = membership(plant, zeros, ChannelSpec(0.7 * corner))
+    assert inside.member and np.all(0.7 * corner < inside.bounds)
+    assert inside.search_log["refine_evals"] == 17 * 9 ** 4
+    outside = membership(plant, zeros, ChannelSpec(np.minimum(3.0 * corner, 0.995)))
+    assert not outside.member and outside.best_value >= 1.0
+
+
+def test_membership_search_cap(monkeypatch):
+    # the package's one channel cap: above it the search raises before it
+    # builds anything
+    r = MAX_CHANNELS + 1
+    plant = StateSpaceModel(np.diag([2.0] + [0.5] * (r - 1)), np.eye(r), np.eye(r),
+                            np.zeros((r, r)))
+
+    def built(self):
+        raise AssertionError("a ScalingProblem was built")
+
+    monkeypatch.setattr(ScalingProblem, "__post_init__", built)
+    with pytest.raises(ValueError, match=f"^{r} channels exceeds the channel cap {MAX_CHANNELS}$"):
+        membership(plant, (None,) * r, ChannelSpec([0.01] * r))
