@@ -27,6 +27,7 @@ from . import config
 from .factorization import AssumptionViolation, validate_assumption
 from .stabilizability import (
     ChannelSpec,
+    GammaScaling,
     ScalingProblem,
     closed_loop_map,
     max_blocking_probability,
@@ -260,13 +261,10 @@ def _channels(text: str, r: int) -> ChannelSpec:
 
 def _parse_gamma(text: str, r: int) -> np.ndarray:
     vals = _floats("--gamma", text, r)
-    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
-        raise ValueError(f"--gamma: entries must be finite and positive, "
-                         f"got '{text}'")
-    if vals[0] != 1.0:
-        raise ValueError("--gamma: the first channel is the reference and "
-                         "must be scaled by 1")
-    return vals
+    try:
+        return GammaScaling(vals).gamma
+    except ValueError as exc:
+        raise ValueError(f"--gamma: {exc}") from exc
 
 
 def _parse_grid(text: str) -> tuple:
@@ -459,8 +457,9 @@ def cmd_simulate(args) -> int:
     channels = _channels(args.probs, model.plant.n_inputs)
     K = _load_controller(args.controller)
     loop = assemble(model.plant, K, channels)
-    exact = exact_moment_trace(loop, args.steps)
+    # the Monte-Carlo trace checks its schedule size before any work
     mc = monte_carlo_trace(loop, args.steps, args.trials, seed=args.seed)
+    exact = exact_moment_trace(loop, args.steps)
     out = sys.stdout
     out.write("step,exact_trace,mc_trace\n")
     for k in range(args.steps + 1):

@@ -5,8 +5,9 @@ Three related constructions live here:
 * channel-ordered controllability decompositions (block upper-triangular
   form, one diagonal block per input channel) and their enumeration over
   channel orderings;
-* right/left coprime factor families over a state-feedback / observer gain
-  pair, with the full eight-factor identity set;
+* right/left coprime factors over a state-feedback / observer gain pair:
+  the right factor M and the left factors Nt and Xt of a doubly-coprime
+  family, the three the Youla parameter and the controller are built from;
 * inner-outer splitting of square stable models by sequential extraction of
   scalar Potapov sections, plus the model-assumption checker that feeds it
   (at most one simple unstable root shared by each denominator-cleared
@@ -305,31 +306,29 @@ def coprime_factorize(plant: StateSpaceModel, F):
 
 @dataclass(frozen=True)
 class DoublyCoprime:
-    """Eight stable factors satisfying the double Bezout identity.
+    """The factors of a doubly-coprime family that synthesis reads.
 
     ``plant = N M^{-1} = Mt^{-1} Nt`` and
 
-        [[Xt, -Yt], [-Nt, Mt]] @ [[M, Y], [N, X]] = I.
+        [[Xt, -Yt], [-Nt, Mt]] @ [[M, Y], [N, X]] = I
+
+    for the family over the gains F and L; ``synthesize_Q`` and
+    ``controller`` need only M, Nt and Xt of it, with the gains.
     """
 
     M: StateSpaceModel
-    N: StateSpaceModel
-    X: StateSpaceModel
-    Y: StateSpaceModel
-    Mt: StateSpaceModel
     Nt: StateSpaceModel
     Xt: StateSpaceModel
-    Yt: StateSpaceModel
     F: np.ndarray
     L: np.ndarray
 
 
 def bezout(plant: StateSpaceModel, F, L) -> DoublyCoprime:
-    """Doubly-coprime family over a state-feedback / observer gain pair.
+    """Doubly-coprime factors over a state-feedback / observer gain pair.
 
-    The right factors run over ``A - B F``, the left factors over
-    ``A - L C``; all eight are stable by construction and the identities
-    follow from ``L C - B F = (zI - A_L) - (zI - A_F)``.
+    M runs over ``A - B F``, Nt and Xt over ``A - L C``; all are stable by
+    construction, and the double Bezout identity of the whole family follows
+    from ``L C - B F = (zI - A_L) - (zI - A_F)``.
 
     Raises
     ------
@@ -339,7 +338,7 @@ def bezout(plant: StateSpaceModel, F, L) -> DoublyCoprime:
     F = np.asarray(F)
     L = np.asarray(L)
     A, B, C = plant.A, plant.B, plant.C
-    n, r = plant.order, plant.n_inputs
+    r = plant.n_inputs
     AF = A - B @ F
     AL = A - L @ C
     if spectral_radius(AF) >= 1.0:
@@ -347,16 +346,10 @@ def bezout(plant: StateSpaceModel, F, L) -> DoublyCoprime:
     if spectral_radius(AL) >= 1.0:
         raise ValueError("observer gain does not stabilize")
     Ir = np.eye(r)
-    Zr = np.zeros((r, r))
     M = StateSpaceModel(AF, B, -F, Ir)
-    N = StateSpaceModel(AF, B, C, Zr)
-    Y = StateSpaceModel(AF, L, -F, Zr)
-    X = StateSpaceModel(AF, L, C, Ir)
     Xt = StateSpaceModel(AL, B, F, Ir)
-    Yt = StateSpaceModel(AL, L, -F, Zr)
-    Mt = StateSpaceModel(AL, -L, C, Ir)
-    Nt = StateSpaceModel(AL, B, C, Zr)
-    return DoublyCoprime(M=M, N=N, X=X, Y=Y, Mt=Mt, Nt=Nt, Xt=Xt, Yt=Yt, F=F, L=L)
+    Nt = StateSpaceModel(AL, B, C, np.zeros((r, r)))
+    return DoublyCoprime(M=M, Nt=Nt, Xt=Xt, F=F, L=L)
 
 
 def gamma_scale(sys: StateSpaceModel, gamma) -> StateSpaceModel:

@@ -167,17 +167,18 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class GammaScaling:
-    """Diagonal square-root scaling, normalized to a unit first channel."""
+    """Diagonal square-root scaling, normalized to a unit first channel,
+    with every entry in the search box (NaN is in no box)."""
 
     gamma: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float).reshape(-1)
-        if g.size == 0 or abs(g[0] - 1.0) > 1e-12:
+        if not (g.size and abs(g[0] - 1.0) <= 1e-12):
             raise ValueError("gamma must be normalized with gamma_1 = 1")
         lo = 10.0 ** config.GAMMA_LOG_MIN
         hi = 10.0 ** config.GAMMA_LOG_MAX
-        if np.any(g < lo * (1 - 1e-12)) or np.any(g > hi * (1 + 1e-12)):
+        if not np.all((g >= lo * (1 - 1e-12)) & (g <= hi * (1 + 1e-12))):
             raise ValueError(f"gamma entries must lie in [{lo:g}, {hi:g}]")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
@@ -344,8 +345,7 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
     if any(z is not None for z in zeros):
         raise ValueError("plant is not minimum phase: use the rectangle analysis")
     unstable = tuple(v for v in eigenvalues(plant.A) if abs(v) > 1.0)
-    # scalar abs: the vectorised complex abs can differ in the last bit
-    moduli = [abs(v) for v in unstable]
+    moduli = np.abs(unstable)
     return MpSupremum(derived_bound=_channel_bound(moduli, None),
                       stated_bound=1.0 / float(np.prod(moduli)),
                       unstable=unstable)
@@ -394,7 +394,6 @@ class ScalingProblem:
 
     plant: StateSpaceModel
     zeros: tuple
-    _lam: np.ndarray = field(init=False, repr=False, compare=False)
     _W: np.ndarray = field(init=False, repr=False, compare=False)
     _kernel: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -431,8 +430,7 @@ class ScalingProblem:
             w = B.conj().T @ U[:, -1]
             W[:, i] = w / np.linalg.norm(w)
         kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
-        for name, value in (("_lam", lam), ("_W", W), ("_kernel", kernel),
-                            ("_weights", weights)):
+        for name, value in (("_W", W), ("_kernel", kernel), ("_weights", weights)):
             object.__setattr__(self, name, value)
 
     @functools.cached_property
@@ -697,8 +695,7 @@ def sweep_bounds(plant: StateSpaceModel, zeros) -> np.ndarray:
         raise ValueError("the sweep helper covers exactly two channels")
     problem = ScalingProblem(plant, tuple(zeros))
     logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, 481)
-    # scalar powers: the array power may differ in the last bit
-    gammas = np.array([[1.0, 10.0 ** lg] for lg in logs])
+    gammas = np.column_stack([np.ones_like(logs), 10.0 ** logs])
     return 1.0 / (problem.phi(gammas) + 1.0)
 
 
@@ -837,13 +834,11 @@ def controller(bez: DoublyCoprime, Q: StateSpaceModel) -> StateSpaceModel:
 
 @dataclass(frozen=True)
 class Synthesis:
-    """A controller designed at one certifying scaling, with the pieces the
-    design went through."""
+    """A controller designed at one certifying scaling, with the plant and
+    the scaling it was designed for."""
 
     plant_mu: StateSpaceModel   # plant with the channel success rates applied
-    bez: DoublyCoprime          # its factor family, identity channel ordering
     gamma_true: np.ndarray      # plant-side scaling
-    Q: StateSpaceModel          # optimal stable Youla parameter
     K: StateSpaceModel          # the controller
 
 
@@ -859,9 +854,8 @@ def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec,
     Gmu = scale_io(plant, None, np.diag(channels.mu))
     form = wonham_decompose(Gmu, tuple(range(plant.n_inputs)))
     bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu))
-    Q = synthesize_Q(Gmu, bez, gamma_true, zeros)
-    K = controller(bez, Q)
-    return Synthesis(plant_mu=Gmu, bez=bez, gamma_true=gamma_true, Q=Q, K=K)
+    K = controller(bez, synthesize_Q(Gmu, bez, gamma_true, zeros))
+    return Synthesis(plant_mu=Gmu, gamma_true=gamma_true, K=K)
 
 
 def closed_loop_map(plant: StateSpaceModel, K: StateSpaceModel) -> StateSpaceModel:

@@ -68,6 +68,12 @@ def constant_system(K) -> StateSpaceModel:
     return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, K.shape[1])), np.zeros((K.shape[0], 0)), K)
 
 
+def same_model(a: StateSpaceModel, b: StateSpaceModel) -> bool:
+    """The two realizations are equal entry for entry."""
+    return all(np.array_equal(x, y)
+               for x, y in zip((a.A, a.B, a.C, a.D), (b.A, b.B, b.C, b.D)))
+
+
 def _replace_bindings(monkeypatch, fn, replacement) -> None:
     """Bind ``replacement`` wherever a dropstab module binds ``fn``."""
     for name, mod in list(sys.modules.items()):
@@ -96,6 +102,38 @@ def raise_on_call(monkeypatch, fn) -> None:
         raise AssertionError(f"{fn.__name__} was called")
 
     _replace_bindings(monkeypatch, fn, refused)
+
+
+# --- doubly-coprime oracle ----------------------------------------------------
+# ``bezout`` builds only the factors synthesis reads (M, Nt, Xt); this builds
+# the whole family over the same gains, for the double Bezout identity and the
+# controller's fraction formula.
+
+
+class CoprimeFamily(NamedTuple):
+    """``plant = N M^{-1} = Mt^{-1} Nt`` and
+    ``[[Xt, -Yt], [-Nt, Mt]] @ [[M, Y], [N, X]] = I``."""
+
+    M: StateSpaceModel
+    N: StateSpaceModel
+    X: StateSpaceModel
+    Y: StateSpaceModel
+    Mt: StateSpaceModel
+    Nt: StateSpaceModel
+    Xt: StateSpaceModel
+    Yt: StateSpaceModel
+
+
+def coprime_family(plant: StateSpaceModel, F, L) -> CoprimeFamily:
+    """The eight factors over ``A - B F`` (right) and ``A - L C`` (left)."""
+    A, B, C = plant.A, plant.B, plant.C
+    AF, AL = A - B @ F, A - L @ C
+    Ir, Zr = np.eye(plant.n_inputs), np.zeros((plant.n_inputs, plant.n_inputs))
+    return CoprimeFamily(
+        M=StateSpaceModel(AF, B, -F, Ir), N=StateSpaceModel(AF, B, C, Zr),
+        X=StateSpaceModel(AF, L, C, Ir), Y=StateSpaceModel(AF, L, -F, Zr),
+        Mt=StateSpaceModel(AL, -L, C, Ir), Nt=StateSpaceModel(AL, B, C, Zr),
+        Xt=StateSpaceModel(AL, B, F, Ir), Yt=StateSpaceModel(AL, L, -F, Zr))
 
 
 # --- Pick data and phi oracles ------------------------------------------------

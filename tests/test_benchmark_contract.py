@@ -60,6 +60,24 @@ def _spans():
     return module
 
 
+def _python(*args, **env):
+    """Run a fresh interpreter on the repository's ``src`` with ``env`` added
+    to the environment; returns its stdout."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_package_import_loads_every_traced_module():
+    # the tracer looks its modules up in sys.modules after importing
+    # dropstab and dropstab.cli, so those two imports must load them all
+    loaded = _python("-c", "import sys, dropstab, dropstab.cli; print(*sys.modules)").split()
+    missing = [m for m in _spans().TRACED if f"dropstab.{m}" not in loaded]
+    assert missing == []
+
+
 def test_traced_functions_resolve():
     for mod_name, fnames in _spans().TRACED.items():
         home = importlib.import_module(f"dropstab.{mod_name}")
@@ -145,15 +163,10 @@ def _reference_blas() -> bool:
 def test_example_session_bytes_match_reference(tmp_path):
     # one BLAS thread, as in the recording: threaded BLAS changes the last
     # bits of the synthesize and simulate numbers
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", SESSION_SCRIPT, str(PERFBENCH),
-         str(tmp_path / "controller.json")],
-        cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-    got = json.loads(proc.stdout)
+    got = json.loads(_python("-c", SESSION_SCRIPT, str(PERFBENCH),
+                             str(tmp_path / "controller.json"),
+                             OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                             MKL_NUM_THREADS="1"))
     want = json.loads((PERFBENCH / "reference.json").read_text())["sha256"]
     assert list(got) == list(want)
     for name, (code, digest) in got.items():

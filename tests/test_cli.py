@@ -1,12 +1,13 @@
 import json
 import re
+import warnings
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from conftest import count_calls
-from dropstab import config, factorization
+from conftest import count_calls, raise_on_call
+from dropstab import config, factorization, verification
 from dropstab.cli import _load_controller, load_model, main
 from dropstab.stabilizability import ScalingProblem, rectangle_set, sweep_bounds
 
@@ -480,17 +481,25 @@ def test_synthesize_search_certificate_failing_its_recheck_exits_1(monkeypatch, 
 
 
 def test_synthesize_gamma_reference_entry(capsys):
-    code, _, err = run_cli(
-        ["synthesize", EXAMPLE, "--probs", "0.1,0.01",
-         "--gamma", "2,1"], capsys)
-    assert code == 1
-    assert "must be scaled by 1" in err
-    for gamma in ("1,nan", "1,inf", "1,0", "1,-2"):
-        code, out, err = run_cli(
-            ["synthesize", EXAMPLE, "--probs", "0.1,0.01", "--gamma", gamma], capsys)
-        assert code == 1
-        assert out == ""
-        assert "--gamma: entries must be finite and positive" in err
+    # --gamma is a GammaScaling: first entry 1, every entry in the search
+    # box, NaN in none; rejected before anything is computed from it
+    argv = ["synthesize", EXAMPLE, "--probs", "0.158,0.0128", "--gamma"]
+    for gamma in ("2,1", "nan,1"):
+        code, out, err = run_cli(argv + [gamma], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --gamma: gamma must be normalized with gamma_1 = 1\n"
+    for gamma in ("1,nan", "1,inf", "1,0", "1,-2", "1,1e-300", "1,1e-8", "1,1e8"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv + [gamma], capsys)
+        assert caught == []
+        assert (code, out) == (1, "")
+        assert err == "error: --gamma: gamma entries must lie in [1e-06, 1e+06]\n"
+    # the box ends are scalings, whatever their verdict
+    for gamma, want in (("1,1e-6", 0), ("1,1e6", 2)):
+        code, _, err = run_cli(argv + [gamma], capsys)
+        assert code == want
+        assert "--gamma" not in err
 
 
 def test_synthesize_stable_plant(stable2, capsys):
@@ -605,6 +614,18 @@ def test_simulate_validates_steps_and_trials(tmp_path, scalar_mp, capsys):
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {flag}: ")
+
+
+def test_simulate_checks_the_schedule_size_first(monkeypatch, tmp_path, scalar_mp, capsys):
+    # a Monte-Carlo schedule too large to draw is refused before the exact
+    # trace runs its steps
+    ctrl = _synthesized_controller(tmp_path, capsys, scalar_mp, "0.2")
+    raise_on_call(monkeypatch, verification.exact_moment_trace)
+    code, out, err = run_cli(
+        ["simulate", scalar_mp, "--probs", "0.2", "--controller", ctrl,
+         "--steps", str(verification.MAX_SIM_BYTES // 8 + 1), "--trials", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: simulation would need ")
 
 
 def test_simulate_deterministic_seed(tmp_path, scalar_mp, capsys):

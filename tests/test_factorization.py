@@ -28,7 +28,14 @@ from dropstab.statespace import (
     subsystem,
 )
 
-from conftest import EXAMPLE_LAMBDA_12, EXAMPLE_LAMBDA_21, diagonal_inner
+from conftest import (
+    EXAMPLE_LAMBDA_12,
+    EXAMPLE_LAMBDA_21,
+    coprime_family,
+    count_calls,
+    diagonal_inner,
+    same_model,
+)
 
 
 def _lam_sets(form):
@@ -192,28 +199,36 @@ def test_coprime_diagonal_matches_monic_allpass(example_ss):
         assert abs(evaluate(M, z)[1, 0]) < 1e-8
 
 
-def test_bezout_identities(example_ss):
+def test_bezout_identities(example_ss, monkeypatch):
     form = wonham_decompose(example_ss, (0, 1))
     F = wonham_gain(form)
     L = observer_gain(example_ss)
+    built = count_calls(monkeypatch, StateSpaceModel)
     bz = bezout(example_ss, F, L)
-    for sys in (bz.M, bz.N, bz.X, bz.Y, bz.Mt, bz.Nt, bz.Xt, bz.Yt):
+    monkeypatch.undo()
+    assert len(built) == 3   # only the factors synthesis reads
+    fam = coprime_family(example_ss, F, L)
+    # bezout's three factors are the oracle family's
+    assert same_model(bz.M, fam.M) and same_model(bz.Nt, fam.Nt)
+    assert same_model(bz.Xt, fam.Xt)
+    assert np.array_equal(bz.F, F) and np.array_equal(bz.L, L)
+    for sys in fam:
         assert spectral_radius(sys.A) < 1.0
     rng = np.random.default_rng(2024)
     for _ in range(8):
         z = 1.6 * np.exp(2j * np.pi * rng.random())
         left = np.block([
-            [evaluate(bz.Xt, z), -evaluate(bz.Yt, z)],
-            [-evaluate(bz.Nt, z), evaluate(bz.Mt, z)],
+            [evaluate(fam.Xt, z), -evaluate(fam.Yt, z)],
+            [-evaluate(fam.Nt, z), evaluate(fam.Mt, z)],
         ])
         right = np.block([
-            [evaluate(bz.M, z), evaluate(bz.Y, z)],
-            [evaluate(bz.N, z), evaluate(bz.X, z)],
+            [evaluate(fam.M, z), evaluate(fam.Y, z)],
+            [evaluate(fam.N, z), evaluate(fam.X, z)],
         ])
         assert np.max(np.abs(left @ right - np.eye(4))) < 1e-7
         G = evaluate(example_ss, z)
-        assert_allclose(evaluate(bz.N, z) @ np.linalg.inv(evaluate(bz.M, z)), G, atol=1e-8)
-        assert_allclose(np.linalg.inv(evaluate(bz.Mt, z)) @ evaluate(bz.Nt, z), G, atol=1e-8)
+        assert_allclose(evaluate(fam.N, z) @ np.linalg.inv(evaluate(fam.M, z)), G, atol=1e-8)
+        assert_allclose(np.linalg.inv(evaluate(fam.Mt, z)) @ evaluate(fam.Nt, z), G, atol=1e-8)
 
 
 def test_gamma_scale():

@@ -1,4 +1,5 @@
-"""The README's command transcripts, run through the CLI.
+"""The README's command transcripts, run through the CLI, and its Library
+block, run as a script.
 
 Each ```text block that starts with ``$ dropstab`` is one command line
 followed by its exact stdout.  ``$EXAMPLE`` stands for the packaged
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from dropstab.cli import main
+from conftest import same_model
+from dropstab.cli import load_model, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLE = str(files("dropstab").joinpath("data/example1.json"))
@@ -45,3 +47,14 @@ def test_readme_transcript(block, tmp_path, monkeypatch, capsys):
             for tok in shlex.split(command)[2:]]
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_block():
+    # its plant is the packaged example1, and its own assertion holds
+    (block,) = _fenced("python")
+    scope = {}
+    exec(compile(block, str(README), "exec"), scope)
+    model = load_model(EXAMPLE)
+    assert same_model(scope["plant"], model.plant)
+    assert scope["zeros"] == pytest.approx(model.zeros)
+    assert scope["report"].member

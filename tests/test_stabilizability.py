@@ -15,22 +15,26 @@ from conftest import (
     VERTEX_21,
     _scalar_blaschke,
     constant_system,
+    coprime_family,
     count_calls,
     phi_inner_outer,
     pick_data_svd,
     raise_on_call,
+    same_model,
 )
 from dropstab import factorization
 from dropstab.factorization import (
     WonhamBlock,
     WonhamForm,
     _allpass_section,
+    bezout,
     coprime_factorize,
     gamma_scale,
+    observer_gain,
     wonham_decompose,
     wonham_gain,
 )
-from dropstab.numkernel import spectral_radius
+from dropstab.numkernel import eigenvalues, spectral_radius
 from dropstab.stabilizability import (
     ChannelSpec,
     GammaScaling,
@@ -46,6 +50,7 @@ from dropstab.stabilizability import (
     rectangle_vertex,
     sweep_bounds,
     synthesize,
+    synthesize_Q,
     t_hat,
     union_membership,
 )
@@ -105,6 +110,10 @@ def test_gamma_scaling_normalization():
         GammaScaling([2.0, 1.0])
     with pytest.raises(ValueError):
         GammaScaling([1.0, 1e9])
+    # NaN fails no comparison, so it must be kept out by the box test itself
+    for bad in ([1.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            GammaScaling(bad)
 
 
 # --- scalar closed form -----------------------------------------------------
@@ -448,7 +457,8 @@ def test_pick_vectors_are_input_directions_of_left_eigenvectors():
                 M, _ = coprime_factorize(plant, F)
                 lam, W = pick_data_svd(M)
                 assert lam.size == k
-                for i, v in enumerate(problem._lam):
+                poles = eigenvalues(plant.A)
+                for i, v in enumerate(poles[np.abs(poles) > 1.0]):
                     j = int(np.argmin(np.abs(lam - v)))
                     assert abs(lam[j] - v) < 1e-9 * abs(v)
                     # unit vectors, equal up to a unit factor
@@ -590,20 +600,34 @@ def test_mp_supremum_rejects_nmp(example_ss):
 
 # --- synthesis ----------------------------------------------------------------
 
+def _design_pieces(plant, zeros, channels, gamma):
+    """A design and the factors ``bez`` and Youla parameter ``Q`` it was
+    built from, rebuilt by the calls ``synthesize`` makes; they must give
+    the design's controller exactly."""
+    design = synthesize(plant, zeros, channels, gamma)
+    Gmu = design.plant_mu
+    form = wonham_decompose(Gmu, tuple(range(Gmu.n_inputs)))
+    bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu))
+    Q = synthesize_Q(Gmu, bez, design.gamma_true, zeros)
+    assert same_model(controller(bez, Q), design.K)
+    return design, bez, Q
+
+
 def test_synthesis_meets_phi_cost(example_ss):
     # the end-to-end contract: at any scaling certificate, the synthesized
     # parameter attains per-channel weighted costs equal to the matrix
     # measure's diagonal
     ch = ChannelSpec([0.01, 0.005])
     gamma_free = np.array([1.0, 1.0])
-    design = synthesize(example_ss, EXAMPLE_ZEROS, ch, gamma_free)
-    bez, g_true, Q = design.bez, design.gamma_true, design.Q
+    design, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, gamma_free)
+    g_true = design.gamma_true
+    Y = coprime_family(design.plant_mu, bez.F, bez.L).Y
     assert Q.order == 0 or spectral_radius(Q.A) < 1.0
     assert np.max(np.abs(Q.A.imag)) == 0.0
 
     phi = ScalingProblem(example_ss, EXAMPLE_ZEROS).phi(gamma_free)
     Tg = minimal(cascade(
-        parallel(gamma_scale(bez.Y, g_true),
+        parallel(gamma_scale(Y, g_true),
                  cascade(gamma_scale(bez.M, g_true), gamma_scale(Q, g_true)),
                  sign=-1.0),
         gamma_scale(bez.Nt, g_true)))
@@ -633,9 +657,8 @@ def test_synthesis_minimum_phase_channel():
 
 def test_controller_central_form(example_ss):
     ch = ChannelSpec([0.01, 0.005])
-    design = synthesize(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
-    Gmu, bez = design.plant_mu, design.bez
-    F, L = bez.F, bez.L
+    design, bez, _ = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
+    Gmu, F, L = design.plant_mu, bez.F, bez.L
     K0 = controller(bez, constant_system(np.zeros((2, 2))))
     manual = StateSpaceModel(Gmu.A - Gmu.B @ F - L @ Gmu.C, L, -F, np.zeros((2, 2)))
     for s in (1.4 + 0.2j, -0.9, 2.8):
@@ -643,17 +666,18 @@ def test_controller_central_form(example_ss):
     T0 = closed_loop_map(Gmu, K0)
     assert spectral_radius(T0.A) < 1.0
     # with Q = 0 the loop map reduces to Y Ntilde
-    ref = cascade(bez.Y, bez.Nt)
+    ref = cascade(coprime_family(Gmu, F, L).Y, bez.Nt)
     for s in (1.6 + 0.5j, -1.8):
         assert_allclose(evaluate(T0, s), evaluate(ref, s), atol=1e-8)
 
 
 def test_controller_matches_fraction_formula(example_ss):
     ch = ChannelSpec([0.02, 0.01])
-    design = synthesize(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
-    bez, Q, K = design.bez, design.Q, design.K
+    design, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
+    K = design.K
+    fam = coprime_family(design.plant_mu, bez.F, bez.L)
     den = parallel(bez.Xt, cascade(Q, bez.Nt), sign=-1.0)
-    num = parallel(bez.Yt, cascade(Q, bez.Mt), sign=-1.0)
+    num = parallel(fam.Yt, cascade(Q, fam.Mt), sign=-1.0)
     for s in (1.9 + 0.4j, -1.6, 0.3 + 0.8j):
         want = np.linalg.solve(evaluate(den, s), evaluate(num, s))
         diff = np.max(np.abs(evaluate(K, s) - want))

@@ -101,8 +101,8 @@ def test_stacked_phi_validation():
 def test_sweep_bounds_equals_pointwise_loop(example_ss):
     problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
     logs = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, 481)
-    loop = np.array([1.0 / (problem.phi(np.array([1.0, 10.0 ** lg])) + 1.0)
-                     for lg in logs])
+    gammas = np.column_stack([np.ones_like(logs), 10.0 ** logs])
+    loop = np.array([1.0 / (problem.phi(g) + 1.0) for g in gammas])
     assert np.array_equal(sweep_bounds(example_ss, EXAMPLE_ZEROS), loop)
 
 
