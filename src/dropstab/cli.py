@@ -28,7 +28,7 @@ from .factorization import AssumptionViolation, validate_assumption
 from .stabilizability import (
     ChannelSpec,
     GammaScaling,
-    ScalingProblem,
+    certificate_value,
     closed_loop_map,
     max_blocking_probability,
     membership,
@@ -373,7 +373,6 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
     certified p, so its own certificate failing the re-check is an error."""
     if gamma_text is not None:
         g = _parse_gamma(gamma_text, model.plant.n_inputs)
-        problem = ScalingProblem(model.plant, model.zeros)
     else:
         report = membership(model.plant, model.zeros, channels)
         if not report.member:
@@ -381,8 +380,7 @@ def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
                   f"{_fmt(report.best_value)})", file=sys.stderr)
             return None, report.best_value
         g = report.tame_certificate.gamma
-        problem = report.problem
-    value = problem.value(g, channels.p)
+    value = certificate_value(model.plant, model.zeros, g, channels.p)
     if value < 1.0 - config.MEMBER_GUARD:
         return g, value
     if gamma_text is None:

@@ -1,10 +1,11 @@
 """Numerical tolerances shared across the package.
 
-Every rank decision, residual gate and unit-circle guard in the library reads
-its threshold from here, so sensitivity studies edit one place.  The library
-reads these constants when a function runs, not when it is defined, so a
-value assigned here (``config.STAIRCASE_RTOL = 1e-6``) takes effect on the
-next call.
+Most rank decisions, residual gates and unit-circle guards read their
+threshold from here; the zero-collision 1e-9 of ``numkernel.channel_zero``
+and the 1e-6 gates of ``phi_diag_entry`` and ``synthesize_Q`` are fixed in
+the code.  The library reads these constants when a function runs, not
+when it is defined, so a value assigned here (``config.STAIRCASE_RTOL =
+1e-6``) takes effect on the next call.
 """
 
 # Relative tolerance for staircase rank decisions (controllability /

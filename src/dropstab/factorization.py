@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import config
-from .numkernel import eigenvalues, spectral_radius
+from .numkernel import eigenvalues, spectral_radius, unstable_part
 from .statespace import (
     StateSpaceModel,
     TransferMatrix,
@@ -412,16 +412,8 @@ def inner_outer(sys: StateSpaceModel) -> InnerOuterPair:
     r = sys.n_inputs
     zinv = inverse(sys)  # also validates cond(D)
     zeros = eigenvalues(zinv.A) if sys.order else np.zeros(0, complex)
-    if zeros.size and np.any(np.abs(np.abs(zeros) - 1.0) < config.UNIT_CIRCLE_BAND):
-        raise ValueError("transmission zero within 1e-9 of the unit circle")
-    unstable = [z for z in zeros if abs(z) > 1.0]
-    for i in range(len(unstable)):
-        for k in range(i + 1, len(unstable)):
-            if abs(unstable[i] - unstable[k]) <= config.ZERO_SEPARATION_TOL:
-                raise ValueError(
-                    f"repeated unstable zero near {unstable[i]}: not supported"
-                )
-    if not unstable:
+    unstable = unstable_part(zeros, "transmission zero")
+    if not unstable.size:
         return InnerOuterPair(inner=StateSpaceModel(np.zeros((0, 0)), np.zeros((0, r)),
                                                     np.zeros((r, 0)), np.eye(r)),
                               outer=sys)

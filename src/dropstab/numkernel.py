@@ -1,5 +1,5 @@
 """Dense linear-algebra kernel: eigenvalues with a residual gate, Stein
-solves, spectral radii.
+solves, spectral radii, and the guards on unstable spectra and channel zeros.
 
 All matrices are numpy 2-D arrays; inputs are validated for shape and
 finiteness and promoted to complex128.  Eigenvalues are always reported in a
@@ -14,7 +14,8 @@ from scipy import linalg as sla
 
 from . import config
 
-__all__ = ["eigenvalues", "solve_stein", "spectral_radius"]
+__all__ = ["channel_zero", "eigenvalues", "solve_stein", "spectral_radius",
+           "unstable_part"]
 
 #: Largest matrix order accepted by the dense Stein solver (the Kronecker
 #: system has order n**2).
@@ -97,6 +98,31 @@ def eigenvalues(M) -> np.ndarray:
                 f"{config.EIG_RESIDUAL_TOL * scale:.3e}"
             )
     return w[_canonical_order(w)]
+
+
+def unstable_part(values, what: str) -> np.ndarray:
+    """The values of a spectrum outside the unit circle, in their order;
+    ValueError, naming them ``what``, for a value within ``UNIT_CIRCLE_BAND``
+    of the circle or two unstable ones within ``ZERO_SEPARATION_TOL``."""
+    values = np.asarray(values)
+    if np.any(np.abs(np.abs(values) - 1.0) < config.UNIT_CIRCLE_BAND):
+        raise ValueError(f"{what} within 1e-9 of the unit circle")
+    out = values[np.abs(values) > 1.0]
+    gaps = np.abs(out[:, None] - out[None, :])[np.triu_indices(out.size, 1)]
+    if np.any(gaps <= config.ZERO_SEPARATION_TOL):
+        raise ValueError(f"repeated unstable {what}: not supported")
+    return out
+
+
+def channel_zero(zero, poles) -> complex:
+    """A channel's zero as a complex number; ValueError unless it lies
+    outside the closed unit disc and ``1e-9 max(1, |zeta|)`` from ``poles``."""
+    z = complex(zero)
+    if abs(z) <= 1.0:
+        raise ValueError(f"channel zero {z} must lie outside the unit circle")
+    if np.min(np.abs(np.asarray(poles) - z), initial=np.inf) < 1e-9 * max(1.0, abs(z)):
+        raise ValueError(f"channel zero {z} collides with a pole")
+    return z
 
 
 def spectral_radius(M) -> float:

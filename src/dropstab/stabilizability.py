@@ -35,10 +35,10 @@ of Y weighted entrywise by ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) -
 conj(lambda_i))`` (1 on a clean channel).  So the search builds no
 decomposition, gain or coprime factor; one k-by-k factorization replaces an
 inner-outer split per point, and a stack of scalings (a stencil round, the
-region sweep) takes one stacked factorization.  ``ScalingProblem.value``, the
-check run on a certificate before synthesis, builds M on first use and
-keeps the inner-outer route, so every certificate is re-checked by an
-independent computation.
+region sweep) takes one stacked factorization; a scaling where it fails is
+valued ``inf``.  ``certificate_value``, the check run on a certificate
+before synthesis, builds M and keeps the inner-outer route, so every
+certificate is re-checked by an independent computation.
 
 ``synthesize`` turns a certifying scaling into the controller: the optimal
 Youla parameter over a doubly-coprime factorization of the plant with the
@@ -52,7 +52,6 @@ the diagonal of the square-root scaling with ``gamma_1 = 1``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -75,7 +74,7 @@ from .factorization import (
     wonham_decompose,
     wonham_gain,
 )
-from .numkernel import eigenvalues, spectral_radius
+from .numkernel import channel_zero, eigenvalues, spectral_radius, unstable_part
 from .statespace import (
     StateSpaceModel,
     add_constant,
@@ -105,6 +104,7 @@ __all__ = [
     "ScalingProblem",
     "StabilizabilityReport",
     "Synthesis",
+    "certificate_value",
     "closed_loop_map",
     "controller",
     "max_blocking_probability",
@@ -235,9 +235,9 @@ def phi_diag_entry(sys, zero: Optional[complex], channel: int = 0) -> float:
     Raises
     ------
     ValueError
-        If the realization is not balanced-inner, the zero is inside the
-        closed unit disc, or the zero collides with a reflected pole of the
-        all-pass model.
+        If the realization is not balanced-inner, or the zero is inside the
+        closed unit disc or collides with a reflected pole of the all-pass
+        model (``numkernel.channel_zero``).
     """
     if not is_balanced_inner(sys, tol=1e-6):
         raise ValueError("phi needs a balanced inner realization")
@@ -250,15 +250,11 @@ def phi_diag_entry(sys, zero: Optional[complex], channel: int = 0) -> float:
     if zero is None:
         val = e @ (Di.conj().T @ Di - np.eye(r)) @ e
         return float(np.real(val))
-    z = complex(zero)
-    if abs(z) <= 1.0:
-        raise ValueError(f"channel zero {z} must lie outside the unit circle")
+    # W's eigenvalues are the reflected poles 1/conj(pole) of the all-pass
+    W = np.linalg.inv(sys.A.conj().T)
+    z = channel_zero(zero, np.linalg.eigvals(W))
     if sys.order == 0:
         return 0.0
-    W = np.linalg.inv(sys.A.conj().T)
-    wpoles = np.linalg.eigvals(W)
-    if np.min(np.abs(wpoles - z)) < 1e-9 * max(1.0, abs(z)):
-        raise ValueError(f"channel zero {z} collides with a reflected pole")
     n = sys.order
     Nmat = (np.conj(z) * W - np.eye(n)) @ np.linalg.inv(z * np.eye(n) - W)
     G = sys.B @ Di
@@ -278,16 +274,12 @@ def _channel_bound(lams, zero) -> float:
     ``phi + 1 = prod |lambda|^2 + (|zeta|^2 - 1) |b(0) - b(1/conj(zeta))|^2``,
     without the second term on a clean channel.  ValueError for a zero in
     the closed unit disc or within ``1e-9 max(1, |zeta|)`` of a carried
-    eigenvalue.
+    eigenvalue (``numkernel.channel_zero``).
     """
     lam = np.asarray(lams, dtype=complex).reshape(-1)
     total = float(np.prod(np.abs(lam))) ** 2
     if zero is not None:
-        z = complex(zero)
-        if abs(z) <= 1.0:
-            raise ValueError(f"channel zero {z} must lie outside the unit circle")
-        if lam.size and np.min(np.abs(lam - z)) < 1e-9 * max(1.0, abs(z)):
-            raise ValueError(f"channel zero {z} collides with a pole it carries")
+        z = channel_zero(zero, lam)
         w = 1.0 / np.conj(z)
         gap = np.prod(lam) - np.prod((w - lam) / (np.conj(lam) * w - 1.0))
         total += (abs(z) ** 2 - 1.0) * abs(gap) ** 2
@@ -374,22 +366,16 @@ class ScalingProblem:
     factorization of the Pick matrix ``Pi = (Y* Y) o kernel``:
     ``phi_jj = x_j Pi^{-1} x_j*`` with ``x_j`` row j of Y times the weights.
     On a clean channel of a decoupled plant this is the product bound
-    ``phi_jj + 1 = prod |lambda_i|^2``.
-
-    ``value`` evaluates phi through the inner-outer split of the scaled
-    factor M instead, which it builds on first use (identity channel
-    ordering, default Wonham gain): it is the check a certificate passes
-    before synthesis, and an independent route there re-checks every
-    certificate the closed form found.
+    ``phi_jj + 1 = prod |lambda_i|^2``.  The class builds no coprime factor;
+    ``certificate_value`` re-checks a certificate through one.
 
     Raises
     ------
     ValueError
         At construction, for a wrong number of zeros, an uncontrollable
-        pair (A, B), a pole within ``UNIT_CIRCLE_BAND`` of the unit circle,
-        two unstable poles closer than ``ZERO_SEPARATION_TOL``, or a channel
-        zero inside the closed unit disc or within ``1e-9 max(1, |zeta|)``
-        of an unstable pole.
+        pair (A, B), poles that ``numkernel.unstable_part`` rejects (on the
+        unit circle, repeated), or a channel zero that
+        ``numkernel.channel_zero`` rejects against the unstable poles.
     """
 
     plant: StateSpaceModel
@@ -407,23 +393,12 @@ class ScalingProblem:
         if reached != n:
             raise ValueError(f"{reached} of {n} states are reachable: "
                              "pair (A, B) is uncontrollable")
-        poles = eigenvalues(A)
-        if np.any(np.abs(np.abs(poles) - 1.0) < config.UNIT_CIRCLE_BAND):
-            raise ValueError("plant pole within 1e-9 of the unit circle")
-        lam = poles[np.abs(poles) > 1.0]
-        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, 1)]
-        if np.any(gaps <= config.ZERO_SEPARATION_TOL):
-            raise ValueError("repeated unstable pole: not supported")
+        lam = unstable_part(eigenvalues(A), "plant pole")
         weights = np.ones((r, lam.size), dtype=complex)
         for j, z in enumerate(self.zeros):
-            if z is None:
-                continue
-            z = complex(z)
-            if abs(z) <= 1.0:
-                raise ValueError(f"channel zero {z} must lie outside the unit circle")
-            if lam.size and np.min(np.abs(lam - z)) < 1e-9 * max(1.0, abs(z)):
-                raise ValueError(f"channel zero {z} collides with an unstable pole")
-            weights[j] = (z * np.conj(lam) - 1.0) / (np.conj(z) - np.conj(lam))
+            if z is not None:
+                z = channel_zero(z, lam)
+                weights[j] = (z * np.conj(lam) - 1.0) / (np.conj(z) - np.conj(lam))
         W = np.empty((r, lam.size), dtype=complex)
         for i, v in enumerate(lam):
             U, _, _ = np.linalg.svd(A - v * np.eye(n))
@@ -433,37 +408,39 @@ class ScalingProblem:
         for name, value in (("_W", W), ("_kernel", kernel), ("_weights", weights)):
             object.__setattr__(self, name, value)
 
-    @functools.cached_property
-    def M(self) -> StateSpaceModel:
-        """Right coprime factor of the plant over the identity channel
-        ordering and the default gain; only ``value`` needs it."""
-        form = wonham_decompose(self.plant, tuple(range(self.plant.n_inputs)))
-        M, _ = coprime_factorize(self.plant, wonham_gain(form))
-        return M
-
     def phi(self, gamma) -> np.ndarray:
         """Per-channel ``phi_jj`` at the square-root scaling ``gamma``, in
-        closed form; ValueError where the Pick matrix is not numerically
-        positive definite or a value is not finite.
+        closed form; ValueError only for a malformed ``gamma``.
 
         ``gamma`` is one scaling of shape (r,) or a stack of N scalings of
-        shape (N, r); the result has the same shape.  A stack takes one
-        stacked factorization and one stacked solve, which run the same
-        LAPACK routine on each slice, so every row equals the value of that
-        scaling alone.  A stack raises if any of its rows would."""
+        shape (N, r); the result has the same shape, and one scaling is
+        valued as a stack of one.  A stack takes one stacked factorization
+        and one stacked solve, which run the same LAPACK routine on each
+        slice, so every row equals the value of that scaling alone.  Where
+        the stacked factorization fails, the rows are valued one at a time.
+        A failed row, whose Pick matrix is not numerically positive definite
+        or whose phi is not finite, is ``inf`` in every entry."""
         g = np.asarray(gamma, dtype=float)
         if (g.ndim not in (1, 2) or g.shape[-1] != len(self.zeros)
                 or not np.all(np.isfinite(g) & (g > 0.0))):
             raise ValueError("gamma must hold one finite positive entry per channel")
         Y = self._W / np.atleast_2d(g)[:, :, None]
-        try:
+
+        def pick_phi(Y):
             L = np.linalg.cholesky((Y.conj().swapaxes(1, 2) @ Y) * self._kernel)
             Z = np.linalg.solve(L, (Y * self._weights).conj().swapaxes(1, 2))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"Pick matrix factorization failed ({exc})") from exc
-        phi = np.sum(np.abs(Z) ** 2, axis=1)
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phi has non-finite entries")
+            return np.sum(np.abs(Z) ** 2, axis=1)
+
+        try:
+            phi = pick_phi(Y)
+        except np.linalg.LinAlgError:
+            phi = np.full(Y.shape[:2], math.inf)
+            for i in range(len(Y)):
+                try:
+                    phi[i] = pick_phi(Y[i:i + 1])[0]
+                except np.linalg.LinAlgError:
+                    continue
+        phi[~np.all(np.isfinite(phi), axis=1)] = math.inf
         return phi if g.ndim == 2 else phi[0]
 
     def crossing(self, p) -> tuple:
@@ -538,15 +515,18 @@ class ScalingProblem:
                 break
         return x, steps
 
-    def value(self, gamma, p) -> float:
-        """Certificate value ``max_j p_j (phi_jj + 1)``; below one certifies p.
 
-        phi comes from the inner-outer split of the scaled factor, not from
-        the closed form of ``phi``."""
-        io = inner_outer(gamma_scale(self.M, gamma))
-        phi = np.array([phi_diag_entry(io.inner, z, j)
-                        for j, z in enumerate(self.zeros)])
-        return float(np.max(p * (phi + 1.0)))
+def certificate_value(plant: StateSpaceModel, zeros, gamma, p) -> float:
+    """Certificate value ``max_j p_j (phi_jj + 1)`` at the scaling
+    ``gamma``; below one certifies p.  The check a certificate passes before
+    synthesis: phi comes from the inner-outer split of the scaled coprime
+    factor M (identity channel ordering, default Wonham gain), a route
+    independent of the closed form of ``ScalingProblem.phi``."""
+    form = wonham_decompose(plant, tuple(range(plant.n_inputs)))
+    M, _ = coprime_factorize(plant, wonham_gain(form))
+    io = inner_outer(gamma_scale(M, gamma))
+    phi = np.array([phi_diag_entry(io.inner, z, j) for j, z in enumerate(zeros)])
+    return float(np.max(p * (phi + 1.0)))
 
 
 def membership(plant: StateSpaceModel, zeros,
@@ -559,14 +539,14 @@ def membership(plant: StateSpaceModel, zeros,
     probabilities, so the certificate is reusable across p (convert with
     ``gamma * (1 - p)`` before synthesis).
 
-    The search values stacks of log10 scalings, each with one stacked phi
-    evaluation (row by row only where that raises; a failed row is
-    infinite and counted in ``search_log["objective_failures"]``), and
-    moves its incumbent only to a stack's first minimum in lexicographic
-    order, where that is strictly better.  Two channels value a log-spaced
-    axis (``"grid_points"``), then the point ``ScalingProblem.crossing``
-    proposes (``"crossing_steps"`` logs its Newton steps).  Three or more
-    channels, or two where the pencil fails, run a shrinking stencil: 17
+    The search values stacks of log10 scalings, each with one phi
+    evaluation (a row that phi fails is infinite and counted in
+    ``search_log["objective_failures"]``), and moves its incumbent only to
+    a stack's first minimum in lexicographic order, where that is strictly
+    better.  Two channels value a log-spaced axis (``"grid_points"``), then
+    the point ``ScalingProblem.crossing`` proposes (``"crossing_steps"``
+    logs its Newton steps).  Three or more channels, or two where the
+    pencil fails, run a shrinking stencil: 17
     rounds of ``STENCIL_WIDTH`` points per axis around the incumbent,
     clipped to the box, whose step starts at ``(GAMMA_LOG_MAX -
     GAMMA_LOG_MIN) / (STENCIL_WIDTH - 1)``, so that the first round around
@@ -601,22 +581,14 @@ def membership(plant: StateSpaceModel, zeros,
         the values."""
         nonlocal best_val, best_x, best_phi, tame_key, failures
         X = np.clip(X, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
-        gammas = np.hstack([np.ones((len(X), 1)), 10.0 ** X])
-        try:
-            phis = problem.phi(gammas)
+        phis = problem.phi(np.hstack([np.ones((len(X), 1)), 10.0 ** X]))
+        failed = np.isinf(phis[:, 0])
+        # a failed row is infinite, not valued from its phi: 0 * inf is nan
+        # where p_j = 0
+        with np.errstate(invalid="ignore"):
             vals = np.max(p * (phis + 1.0), axis=1)
-        except ValueError:
-            # a failed row is infinite, not valued from its phi (0 * inf is
-            # nan where p_j = 0); a single row has been tried already
-            phis = np.zeros((len(X), r))
-            vals = np.full(len(X), math.inf)
-            for i in range(len(X) if len(X) > 1 else 0):
-                try:
-                    phis[i] = problem.phi(gammas[i])
-                except ValueError:
-                    continue
-                vals[i] = np.max(p * (phis[i] + 1.0))
-            failures += int(np.count_nonzero(np.isinf(vals)))
+        vals[failed] = math.inf
+        failures += int(np.count_nonzero(failed))
         first = int(np.argmin(vals))
         if vals[first] < best_val:
             # copies: a row of the stack would keep the whole stack alive
@@ -686,10 +658,12 @@ def sweep_bounds(plant: StateSpaceModel, zeros) -> np.ndarray:
     """Per-channel bound vectors over a dense scaling sweep (two channels).
 
     Returns a (481, 2) array of ``1/(phi_jj + 1)`` evaluated along
-    ``log10 gamma_2`` uniformly spanning the search box, endpoints included.
-    A dropout vector is certified by the sweep when some row dominates it
-    strictly; this reproduces the membership decision rule with the scaling
-    pool shared across all queried vectors.
+    ``log10 gamma_2`` uniformly spanning the search box, endpoints included;
+    a failed row of phi gives the bound 0, which certifies nothing.  A
+    dropout vector is certified by the sweep when some row dominates it
+    strictly.  The rule is conservative: the pool of scalings is fixed and
+    shared across all queried vectors, so a vector that ``membership``
+    certifies at a scaling between two sweep points may be missed.
     """
     if plant.n_inputs != 2:
         raise ValueError("the sweep helper covers exactly two channels")

@@ -318,7 +318,7 @@ def inverse(sys: StateSpaceModel) -> StateSpaceModel:
     return StateSpaceModel(sys.A - sys.B @ Di @ sys.C, sys.B @ Di, -Di @ sys.C, Di)
 
 
-def is_balanced_inner(sys: StateSpaceModel, tol: float = 1e-8) -> bool:
+def is_balanced_inner(sys: StateSpaceModel, tol: float) -> bool:
     """True when the stacked realization matrix has orthonormal columns."""
     S = np.block([[sys.A, sys.B], [sys.C, sys.D]])
     G = S.conj().T @ S
@@ -344,7 +344,7 @@ def cascade(g2: StateSpaceModel, g1: StateSpaceModel) -> StateSpaceModel:
     return StateSpaceModel(A, B, C, D)
 
 
-def parallel(g1: StateSpaceModel, g2: StateSpaceModel, sign: float = 1.0) -> StateSpaceModel:
+def parallel(g1: StateSpaceModel, g2: StateSpaceModel, sign: float) -> StateSpaceModel:
     """``g1 + sign * g2`` with shared inputs and outputs."""
     if g1.n_inputs != g2.n_inputs or g1.n_outputs != g2.n_outputs:
         raise ValueError("parallel needs matching I/O dimensions")

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, raise_on_call
-from dropstab import config, factorization, verification
+from dropstab import cli, config, factorization, verification
 from dropstab.cli import _load_controller, load_model, main
-from dropstab.stabilizability import ScalingProblem, rectangle_set, sweep_bounds
+from dropstab.stabilizability import rectangle_set, sweep_bounds
 
 EXAMPLE = str(files("dropstab").joinpath("data/example1.json"))
 
@@ -379,22 +379,57 @@ def test_region_marks_rectangle_interior(capsys):
     assert not member[p1 > v1[0]].any()
 
 
-def test_region_matches_pairwise_dominance(capsys):
-    # reference: every cell against every pool row, member iff some row's
-    # guarded levels both exceed the cell's
-    model = load_model(EXAMPLE)
-    pool = np.vstack([sweep_bounds(model.plant, model.zeros),
-                      np.array(rectangle_set(model.plant, model.zeros).vertices)])
-    code, out, _ = run_cli(
-        ["region", EXAMPLE, "--grid", "41x37", "--pmax", "0.2,0.03"], capsys)
-    assert code == 0
+def _pool_rule(sweep, model):
+    """The 41x37 grid over [0, 0.2] x [0, 0.03] decided cell by cell against
+    every row of the pool (the sweep and the rectangle corners): member iff
+    some row's guarded levels both exceed the cell's."""
+    pool = np.vstack([sweep, np.array(rectangle_set(model.plant, model.zeros).vertices)])
     p1, p2 = np.linspace(0.0, 0.2, 41), np.linspace(0.0, 0.03, 37)
     grid = np.array([(x, y) for x in p1 for y in p2])
     ok = grid[:, None, :] < pool[None, :, :] * (1.0 - config.MEMBER_GUARD)
-    member = ok.all(axis=2).any(axis=1)
-    got = [int(line.rsplit(",", 1)[1]) for line in out.strip().split("\n")[1:]]
-    assert got == member.astype(int).tolist()
+    return ok.all(axis=2).any(axis=1).astype(int).tolist()
+
+
+def _region_cells(out):
+    return [int(line.rsplit(",", 1)[1]) for line in out.strip().split("\n")[1:]]
+
+
+def test_region_matches_pairwise_dominance(capsys):
+    model = load_model(EXAMPLE)
+    code, out, _ = run_cli(
+        ["region", EXAMPLE, "--grid", "41x37", "--pmax", "0.2,0.03"], capsys)
+    assert code == 0
+    got = _region_cells(out)
+    assert got == _pool_rule(sweep_bounds(model.plant, model.zeros), model)
     assert 0 < sum(got) < len(got)
+
+
+def test_region_survives_a_failed_sweep_row(monkeypatch, capsys):
+    # a sweep row whose Pick matrix fails to factor gets the bound 0, which
+    # certifies nothing: region exits 0 and decides the grid by the rest of
+    # the pool; row 267 alone certifies one cell of this grid
+    model = load_model(EXAMPLE)
+    cholesky, seen = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: seen.append(a) or cholesky(a))
+    sweep = sweep_bounds(model.plant, model.zeros)
+    target = seen[0][267]
+
+    def failing(a):
+        if np.any(np.all(a == target, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("injected failure")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    failed = sweep_bounds(model.plant, model.zeros)
+    assert np.array_equal(failed[267], [0.0, 0.0])
+    rest = np.delete(sweep, 267, axis=0)
+    assert np.array_equal(np.delete(failed, 267, axis=0), rest)
+    code, out, err = run_cli(
+        ["region", EXAMPLE, "--grid", "41x37", "--pmax", "0.2,0.03"], capsys)
+    assert (code, err) == (0, "")
+    got = _region_cells(out)
+    assert got == _pool_rule(rest, model)
+    assert sum(got) == sum(_pool_rule(sweep, model)) - 1
 
 
 def test_region_needs_two_channels(scalar_mp, capsys):
@@ -469,7 +504,7 @@ def test_synthesize_search_certificate_failing_its_recheck_exits_1(monkeypatch, 
     # the search certifies p, so a failed re-check of its own certificate is
     # an error of the tool, not a negative verdict; a supplied scaling that
     # fails it is the user's, and stays a verdict
-    monkeypatch.setattr(ScalingProblem, "value", lambda self, gamma, p: 1.0)
+    monkeypatch.setattr(cli, "certificate_value", lambda plant, zeros, gamma, p: 1.0)
     argv = ["synthesize", EXAMPLE, "--probs", "0.158,0.0128"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")

@@ -1,6 +1,7 @@
 """Tests for the stabilizability decisions, scalings, and synthesis."""
 
 import importlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from dropstab.stabilizability import (
     ChannelSpec,
     GammaScaling,
     ScalingProblem,
+    certificate_value,
     closed_loop_map,
     controller,
     max_blocking_probability,
@@ -64,7 +66,9 @@ from dropstab.statespace import (
     parallel,
     realize,
     subsystem,
+    transmission_zeros,
 )
+from dropstab.verification import assemble, second_moment_radius
 
 
 def _siso(num, den):
@@ -149,7 +153,7 @@ def test_phi_rejects_bad_inputs():
     sec = _allpass_section(2.0)
     with pytest.raises(ValueError, match="unit circle"):
         phi_diag_entry(sec, 0.5)
-    with pytest.raises(ValueError, match="reflected pole"):
+    with pytest.raises(ValueError, match="collides with a pole"):
         phi_diag_entry(sec, 2.0)  # zero right on the mirrored pole
     skew = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.5]])
     with pytest.raises(ValueError, match="balanced"):
@@ -274,10 +278,18 @@ def _rel_gap(a, b) -> float:
     return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
 
 
+def _identity_factor(plant):
+    """Right coprime factor over the identity channel ordering and the
+    default gain, the one ``certificate_value`` builds."""
+    M, _ = coprime_factorize(plant, wonham_gain(
+        wonham_decompose(plant, tuple(range(plant.n_inputs)))))
+    return M
+
+
 def test_phi_closed_form_matches_inner_outer_oracle(example_ss, monkeypatch):
     problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
-    assert _rel_gap(problem.phi(np.ones(2)),
-                    phi_inner_outer(problem.M, EXAMPLE_ZEROS, np.ones(2))) < 1e-12
+    assert _rel_gap(problem.phi(np.ones(2)), phi_inner_outer(
+        _identity_factor(example_ss), EXAMPLE_ZEROS, np.ones(2))) < 1e-12
     # the seeded search-family plants of the benchmark, three per structure
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     worker = importlib.import_module("worker")
@@ -285,10 +297,10 @@ def test_phi_closed_form_matches_inner_outer_oracle(example_ss, monkeypatch):
     checked = 0
     for r, structures in worker.SEARCH_STRUCTURES.items():
         for plant, zeros in worker.plants.plant_family(rng, r, structures * 3):
-            problem = ScalingProblem(plant, zeros)
+            problem, M = ScalingProblem(plant, zeros), _identity_factor(plant)
             for _ in range(12):
                 gamma = np.concatenate([[1.0], 10.0 ** rng.uniform(-6.0, 6.0, r - 1)])
-                gap = _rel_gap(problem.phi(gamma), phi_inner_outer(problem.M, zeros, gamma))
+                gap = _rel_gap(problem.phi(gamma), phi_inner_outer(M, zeros, gamma))
                 assert gap < 1e-9, (r, zeros, gamma, gap)
                 checked += 1
     assert checked == 12 * 3 * 9
@@ -305,11 +317,12 @@ def test_phi_closed_form_complex_poles():
     Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     plant = StateSpaceModel(Q.T @ A @ Q, rng.normal(size=(5, 2)),
                             rng.normal(size=(2, 5)), np.zeros((2, 2)))
+    M = _identity_factor(plant)
     for zeros in ((None, None), (2.2, -1.7), (1.3 + 0.9j, None)):
         problem = ScalingProblem(plant, zeros)
         for lg in np.linspace(-6.0, 6.0, 7):
             gamma = np.array([1.0, 10.0 ** lg])
-            assert _rel_gap(problem.phi(gamma), phi_inner_outer(problem.M, zeros, gamma)) < 1e-9
+            assert _rel_gap(problem.phi(gamma), phi_inner_outer(M, zeros, gamma)) < 1e-9
 
 
 def test_phi_clean_channels_meet_the_product_bound():
@@ -342,11 +355,11 @@ def test_scaling_problem_rejects_what_the_split_rejects():
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
         den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, -2.0))),
     ))
-    with pytest.raises(ValueError, match="repeated unstable pole"):
+    with pytest.raises(ValueError, match="repeated unstable plant pole"):
         ScalingProblem(twin, (None, None))
-    with pytest.raises(ValueError, match="repeated unstable pole"):
+    with pytest.raises(ValueError, match="repeated unstable plant pole"):
         membership(twin, (None, None), ChannelSpec([0.01, 0.01]))
-    with pytest.raises(ValueError, match="repeated unstable pole"):
+    with pytest.raises(ValueError, match="repeated unstable plant pole"):
         ScalingProblem(_diagonal_plant([2.0, 2.0 + 1e-7]), (None, None))
     # poles on the unit circle band, on either side
     for lam in (1.0 + 1e-10, 1.0 - 1e-10):
@@ -387,11 +400,11 @@ def test_phi_never_returns_non_finite_values():
     problem = ScalingProblem(g, (None, None))
     with np.errstate(all="ignore"):
         # far outside the search box: Y* Y underflows to a singular Pick
-        # matrix, or overflows
-        with pytest.raises(ValueError, match="factorization failed"):
-            problem.phi(np.array([1.0, 1e200]))
-        with pytest.raises(ValueError, match="non-finite"):
-            problem.phi(np.array([1.0, 1e-200]))
+        # matrix, or overflows; either way the scaling fails, and phi gives
+        # no NaN and no partial value for it: inf in every entry
+        for far in (1e200, 1e-200):
+            assert np.array_equal(problem.phi(np.array([1.0, far])), [np.inf, np.inf])
+    # only a malformed gamma raises
     for bad in ([1.0, 0.0], [1.0, np.nan], [1.0, np.inf], [1.0]):
         with pytest.raises(ValueError, match="gamma"):
             problem.phi(np.array(bad))
@@ -473,7 +486,7 @@ def test_pick_vectors_are_input_directions_of_left_eigenvectors():
 
 def test_search_builds_no_coprime_factor(example_ss, monkeypatch):
     # membership and the region sweep read the Pick data off the plant: no
-    # decomposition, no pole placement, no coprime factor; the certificate
+    # decomposition, no pole placement, no coprime factor; each certificate
     # check builds M, once
     for fn in (wonham_decompose, wonham_gain, coprime_factorize):
         raise_on_call(monkeypatch, fn)
@@ -483,10 +496,11 @@ def test_search_builds_no_coprime_factor(example_ss, monkeypatch):
     assert rep.member and bounds.shape == (481, 2)
     monkeypatch.undo()
     factors = count_calls(monkeypatch, factorization.coprime_factorize)
-    value = rep.problem.value(rep.certificate.gamma, ch.p)
+    value = certificate_value(example_ss, EXAMPLE_ZEROS, rep.certificate.gamma, ch.p)
     assert value == pytest.approx(rep.best_value, rel=1e-9)
-    rep.problem.value(rep.tame_certificate.gamma, ch.p)
     assert len(factors) == 1
+    certificate_value(example_ss, EXAMPLE_ZEROS, rep.tame_certificate.gamma, ch.p)
+    assert len(factors) == 2
 
 
 # --- membership search -------------------------------------------------------
@@ -529,7 +543,7 @@ def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch)
     assert sum(rows) == log["grid_points"] + log["refine_evals"]
     assert rows[0] == log["grid_points"] and rows[1:] == [1] * log["refine_evals"]
     assert len(splits) == 0
-    value = rep.problem.value(rep.certificate.gamma, ch.p)
+    value = certificate_value(example_ss, EXAMPLE_ZEROS, rep.certificate.gamma, ch.p)
     assert len(splits) == 1
     assert value == pytest.approx(rep.best_value, rel=1e-9)
     assert_allclose(rep.bounds, 1.0 / (phi(rep.problem, rep.certificate.gamma) + 1.0),
@@ -697,6 +711,59 @@ def test_synthesis_full_loop_stability_margin(example_ss):
     rad = ms_radius(t_hat(T), ch)
     assert rad < 1.0
     assert rad <= rep.best_value + 1e-6  # never worse than the certified level
+
+
+def _complex_pair_plants():
+    """The seeded two-channel family with one complex unstable pole pair
+    ``rho exp(+-i theta)`` and two stable real poles in a random orthogonal
+    basis, no channel zeros: yields (draw, plant) for each of 400 draws with
+    cond(CB) <= 20 and every transmission zero of modulus below 0.97."""
+    rng = np.random.default_rng(3)
+    for k in range(400):
+        rho, theta = rng.uniform(1.1, 1.8), rng.uniform(0.3, 2.5)
+        core = np.diag(np.concatenate([[0.0, 0.0], rng.uniform(-0.8, 0.8, 2)]))
+        core[:2, :2] = rho * np.array([[np.cos(theta), -np.sin(theta)],
+                                       [np.sin(theta), np.cos(theta)]])
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        plant = StateSpaceModel(Q.T @ core @ Q, rng.normal(size=(4, 2)),
+                                rng.normal(size=(2, 4)), np.zeros((2, 2)))
+        if (np.linalg.cond(plant.C @ plant.B) <= 20.0
+                and np.max(np.abs(transmission_zeros(plant))) < 0.97):
+            yield k, plant
+
+
+def _design_at_half_corner(plant):
+    """Channels at half the corner of the largest rectangle, certified, and
+    the controller synthesized at the tame certificate."""
+    rects = rectangle_set(plant, (None, None))
+    ch = ChannelSpec(0.5 * np.asarray(rects.vertices[int(np.argmax(rects.volumes))]))
+    rep = membership(plant, (None, None), ch)
+    assert rep.member
+    return ch, synthesize(plant, (None, None), ch, rep.tame_certificate.gamma)
+
+
+def test_synthesis_on_a_complex_unstable_pair():
+    # the first 20 kept draws: each design passes both radii, as the
+    # synthesize command requires
+    for k, plant in itertools.islice(_complex_pair_plants(), 20):
+        ch, design = _design_at_half_corner(plant)
+        analysis = ms_radius(t_hat(closed_loop_map(design.plant_mu, design.K)), ch)
+        verify = second_moment_radius(assemble(plant, design.K, ch))
+        assert analysis < 1.0 and verify < 1.0, k
+
+
+def test_synthesis_on_a_complex_unstable_pair_known_failures():
+    # draws 313 and 348 are certified, but the designed controller (order
+    # 6) is genuinely complex, and assemble refuses it: a known defect,
+    # pinned here as it stands
+    fixtures = {k: plant for k, plant in _complex_pair_plants() if k in (313, 348)}
+    assert sorted(fixtures) == [313, 348]
+    for k, plant in fixtures.items():
+        ch, design = _design_at_half_corner(plant)
+        assert design.K.order == 6
+        assert np.max(np.abs(design.K.A.imag)) > 0.1, k
+        with pytest.raises(ValueError, match="K.A must be a real matrix"):
+            assemble(plant, design.K, ch)
 
 
 # --- second-moment pieces -----------------------------------------------------

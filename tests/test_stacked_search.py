@@ -89,13 +89,19 @@ def test_stacked_phi_validation():
                 np.array([[1.0, 1.0], [1.0, np.nan]])):
         with pytest.raises(ValueError, match="gamma must hold"):
             problem.phi(bad)
-    # one bad row fails the whole stack: on a decoupled plant, a scaling far
-    # outside the search box underflows or overflows the Pick matrix
+    # one bad row fails alone: on a decoupled plant, a scaling far outside
+    # the search box underflows the Pick matrix to a singular one, which
+    # fails the stacked factorization (1e200), or overflows it to a
+    # non-finite phi (1e-200); that row is inf in every entry and every
+    # other row is the value of its scaling alone
     decoupled = ScalingProblem(_decoupled(), (None, None))
     with np.errstate(all="ignore"):
-        for far, message in ((1e200, "factorization failed"), (1e-200, "non-finite")):
-            with pytest.raises(ValueError, match=message):
-                decoupled.phi(np.array([[1.0, 1.0], [1.0, far], [1.0, 2.0]]))
+        for far in (1e200, 1e-200):
+            gammas = np.array([[1.0, 1.0], [1.0, far], [1.0, 2.0]])
+            got = decoupled.phi(gammas)
+            assert np.array_equal(got[1], [np.inf, np.inf])
+            for i in (0, 2):
+                assert np.array_equal(got[i], decoupled.phi(gammas[i]))
 
 
 def test_sweep_bounds_equals_pointwise_loop(example_ss):
@@ -120,9 +126,8 @@ def _pointwise_search(phi, p, crossing=None):
 
     def objective(x):
         x = np.clip(x, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
-        try:
-            f = phi(np.concatenate([[1.0], 10.0 ** x]))
-        except ValueError:
+        f = phi(np.concatenate([[1.0], 10.0 ** x]))
+        if np.isinf(f).any():
             failures[0] += 1
             return math.inf
         evals[tuple(x)] = val = float(np.max(p * (f + 1.0)))
@@ -196,9 +201,8 @@ def _reference_search(problem, p):
 
     def objective(x):
         x = np.clip(x, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
-        try:
-            f = problem.phi(np.concatenate([[1.0], 10.0 ** x]))
-        except ValueError:
+        f = problem.phi(np.concatenate([[1.0], 10.0 ** x]))
+        if np.isinf(f).any():
             failures[0] += 1
             return math.inf
         return float(np.max(p * (f + 1.0)))
@@ -233,14 +237,15 @@ def _three_channel(monkeypatch, scale):
 
 
 def _flaky(phi, failed):
-    """phi failing wherever gamma_2 > 1e4, logging each single-point failure."""
+    """phi failing wherever gamma_2 > 1e4, as phi fails a row: inf in every
+    entry; logs each failed row."""
     def flaky(self, gamma):
-        g = np.atleast_2d(gamma)
-        if np.any(g[:, 1] > 1e4):
-            if len(g) == 1:
-                failed.append(g[0, 1])
-            raise ValueError("injected failure")
-        return phi(self, gamma)
+        out = phi(self, gamma)
+        rows = np.atleast_2d(out)
+        bad = np.atleast_2d(gamma)[:, 1] > 1e4
+        rows[bad] = np.inf
+        failed.extend(np.atleast_2d(gamma)[bad, 1])
+        return out
     return flaky
 
 
@@ -268,8 +273,8 @@ def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
     # the scaling that certifies 0.9 of the (1,2) corner sits at gamma_2 near
     # the top of the box, where every point is made to fail: the pencil's
     # point fails too and counts as one more failure, and the stencil then
-    # runs as without the pencil, row by row wherever its stack meets a
-    # failing point; the inf values must not raise a numeric warning
+    # runs as without the pencil, each failed row of its stacks infinite
+    # and counted; the inf values must not raise a numeric warning
     phi = ScalingProblem.phi
     ch = ChannelSpec(0.9 * np.asarray(VERTEX_12))
     failed = []
@@ -290,7 +295,7 @@ def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
     assert rep.member and np.array_equal(rep.tame_certificate.gamma, ref_tame)
 
     def broken(self, gamma):
-        raise ValueError("injected failure")
+        return np.full(np.shape(gamma), np.inf)
 
     monkeypatch.setattr(ScalingProblem, "phi", broken)
     with pytest.raises(ValueError, match="failed at every point"):
@@ -299,8 +304,8 @@ def test_membership_failures_fall_back_row_by_row(example_ss, monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_membership_three_channels_fall_back_row_by_row(monkeypatch):
-    # the stencil path, bit for bit, on stencil stacks that fail: the
-    # first round, around the box centre, spans the box and meets the
+    # the stencil path, bit for bit, on stencil stacks with failed rows:
+    # the first round, around the box centre, spans the box and meets the
     # failing points at its top
     phi = ScalingProblem.phi
     plant, zeros, ch = _three_channel(monkeypatch, 0.9)
@@ -350,8 +355,8 @@ def test_membership_failed_rows_are_infinite_without_nan(example_ss, monkeypatch
 
 
 def _off_grid(phi, also=()):
-    """phi failing at every grid point (each log10 gamma a multiple of 1/2)
-    and at the free scalings ``also``."""
+    """phi failing (inf in every entry) at every grid point (each log10
+    gamma a multiple of 1/2) and at the free scalings ``also``."""
     def off_grid(self, gamma):
         logs = np.log10(np.atleast_2d(gamma)[:, 1:])
         twice = 2.0 * logs
@@ -359,9 +364,9 @@ def _off_grid(phi, also=()):
         hit = np.zeros(len(logs), dtype=bool)
         for x in also:
             hit |= np.all(np.abs(logs - x) < 1e-12, axis=1)
-        if np.any(on_grid | hit):
-            raise ValueError("injected failure")
-        return phi(self, gamma)
+        out = phi(self, gamma)
+        np.atleast_2d(out)[on_grid | hit] = np.inf
+        return out
     return off_grid
 
 

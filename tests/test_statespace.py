@@ -208,7 +208,7 @@ def test_inverse():
 def test_minimal_cancels_duplicated_states():
     rng = np.random.default_rng(12)
     g = _rand_stable(rng, 3, p=1, m=1)
-    doubled = parallel(g, g)
+    doubled = parallel(g, g, sign=1.0)
     red = minimal(doubled)
     assert red.order == 3
     z = 1.8
@@ -218,7 +218,7 @@ def test_minimal_cancels_duplicated_states():
 def test_minimal_supports_unstable_models():
     # duplicated unstable mode must be pruned without any stability demand
     g = StateSpaceModel([[2.0]], [[1.0]], [[1.0]], [[0.0]])
-    doubled = parallel(g, g)
+    doubled = parallel(g, g, sign=1.0)
     red = minimal(doubled)
     assert red.order == 1
     assert_allclose(evaluate(red, 3.0), [[2.0]], atol=1e-10)
@@ -282,7 +282,7 @@ def test_is_balanced_inner_first_order():
     beta = np.sqrt(0.75)
     sec = StateSpaceModel([[0.5]], [[beta]], [[-beta]], [[0.5]])
     assert is_balanced_inner(sec, tol=1e-12)
-    assert not is_balanced_inner(StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.5]]))
+    assert not is_balanced_inner(StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.5]]), tol=1e-8)
 
 
 def test_transmission_zeros_diagonal():
