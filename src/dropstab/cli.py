@@ -30,7 +30,6 @@ from .stabilizability import (
     GammaScaling,
     certificate_value,
     closed_loop_map,
-    max_blocking_probability,
     membership,
     mp_supremum,
     ms_radius,
@@ -227,15 +226,17 @@ def _fmt_c(x) -> str:
 
 
 def _blaschke_str(lams) -> str:
-    """Human-readable all-pass product over one channel's eigenvalues."""
+    """Human-readable all-pass product ``prod (z - lam)/(conj(lam) z - 1)``
+    over one channel's eigenvalues; a complex value is parenthesized."""
     if not lams:
         return "1"
     num, den = [], []
     for lam in lams:
-        c = _fmt_c(lam)
-        negative_real = complex(lam).real < 0.0 and not c.endswith("j")
-        num.append(f"(z + {c[1:]})" if negative_real else f"(z - {c})")
-        den.append(f"({c} z - 1)")
+        c, cc = _fmt_c(lam), _fmt_c(np.conj(lam))
+        if c.endswith("j"):
+            c, cc = f"({c})", f"({cc})"
+        num.append(f"(z + {c[1:]})" if c.startswith("-") else f"(z - {c})")
+        den.append(f"({cc} z - 1)")
     bottom = "".join(den) if len(den) == 1 else "(" + "".join(den) + ")"
     return "".join(num) + "/" + bottom
 
@@ -311,7 +312,7 @@ def cmd_rects(args) -> int:
         vert = ", ".join(f"{v:.4f}" for v in rects.vertices[k])
         print(f"  vertex: ({vert})")
         print(f"  volume: {rects.volumes[k]:.2e}")
-    print(f"max blocking probability: {max_blocking_probability(rects):.2e}")
+    print(f"max blocking probability: {max(rects.volumes):.2e}")
     return 0
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -85,7 +84,7 @@ class WonhamForm:
     """Block upper-triangular decomposition for one channel processing order.
 
     ``transform`` is unitary with ``transform* A transform = Aw`` block upper
-    triangular; ``Bw = transform* B P`` where P permutes channel columns into
+    triangular; ``Bw`` is ``transform* B`` with its columns taken in
     processing order, so column k of Bw matches diagonal block k.  Gains and
     vertices derived from a form are always mapped back to original channel
     indices.
@@ -120,10 +119,6 @@ class WonhamForm:
         return {blk.channel: blk.lam for blk in self.blocks}
 
 
-def _unstable(values) -> tuple:
-    return tuple(v for v in values if abs(v) > 1.0)
-
-
 def wonham_decompose(plant: StateSpaceModel, ordering) -> WonhamForm:
     """Stage-wise controllability extraction along a channel ordering.
 
@@ -156,8 +151,8 @@ def wonham_decompose(plant: StateSpaceModel, ordering) -> WonhamForm:
         T[:, off:] = T[:, off:] @ U
         Acur = U.conj().T @ Acur @ U
         Bcur = U.conj().T @ Bcur
-        blk_eigs = eigenvalues(Acur[:nc, :nc]) if nc else np.zeros(0, complex)
-        blocks.append(WonhamBlock(channel=ch, dim=nc, lam=_unstable(blk_eigs)))
+        lam = eigenvalues(Acur[:nc, :nc]) if nc else np.zeros(0)
+        blocks.append(WonhamBlock(channel=ch, dim=nc, lam=tuple(lam[np.abs(lam) > 1.0])))
         off += nc
         Acur = Acur[nc:, nc:]
         Bcur = Bcur[nc:, :]
@@ -166,10 +161,7 @@ def wonham_decompose(plant: StateSpaceModel, ordering) -> WonhamForm:
             f"blocks cover only {off} of {n} states: pair (A, B) is uncontrollable"
         )
     Aw = T.conj().T @ A @ T
-    P = np.zeros((r, r))
-    for k, ch in enumerate(ordering):
-        P[ch, k] = 1.0
-    Bw = T.conj().T @ B @ P
+    Bw = (T.conj().T @ B)[:, ordering]
     return WonhamForm(ordering=tuple(ordering), blocks=tuple(blocks),
                       transform=T, Aw=Aw, Bw=Bw)
 
@@ -204,26 +196,19 @@ def _reflect_targets(block_eigs) -> list:
     return [v if abs(v) < 1.0 else 1.0 / np.conj(v) for v in block_eigs]
 
 
-def wonham_gain(form: WonhamForm,
-                place_targets: Optional[Callable] = None) -> np.ndarray:
+def wonham_gain(form: WonhamForm) -> np.ndarray:
     """Block-diagonal stabilizing gain F (original coordinates/channels).
 
     Each diagonal block is placed independently through its own channel;
-    ``A - B F`` then inherits the placed spectra.  The default target map
-    reflects unstable eigenvalues across the unit circle, which makes the
-    coprime factor M's diagonal exactly the monic all-pass quotients.
-
-    Parameters
-    ----------
-    form : WonhamForm
-    place_targets : callable, optional
-        Maps a block's eigenvalue array to the desired closed-loop targets.
+    ``A - B F`` then inherits the placed spectra.  The targets reflect
+    unstable eigenvalues across the unit circle (``_reflect_targets``),
+    which makes the coprime factor M's diagonal exactly the monic all-pass
+    quotients.
 
     Returns
     -------
     ndarray, shape (r, n)
     """
-    targets_of = place_targets or _reflect_targets
     r = form.n_channels
     n = form.order
     Fw = np.zeros((r, n), dtype=complex)
@@ -232,13 +217,10 @@ def wonham_gain(form: WonhamForm,
             continue
         Ak = form.Aw[sl, sl]
         bk = form.Bw[sl, k]
-        goals = targets_of(eigenvalues(Ak))
+        goals = _reflect_targets(eigenvalues(Ak))
         # placement convention is eig(A + b f); stabilizing A - b f needs -f
         Fw[k, sl] = -place_single_input(Ak, bk, goals)
-    P = np.zeros((r, r))
-    for k, ch in enumerate(form.ordering):
-        P[ch, k] = 1.0
-    F = P @ Fw @ form.transform.conj().T
+    F = Fw[np.argsort(form.ordering)] @ form.transform.conj().T
     if np.max(np.abs(F.imag)) < 1e-9 * max(1.0, np.max(np.abs(F.real))):
         F = F.real
     return F
@@ -285,10 +267,9 @@ def _allpass_section(lam: complex) -> StateSpaceModel:
 # coprime factor families
 
 
-def coprime_factorize(plant: StateSpaceModel, F):
-    """Right coprime pair (M, N) with ``plant = N M^{-1}`` and ``M(inf) = I``.
-
-    ``M = (A - B F, B, -F, I)`` and ``N = (A - B F, B, C, 0)``.
+def coprime_factorize(plant: StateSpaceModel, F) -> StateSpaceModel:
+    """Right coprime factor M of ``plant = N M^{-1}`` with ``M(inf) = I``:
+    ``M = (A - B F, B, -F, I)``.
 
     Raises
     ------
@@ -299,9 +280,7 @@ def coprime_factorize(plant: StateSpaceModel, F):
     AF = plant.A - plant.B @ F
     if spectral_radius(AF) >= 1.0:
         raise ValueError("gain does not stabilize: rho(A - B F) >= 1")
-    M = StateSpaceModel(AF, plant.B, -F, np.eye(plant.n_inputs))
-    N = StateSpaceModel(AF, plant.B, plant.C, np.zeros((plant.n_outputs, plant.n_inputs)))
-    return M, N
+    return StateSpaceModel(AF, plant.B, -F, np.eye(plant.n_inputs))
 
 
 @dataclass(frozen=True)

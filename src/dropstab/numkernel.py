@@ -85,18 +85,10 @@ def eigenvalues(M) -> np.ndarray:
     # numpy returns unit-norm eigenvector columns; the residual is then an
     # absolute backward-error figure.
     res = float(np.max(np.linalg.norm(A @ V - V * w, axis=0)))
-    # ||A||_2 is at least every column and row 2-norm; the margin keeps the
-    # rounded bound below the rounded SVD norm, so the SVD runs only where
-    # the bound alone cannot accept
-    lower = (1.0 - 1e-12) * max(float(np.max(np.linalg.norm(A, axis=0))),
-                                float(np.max(np.linalg.norm(A, axis=1))))
-    if res > config.EIG_RESIDUAL_TOL * max(1.0, lower):
-        scale = max(1.0, float(np.linalg.norm(A, 2)))
-        if res > config.EIG_RESIDUAL_TOL * scale:
-            raise ValueError(
-                f"eigenvalue residual {res:.3e} exceeds tolerance "
-                f"{config.EIG_RESIDUAL_TOL * scale:.3e}"
-            )
+    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    if res > config.EIG_RESIDUAL_TOL * scale:
+        raise ValueError(f"eigenvalue residual {res:.3e} exceeds tolerance "
+                         f"{config.EIG_RESIDUAL_TOL * scale:.3e}")
     return w[_canonical_order(w)]
 
 

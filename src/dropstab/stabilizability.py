@@ -107,7 +107,6 @@ __all__ = [
     "certificate_value",
     "closed_loop_map",
     "controller",
-    "max_blocking_probability",
     "membership",
     "mp_supremum",
     "ms_radius",
@@ -219,47 +218,42 @@ class MpSupremum:
 # the phi diagonal
 
 
-def phi_diag_entry(sys, zero: Optional[complex], channel: int = 0) -> float:
-    """Diagonal entry of the dropout-sensitivity matrix for one channel.
+def phi_diag_entry(sys, zeros) -> np.ndarray:
+    """Diagonal of the dropout-sensitivity matrix, one entry per channel.
 
     Parameters
     ----------
     sys : StateSpaceModel
         Balanced all-pass model.
-    zero : complex or None
-        The channel's non-minimum-phase zero; None for a clean channel, in
+    zeros : sequence
+        Each channel's non-minimum-phase zero; None for a clean channel, in
         which case the degenerate feedthrough form applies.
-    channel : int
-        Which diagonal entry to return.
 
     Raises
     ------
     ValueError
-        If the realization is not balanced-inner, or the zero is inside the
-        closed unit disc or collides with a reflected pole of the all-pass
-        model (``numkernel.channel_zero``).
+        If the realization is not balanced-inner, the number of zeros is not
+        the channel count, or a zero is inside the closed unit disc or
+        collides with a reflected pole of the all-pass model
+        (``numkernel.channel_zero``).
     """
     if not is_balanced_inner(sys, tol=1e-6):
         raise ValueError("phi needs a balanced inner realization")
-    r = sys.n_inputs
-    if not 0 <= channel < r:
-        raise ValueError(f"channel {channel} out of range for {r} channels")
-    e = np.zeros(r)
-    e[channel] = 1.0
+    n, r = sys.order, sys.n_inputs
+    if len(zeros) != r:
+        raise ValueError(f"need {r} channel zeros, got {len(zeros)}")
     Di = np.linalg.inv(sys.D)
-    if zero is None:
-        val = e @ (Di.conj().T @ Di - np.eye(r)) @ e
-        return float(np.real(val))
+    phi = np.real(np.diag(Di.conj().T @ Di - np.eye(r))).copy()
     # W's eigenvalues are the reflected poles 1/conj(pole) of the all-pass
     W = np.linalg.inv(sys.A.conj().T)
-    z = channel_zero(zero, np.linalg.eigvals(W))
-    if sys.order == 0:
-        return 0.0
-    n = sys.order
-    Nmat = (np.conj(z) * W - np.eye(n)) @ np.linalg.inv(z * np.eye(n) - W)
-    G = sys.B @ Di
-    val = (G @ e).conj().T @ (Nmat.conj().T @ Nmat) @ (G @ e)
-    return float(np.real(val))
+    reflected = np.linalg.eigvals(W)
+    G = (sys.B @ Di).T.copy()    # contiguous rows: G[j] is channel j's input direction
+    for j, zero in enumerate(zeros):
+        if zero is not None:
+            z = channel_zero(zero, reflected)
+            Nmat = (np.conj(z) * W - np.eye(n)) @ np.linalg.inv(z * np.eye(n) - W)
+            phi[j] = np.real(G[j].conj() @ (Nmat.conj().T @ Nmat) @ G[j])
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +312,6 @@ def union_membership(rects: RectangleSet, p) -> tuple:
         if np.all(p <= v + 1e-12 * (1.0 + np.abs(v))):
             return True, idx
     return False, None
-
-
-def max_blocking_probability(rects: RectangleSet) -> float:
-    """Largest rectangle volume: the chance an oblivious adversary blocking
-    each channel independently at its corner rate still lands inside."""
-    return max(rects.volumes)
 
 
 def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
@@ -463,9 +451,11 @@ class ScalingProblem:
         From there, by convexity, each step rises towards the root without
         passing it, so no safeguard is needed; the steps stop where the gap
         is no longer positive or a step moves ``log10 gamma_2`` by at most
-        ``CROSSING_XTOL``.  ValueError for another channel count, or where
-        ``B_1 + B_2`` is not numerically positive definite or the pencil is
-        not finite.
+        ``CROSSING_XTOL``.  The pencil only proposes the point: ``membership``
+        values phi there by ``phi``'s stacked factorization, the more
+        accurate of the two near the box ends.  ValueError for another
+        channel count, or where ``B_1 + B_2`` is not numerically positive
+        definite or the pencil is not finite.
         """
         if len(self.zeros) != 2:
             raise ValueError("the pencil covers exactly two channels")
@@ -523,9 +513,8 @@ def certificate_value(plant: StateSpaceModel, zeros, gamma, p) -> float:
     factor M (identity channel ordering, default Wonham gain), a route
     independent of the closed form of ``ScalingProblem.phi``."""
     form = wonham_decompose(plant, tuple(range(plant.n_inputs)))
-    M, _ = coprime_factorize(plant, wonham_gain(form))
-    io = inner_outer(gamma_scale(M, gamma))
-    phi = np.array([phi_diag_entry(io.inner, z, j) for j, z in enumerate(zeros)])
+    M = coprime_factorize(plant, wonham_gain(form))
+    phi = phi_diag_entry(inner_outer(gamma_scale(M, gamma)).inner, zeros)
     return float(np.max(p * (phi + 1.0)))
 
 
@@ -597,11 +586,9 @@ def membership(plant: StateSpaceModel, zeros,
         cert = np.flatnonzero(vals < 1.0 - config.MEMBER_GUARD)
         if cert.size:
             extent = np.max(np.abs(X[cert]), axis=1, initial=0.0)
-            # the least extent comes first in the key, so only those rows
-            # are sorted on by the rest of it
-            least = cert[extent == extent.min()]
-            k = least[np.lexsort((*X[least].T[::-1], vals[least]))[0]]
-            key = (float(extent.min()), float(vals[k]), tuple(X[k]))
+            i = np.lexsort((*X[cert].T[::-1], vals[cert], extent))[0]
+            k = cert[i]
+            key = (float(extent[i]), float(vals[k]), tuple(X[k]))
             if tame_key is None or key < tame_key:
                 tame_key = key
         return vals

@@ -298,8 +298,6 @@ def h2_norm_sq(sys: StateSpaceModel) -> float:
     Computed from the observability Gramian: ``trace(B* P B + D* D)`` with
     ``A* P A - P + C* C = 0``.
     """
-    if sys.order == 0:
-        return float(np.real(np.trace(sys.D.conj().T @ sys.D)))
     P = solve_stein(sys.A, sys.C.conj().T @ sys.C)
     val = np.trace(sys.B.conj().T @ P @ sys.B + sys.D.conj().T @ sys.D)
     return float(np.real(val))

@@ -157,7 +157,7 @@ def phi_inner_outer(M: StateSpaceModel, zeros, gamma) -> np.ndarray:
     """The diagonal phi of the all-pass factor of the scaled coprime factor
     ``diag(gamma) M diag(gamma)^{-1}``, by an inner-outer split."""
     io = inner_outer(gamma_scale(M, gamma))
-    return np.array([phi_diag_entry(io.inner, z, j) for j, z in enumerate(zeros)])
+    return phi_diag_entry(io.inner, zeros)
 
 
 # --- all-pass diagonal oracle -------------------------------------------------

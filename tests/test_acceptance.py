@@ -21,6 +21,7 @@ from conftest import (
     diagonal_inner,
     phi_inner_outer,
 )
+from dropstab import factorization
 from dropstab.cli import main
 from dropstab.factorization import (
     coprime_factorize,
@@ -158,7 +159,7 @@ def test_benchmark_rectangle_volumes(example_ss):
 
 def test_scalar_channel_bound_matches_closed_form():
     def bound(lam, z):
-        phi = phi_diag_entry(_scalar_blaschke((lam,)), z, 0)
+        phi = phi_diag_entry(_scalar_blaschke((lam,)), (z,))[0]
         return 1.0 / (phi + 1.0)
 
     def closed_form(lam, z):
@@ -256,21 +257,69 @@ def test_nominal_and_exact_verdicts_agree_on_random_plants():
                 frac, r_nominal, r_exact)
 
 
-def test_vertices_invariant_to_stabilizing_gain_draw(example_ss):
+#: the draws of the rail-biased synthesis family (``default_rng(7)``: a
+#: plant, then a probe at ``uniform(0.5, 0.98)`` times the largest
+#: rectangle's vertex, designed at the tame certificate) whose member
+#: verdict gives no verified controller, by the way each one fails: a known
+#: defect, pinned here as it stands
+RAIL_FAILURES = {
+    3: "cancellation", 14: "cancellation", 286: "cancellation",
+    191: "stein_radius", 420: "stein_radius", 486: "stein_radius",
+    34: "radius_ge_1", 80: "radius_ge_1", 112: "radius_ge_1",
+    212: "radius_ge_1", 270: "radius_ge_1", 282: "radius_ge_1",
+}
+
+
+def _rail_outcome(plant, zeros, frac) -> str:
+    rects = rectangle_set(plant, zeros)
+    ch = ChannelSpec(frac * np.asarray(rects.vertices[int(np.argmax(rects.volumes))]))
+    report = membership(plant, zeros, ch)
+    assert report.member
+    try:
+        design = synthesize(plant, zeros, ch, report.tame_certificate.gamma)
+    except ValueError as exc:
+        return ("cancellation" if "unstable cancellation failure in the parameter" in str(exc)
+                else str(exc))
+    try:
+        analysis = ms_radius(t_hat(closed_loop_map(design.plant_mu, design.K)), ch)
+    except ValueError as exc:
+        return ("stein_radius" if re.search("spectral radius .* is not strictly below one",
+                                            str(exc)) else str(exc))
+    verify = second_moment_radius(assemble(plant, design.K, ch))
+    return "verified" if analysis < 1.0 and verify < 1.0 else "radius_ge_1"
+
+
+def test_rail_family_known_failures():
+    # every draw up to the last fixture is made, so that each fixture is
+    # the plant and probe of the whole family; only the fixtures are designed
+    rng = np.random.default_rng(7)
+    outcomes = {}
+    for k in range(max(RAIL_FAILURES) + 1):
+        plant, zeros = _random_admissible_plant(rng)
+        frac = float(rng.uniform(0.5, 0.98))
+        if k in RAIL_FAILURES:
+            outcomes[k] = _rail_outcome(plant, zeros, frac)
+    assert outcomes == RAIL_FAILURES
+
+
+def test_vertices_invariant_to_stabilizing_gain_draw(example_ss, monkeypatch):
     def scaled_reflection(radius):
         def targets(eigs):
             return [v if abs(v) < 1.0 else radius / np.conj(v) for v in eigs]
         return targets
 
     rng = np.random.default_rng(3)
-    draws = [None] + [scaled_reflection(float(r)) for r in rng.uniform(0.3, 0.9, 2)]
+    draws = [factorization._reflect_targets] + [scaled_reflection(float(r))
+                                                for r in rng.uniform(0.3, 0.9, 2)]
     rails = (np.array([1.0, 1e-6]), np.array([1.0, 1e6]))
     collected = []
     for targets in draws:
         per_draw = []
         for ordering in ((0, 1), (1, 0)):
             form = wonham_decompose(example_ss, ordering)
-            M, _ = coprime_factorize(example_ss, wonham_gain(form, targets))
+            with monkeypatch.context() as mp:
+                mp.setattr(factorization, "_reflect_targets", targets)
+                M = coprime_factorize(example_ss, wonham_gain(form))
             for gamma in rails:
                 phi = phi_inner_outer(M, EXAMPLE_ZEROS, gamma)
                 per_draw.append(1.0 / (phi + 1.0))

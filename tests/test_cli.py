@@ -103,11 +103,38 @@ def test_load_rejects_malformed(tmp_path):
         ({"name": "x", "format": "ss", "channel_zeros": [None],
           "ss": {"B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}},
          "ss.A is missing"),
+        ([1, 2], "model file must be a JSON object"),
+        ({"name": "x", "format": "tf", "tf": [1]}, "tf must be an object with num/den"),
+        ({"name": "x", "format": "ss", "ss": [1]}, "ss must be an object with A/B/C/D"),
+        ({"name": "x", "format": "tf", "tf": {"num": [1], "den": [[[1, -2]]]}},
+         "tf.num must be a non-empty nested list of numbers"),
+        ({"name": "x", "format": "tf", "tf": {"num": [[1]], "den": [[[1, -2]]]}},
+         "tf.num must be a non-empty nested list of numbers"),
+        ({"name": "x", "format": "tf", "tf": {"num": [[[1]]], "den": [[[1, -2]], [[1, -3]]]}},
+         "bad transfer matrix (num and den must be non-empty grids of equal shape)"),
+        ({"name": "x", "format": "ss", "channel_zeros": [None],
+          "ss": dict(_SS, A=[[0.5, 0.1]])},
+         "ss.A must be square"),
+        ({"name": "x", "format": "ss", "channel_zeros": [None],
+          "ss": dict(_SS, B=[[1.0], [1.0]])},
+         "ss.B must have 1 rows"),
+        ({"name": "x", "format": "ss", "channel_zeros": [None],
+          "ss": dict(_SS, A=[[0.5, 0.0], [0.0, 0.2]], B=[[1.0], [1.0]], C=[[1.0, 2.0, 3.0]])},
+         "ss.C cannot be reshaped to (-1, 2)"),
+        ({"name": "x", "format": "ss", "channel_zeros": [None, None],
+          "ss": dict(_SS, B=[[1.0, 1.0]], D=[[0.0, 0.0]])},
+         "model must be square (1 outputs, 2 inputs)"),
+        ({"name": "x", "format": "ss", "channel_zeros": [None], "ss": dict(_SS, D=[[1.0]])},
+         "model must be strictly proper (D = 0)"),
     ]
     for k, (payload, message) in enumerate(named):
         path = _write(tmp_path, f"named{k}.json", payload)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_model(path)
+    path = tmp_path / "truncated.json"
+    path.write_text('{"name": "x", "format": ', encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON (")):
+        load_model(str(path))
     # controller files, read by simulate
     scalar = {"B": [[1.0]], "C": [[1.0]], "D": [[0.0]], "state_count": 1,
               "input_count": 1, "output_count": 1}
@@ -250,6 +277,22 @@ def test_rects_example(capsys):
     assert "max blocking probability: 2.49e-03" in out
     assert "(z - 2)/(2 z - 1)" in out
     assert "(z + 1.5)(z - 2.5)/((-1.5 z - 1)(2.5 z - 1))" in out
+
+
+def test_rects_prints_a_complex_pole_pair(tmp_path, capsys):
+    # b(z) = prod (z - lam)/(conj(lam) z - 1): a complex lam prints in
+    # parentheses, and the denominator carries its conjugate
+    path = _write(tmp_path, "pair.json", {
+        "name": "pair", "format": "ss", "channel_zeros": [None, None],
+        "ss": {"A": [[0.9, -0.8, 0, 0], [0.8, 0.9, 0, 0], [0, 0, 0.3, 0], [0, 0, 0, -0.4]],
+               "B": [[1, 0.2], [0.3, 1], [0.5, -0.7], [0.1, 0.9]],
+               "C": [[1, 0.5, 0.2, 0.1], [0.3, -1, 0.4, 0.6]],
+               "D": [[0, 0], [0, 0]]}})
+    code, out, _ = run_cli(["rects", path], capsys)
+    assert code == 0
+    assert "  channel 1 poles: 0.9-0.8j, 0.9+0.8j\n" in out
+    assert ("  channel 1 inner: (z - (0.9-0.8j))(z - (0.9+0.8j))"
+            "/(((0.9+0.8j) z - 1)((0.9-0.8j) z - 1))\n") in out
 
 
 def test_rects_rejects_nonsquare(tmp_path, capsys):
@@ -450,6 +493,14 @@ def test_region_bad_grid(capsys):
         assert code == 1
         assert out == ""
         assert "--pmax: bounds must lie in [0, 1)" in err
+
+
+def test_region_grid_counts_must_be_positive(capsys):
+    code, out, err = run_cli(
+        ["region", EXAMPLE, "--grid", "0x5", "--pmax", "0.1,0.1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--grid: counts must be positive" in err
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: defaulted parameters that no reader passes, each kept for a reason
 UNPASSED_HOOKS = {
-    # the gain-invariance tests substitute placement targets through it
-    "dropstab.factorization.wonham_gain": {"place_targets"},
     # the console entry point parses sys.argv when it is called without one
     "dropstab.cli.main": {"argv"},
 }

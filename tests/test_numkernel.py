@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import linalg as sla
 
 from dropstab import config
 from dropstab.numkernel import _canonical_order, eigenvalues, solve_stein, spectral_radius
@@ -80,9 +81,8 @@ def test_eigenvalues_similarity_invariance():
 
 def test_eigenvalues_residual_gate_scales_by_the_spectral_norm(monkeypatch):
     # the gate accepts exactly when the residual is at most the tolerance
-    # times max(1, ||A||_2), whether the cheap norm bound or the SVD decides;
-    # the eigensolver is made to return each eigenvalue off by delta, so the
-    # residual is delta; on a diagonal matrix the bound meets the norm
+    # times max(1, ||A||_2); the eigensolver is made to return each
+    # eigenvalue off by delta, so the residual is delta
     rng = np.random.default_rng(8)
     eig = np.linalg.eig
     for n in (2, 3, 5):
@@ -154,6 +154,41 @@ def test_solve_stein_random_residual_and_symmetry():
         assert_allclose(A.conj().T @ P @ A - P + Q, np.zeros((n, n)), atol=1e-9 * max(1, np.linalg.norm(Q)))
         assert_allclose(P, P.conj().T, atol=1e-9 * np.linalg.norm(P))
         assert np.min(np.linalg.eigvalsh((P + P.conj().T) / 2)) > -1e-9
+
+
+def test_solve_stein_refines_before_its_gate(monkeypatch):
+    # a dense solve that passes the gate takes one lu_solve; a first solve
+    # made off by a relative 1e-6 fails it, and one refinement step, the
+    # defect fed back through the factored operator, brings it back; with
+    # the tolerance at 0 no solve passes, so refinement runs until the
+    # defect stagnates (at most three steps) and the gate raises
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((5, 5))
+    A *= 0.8 / spectral_radius(A)
+    R = rng.standard_normal((5, 5))
+    Q = R.T @ R
+    solves = []
+    lu_solve = sla.lu_solve
+
+    def counted(*args):
+        solves.append(None)
+        x = lu_solve(*args)
+        return x * (1.0 + 1e-6) if off_first and len(solves) == 1 else x
+
+    monkeypatch.setattr(sla, "lu_solve", counted)
+    off_first = False
+    P = solve_stein(A, Q)
+    assert len(solves) == 1
+    solves.clear()
+    off_first = True
+    assert_allclose(solve_stein(A, Q), P, rtol=1e-12)
+    assert len(solves) == 2
+    solves.clear()
+    off_first = False
+    monkeypatch.setattr(config, "STEIN_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ValueError, match=r"Stein residual .* exceeds 0\.0e\+00"):
+        solve_stein(A, Q)
+    assert 2 <= len(solves) <= 4
 
 
 def test_solve_stein_rejects_unit_radius():

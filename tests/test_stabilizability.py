@@ -43,7 +43,6 @@ from dropstab.stabilizability import (
     certificate_value,
     closed_loop_map,
     controller,
-    max_blocking_probability,
     membership,
     mp_supremum,
     ms_radius,
@@ -144,7 +143,7 @@ def test_phi_scalar_matches_closed_form():
         if abs(z - lam) < 0.05:
             continue
         sec = _allpass_section(lam)
-        phi = phi_diag_entry(sec, z)
+        phi = phi_diag_entry(sec, (z,))[0]
         bound = siso_closed_form(lam, z)
         assert_allclose(phi, 1.0 / bound - 1.0, rtol=1e-10, atol=1e-12)
 
@@ -152,12 +151,14 @@ def test_phi_scalar_matches_closed_form():
 def test_phi_rejects_bad_inputs():
     sec = _allpass_section(2.0)
     with pytest.raises(ValueError, match="unit circle"):
-        phi_diag_entry(sec, 0.5)
+        phi_diag_entry(sec, (0.5,))
     with pytest.raises(ValueError, match="collides with a pole"):
-        phi_diag_entry(sec, 2.0)  # zero right on the mirrored pole
+        phi_diag_entry(sec, (2.0,))  # zero right on the mirrored pole
     skew = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.5]])
     with pytest.raises(ValueError, match="balanced"):
-        phi_diag_entry(skew, 3.0)
+        phi_diag_entry(skew, (3.0,))
+    with pytest.raises(ValueError, match="need 1 channel zeros, got 2"):
+        phi_diag_entry(sec, (3.0, None))
 
 
 # --- rectangles on the benchmark plant --------------------------------------
@@ -170,7 +171,7 @@ def test_rectangle_vertices_match_oracle(example_ss):
     assert_allclose(rects.vertices[1], VERTEX_21, rtol=1e-9)
     assert_allclose(rects.volumes[0], VERTEX_12[0] * VERTEX_12[1], rtol=1e-9)
     assert_allclose(rects.volumes[1], VERTEX_21[0] * VERTEX_21[1], rtol=1e-9)
-    assert_allclose(max_blocking_probability(rects), rects.volumes[1], rtol=1e-12)
+    assert_allclose(max(rects.volumes), rects.volumes[1], rtol=1e-12)
 
 
 def test_union_membership_spots(example_ss):
@@ -241,7 +242,7 @@ def test_rectangle_vertex_matches_allpass_oracle():
                for lam, z in zip(alloc, zeros)):
             continue
         got = rectangle_vertex(_allocation_form(alloc), zeros)
-        want = [1.0 / (phi_diag_entry(_scalar_blaschke(tuple(lam)), z, 0) + 1.0)
+        want = [1.0 / (phi_diag_entry(_scalar_blaschke(tuple(lam)), (z,))[0] + 1.0)
                 for lam, z in zip(alloc, zeros)]
         assert_allclose(got, want, rtol=1e-10, err_msg=str((alloc, zeros)))
         checked += 1
@@ -281,9 +282,8 @@ def _rel_gap(a, b) -> float:
 def _identity_factor(plant):
     """Right coprime factor over the identity channel ordering and the
     default gain, the one ``certificate_value`` builds."""
-    M, _ = coprime_factorize(plant, wonham_gain(
+    return coprime_factorize(plant, wonham_gain(
         wonham_decompose(plant, tuple(range(plant.n_inputs)))))
-    return M
 
 
 def test_phi_closed_form_matches_inner_outer_oracle(example_ss, monkeypatch):
@@ -410,13 +410,13 @@ def test_phi_never_returns_non_finite_values():
             problem.phi(np.array(bad))
 
 
-def test_phi_invariant_under_gain_choice(example_ss):
+def test_phi_invariant_under_gain_choice(example_ss, monkeypatch):
     # the Pick data come from the plant alone: phi of the factor over
     # another stabilizing gain is the same
     default = ScalingProblem(example_ss, EXAMPLE_ZEROS)
-    F2 = wonham_gain(wonham_decompose(example_ss, (0, 1)), place_targets=lambda eigs: [
+    monkeypatch.setattr(factorization, "_reflect_targets", lambda eigs: [
         0.8 / np.conj(v) if abs(v) >= 1.0 else 0.8 * v for v in eigs])
-    M2, _ = coprime_factorize(example_ss, F2)
+    M2 = coprime_factorize(example_ss, wonham_gain(wonham_decompose(example_ss, (0, 1))))
     other = phi_inner_outer(M2, EXAMPLE_ZEROS, np.ones(2))
     assert np.max(np.abs(default.phi(np.ones(2)) - other)) < 1e-8
 
@@ -443,7 +443,7 @@ def _plant_with_poles(rng, r, lam_real, lam_pairs, n_stable):
                            rng.normal(size=(r, n)), np.zeros((r, r)))
 
 
-def test_pick_vectors_are_input_directions_of_left_eigenvectors():
+def test_pick_vectors_are_input_directions_of_left_eigenvectors(monkeypatch):
     # w_i = B* u_i with u_i* A = lambda_i u_i*, up to a unit factor: the left
     # null vector of M(lambda_i) by SVD, whatever the gain M is built over,
     # on seeded plants with 1 to 4 channels, complex pairs and channel zeros
@@ -464,10 +464,13 @@ def test_pick_vectors_are_input_directions_of_left_eigenvectors():
                           for _ in range(r))
             problem = ScalingProblem(plant, zeros)
             k = len(lam_real) + 2 * len(pairs)
-            for targets in (None, lambda eigs: [0.6 * v if abs(v) < 1.0 else 0.5 / np.conj(v)
-                                                for v in eigs]):
-                F = wonham_gain(wonham_decompose(plant, tuple(range(r))), targets)
-                M, _ = coprime_factorize(plant, F)
+            for targets in (factorization._reflect_targets,
+                            lambda eigs: [0.6 * v if abs(v) < 1.0 else 0.5 / np.conj(v)
+                                          for v in eigs]):
+                with monkeypatch.context() as mp:
+                    mp.setattr(factorization, "_reflect_targets", targets)
+                    M = coprime_factorize(plant, wonham_gain(
+                        wonham_decompose(plant, tuple(range(r)))))
                 lam, W = pick_data_svd(M)
                 assert lam.size == k
                 poles = eigenvalues(plant.A)
