@@ -25,20 +25,16 @@ Two complementary certificates are computed:
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
-the Pick data of M (``ScalingProblem.phi``), which are the plant's own:
-with ``lambda_1..lambda_k`` the unstable eigenvalues of A (the unstable
-zeros of M), ``w_i = B* u_i`` for the left eigenvectors ``u_i* A = lambda_i
-u_i*`` (the left null vectors of ``M(lambda_i)`` for every stabilizing
-gain) and ``Y = Gamma^{-1} W``, ``phi_jj = x_j Pi^{-1} x_j*`` where
-``Pi_ik = y_i* y_k / (lambda_i conj(lambda_k) - 1)`` and ``x_j`` is row j
-of Y weighted entrywise by ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) -
-conj(lambda_i))`` (1 on a clean channel).  So the search builds no
-decomposition, gain or coprime factor; one k-by-k factorization replaces an
-inner-outer split per point, and a stack of scalings (a stencil round, the
-region sweep) takes one stacked factorization; a scaling where it fails is
-valued ``inf``.  ``certificate_value``, the check run on a certificate
-before synthesis, builds M and keeps the inner-outer route, so every
-certificate is re-checked by an independent computation.
+the Pick data of M, which are the plant's own, held once as a linear pencil
+(``ScalingProblem``): with ``d = gamma^-2`` entrywise, the Pick matrix is
+``Pi(d) = sum_j d_j B_j`` and ``phi_jj = d_j u_j Pi(d)^{-1} u_j*``, for
+Hermitian parts ``B_j`` and rows ``u_j`` fixed per channel.  So the search
+builds no decomposition, gain or coprime factor; one k-by-k factorization
+replaces an inner-outer split per point, and a stack of scalings (a stencil
+round, the region sweep) takes one stacked factorization; a scaling where
+it fails is valued ``inf``.  ``certificate_value``, the check run on a
+certificate before synthesis, builds M and keeps the inner-outer route, so
+every certificate is re-checked by an independent computation.
 
 ``synthesize`` turns a certifying scaling into the controller: the optimal
 Youla parameter over a doubly-coprime factorization of the plant with the
@@ -344,18 +340,21 @@ class ScalingProblem:
     The Pick data of M are computed once, at construction, from the plant
     pair (A, B) alone: the unstable zeros ``lambda_i`` of M are the unstable
     eigenvalues of A, and the left null vector of ``M(lambda_i)`` is
-    ``w_i = B* u_i`` (normalized) with ``u_i* A = lambda_i u_i*``, for every
+    ``w_i = B* q_i`` (normalized) with ``q_i* A = lambda_i q_i*``, for every
     stabilizing gain F, because ``M^{-1} = (A, B, F, I)`` has the residue
-    ``F v_i u_i* B`` at ``lambda_i``.  With the ``w_i`` as the columns of
-    W, the Cauchy kernel ``1/(lambda_i conj(lambda_k) - 1)`` and the channel
-    weights ``(zeta_j conj(lambda_i) - 1)/(conj(zeta_j) - conj(lambda_i))``,
-    which are 1 on a clean channel, scaling keeps each ``lambda_i`` and maps
-    W to ``Y = diag(gamma)^{-1} W``, so ``phi`` needs one k-by-k Cholesky
-    factorization of the Pick matrix ``Pi = (Y* Y) o kernel``:
-    ``phi_jj = x_j Pi^{-1} x_j*`` with ``x_j`` row j of Y times the weights.
-    On a clean channel of a decoupled plant this is the product bound
-    ``phi_jj + 1 = prod |lambda_i|^2``.  The class builds no coprime factor;
-    ``certificate_value`` re-checks a certificate through one.
+    ``F v_i q_i* B`` at ``lambda_i``.  Scaling keeps each ``lambda_i`` and
+    divides row j of W, whose columns are the ``w_i``, by ``gamma_j``.  So
+    with ``d_j = gamma_j^-2`` the Pick matrix is the linear pencil
+    ``Pi(d) = sum_j d_j B_j`` in the Hermitian parts ``B_j = (w_j* w_j) o
+    kernel``, for row ``w_j`` of W and the Cauchy kernel ``1/(lambda_i
+    conj(lambda_k) - 1)``, and ``phi_jj = d_j u_j Pi(d)^{-1} u_j*``, where
+    ``u_j`` is ``w_j`` times the channel weights ``(zeta_j conj(lambda_i) -
+    1)/(conj(zeta_j) - conj(lambda_i))``, which are 1 on a clean channel.
+    The class stores the parts, shape (r, k, k) for k unstable poles, and
+    the rows ``u_j``; ``phi`` and ``crossing`` read both.  On a clean
+    channel of a decoupled plant ``phi_jj + 1 = prod |lambda_i|^2``.  The
+    class builds no coprime factor; ``certificate_value`` re-checks a
+    certificate through one.
 
     Raises
     ------
@@ -368,9 +367,8 @@ class ScalingProblem:
 
     plant: StateSpaceModel
     zeros: tuple
-    _W: np.ndarray = field(init=False, repr=False, compare=False)
-    _kernel: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _parts: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B = self.plant.A, self.plant.B
@@ -393,12 +391,14 @@ class ScalingProblem:
             w = B.conj().T @ U[:, -1]
             W[:, i] = w / np.linalg.norm(w)
         kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
-        for name, value in (("_W", W), ("_kernel", kernel), ("_weights", weights)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_parts", W.conj()[:, :, None] * W[:, None, :] * kernel)
+        object.__setattr__(self, "_rows", W * weights)
 
     def phi(self, gamma) -> np.ndarray:
-        """Per-channel ``phi_jj`` at the square-root scaling ``gamma``, in
-        closed form; ValueError only for a malformed ``gamma``.
+        """Per-channel ``phi_jj`` at the square-root scaling ``gamma``, from
+        the class's pencil: with ``d = gamma^-2`` and L the Cholesky factor
+        of ``Pi(d)``, ``phi_jj = d_j |L^{-1} u_j*|^2``; ValueError only for
+        a malformed ``gamma``.
 
         ``gamma`` is one scaling of shape (r,) or a stack of N scalings of
         shape (N, r); the result has the same shape, and one scaling is
@@ -412,20 +412,20 @@ class ScalingProblem:
         if (g.ndim not in (1, 2) or g.shape[-1] != len(self.zeros)
                 or not np.all(np.isfinite(g) & (g > 0.0))):
             raise ValueError("gamma must hold one finite positive entry per channel")
-        Y = self._W / np.atleast_2d(g)[:, :, None]
+        d = np.atleast_2d(g) ** -2.0
 
-        def pick_phi(Y):
-            L = np.linalg.cholesky((Y.conj().swapaxes(1, 2) @ Y) * self._kernel)
-            Z = np.linalg.solve(L, (Y * self._weights).conj().swapaxes(1, 2))
-            return np.sum(np.abs(Z) ** 2, axis=1)
+        def pick_phi(d):
+            L = np.linalg.cholesky(np.einsum("nj,jik->nik", d, self._parts))
+            Z = np.linalg.solve(L, self._rows.conj().T)
+            return d * np.sum(np.abs(Z) ** 2, axis=1)
 
         try:
-            phi = pick_phi(Y)
+            phi = pick_phi(d)
         except np.linalg.LinAlgError:
-            phi = np.full(Y.shape[:2], math.inf)
-            for i in range(len(Y)):
+            phi = np.full(d.shape, math.inf)
+            for i in range(len(d)):
                 try:
-                    phi[i] = pick_phi(Y[i:i + 1])[0]
+                    phi[i] = pick_phi(d[i:i + 1])[0]
                 except np.linalg.LinAlgError:
                     continue
         phi[~np.all(np.isfinite(phi), axis=1)] = math.inf
@@ -436,42 +436,37 @@ class ScalingProblem:
         minimizes ``max_j p_j (phi_jj + 1)``, from one k-by-k pencil, and
         the number of Newton steps it took.
 
-        With ``d = gamma_2^-2`` the Pick matrix is ``B_1 + d B_2``, where
-        ``B_j = (w_j* w_j) o kernel`` for row ``w_j`` of W.  The
-        Hermitian-definite pencil ``(B_2, B_1 + B_2)`` has eigenvalues theta
-        in [0, 1] and eigenvectors V with ``V* (B_1 + B_2) V = I``, so with
-        ``u_j`` row j of W times the weights and ``den = (1 - theta) + d
-        theta``, ``phi_11 = sum |u_1 V|^2 / den`` falls and ``phi_22 = d sum
-        |u_2 V|^2 / den`` rises in d.  Their certificate terms cross once,
-        where the gap ``p_1 (phi_11 + 1) - p_2 (phi_22 + 1)``, convex and
-        falling in d, changes sign.  The gap is evaluated on the search
-        grid's axis: where one term dominates across the whole box, the box
-        end that favours it is returned after 0 steps; otherwise Newton
-        steps in d start at the first axis point where the gap is positive.
-        From there, by convexity, each step rises towards the root without
-        passing it, so no safeguard is needed; the steps stop where the gap
-        is no longer positive or a step moves ``log10 gamma_2`` by at most
-        ``CROSSING_XTOL``.  The pencil only proposes the point: ``membership``
-        values phi there by ``phi``'s stacked factorization, the more
-        accurate of the two near the box ends.  ValueError for another
-        channel count, or where ``B_1 + B_2`` is not numerically positive
-        definite or the pencil is not finite.
+        With ``d = gamma_2^-2`` the class's pencil is ``Pi = B_1 + d B_2``.
+        The Hermitian-definite pencil ``(B_2, B_1 + B_2)`` has eigenvalues
+        theta in [0, 1] and eigenvectors V with ``V* (B_1 + B_2) V = I``, so
+        with ``den = (1 - theta) + d theta``, ``phi_11 = sum |u_1 V|^2 /
+        den`` falls and ``phi_22 = d sum |u_2 V|^2 / den`` rises in d.
+        Their certificate terms cross once, where the gap
+        ``p_1 (phi_11 + 1) - p_2 (phi_22 + 1)``, convex and falling in d,
+        changes sign.  The gap is evaluated on the search grid's axis: where
+        one term dominates across the whole box, the box end that favours it
+        is returned after 0 steps; otherwise Newton steps in d start at the
+        first axis point where the gap is positive.  From there, by
+        convexity, each step rises towards the root without passing it, so
+        no safeguard is needed; the steps stop where the gap is no longer
+        positive or a step moves ``log10 gamma_2`` by at most
+        ``CROSSING_XTOL``.  The pencil only proposes the point:
+        ``membership`` values phi there by ``phi``'s stacked factorization,
+        the more accurate of the two near the box ends.  ValueError for
+        another channel count, or where ``B_1 + B_2`` is not numerically
+        positive definite.
         """
         if len(self.zeros) != 2:
             raise ValueError("the pencil covers exactly two channels")
         p1, p2 = (float(v) for v in p)
-        W, U = self._W, self._W * self._weights
-        B1, B2 = ((np.outer(W[j].conj(), W[j]) * self._kernel) for j in (0, 1))
+        B1, B2 = self._parts
         try:
             Linv = np.linalg.inv(np.linalg.cholesky(B1 + B2))
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"B_1 + B_2 factorization failed ({exc})") from exc
         theta, Q = np.linalg.eigh(Linv @ B2 @ Linv.conj().T)
         V = Linv.conj().T @ Q
-        a, b = (np.abs(U[j] @ V) ** 2 for j in (0, 1))
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(a))
-                and np.all(np.isfinite(b))):
-            raise ValueError("the pencil has non-finite entries")
+        a, b = (np.abs(self._rows[j] @ V) ** 2 for j in (0, 1))
         theta = np.clip(theta, 0.0, 1.0)
         rest = 1.0 - theta
 

@@ -153,6 +153,37 @@ def pick_data_svd(M: StateSpaceModel):
     return lam, W
 
 
+def phi_pick_gram(plant: StateSpaceModel, zeros, gammas) -> np.ndarray:
+    """phi at each row of the stack ``gammas`` by the Gram form of the Pick
+    matrix.  W's unit columns are ``B* q_i`` for the left eigenvectors
+    ``q_i* A = lambda_i q_i*`` at the unstable eigenvalues (from ``eig`` of
+    ``A*``), ``Y = diag(gamma)^{-1} W``, L is the Cholesky factor of
+    ``(Y* Y) o kernel`` and ``phi_jj = |L^{-1} x_j*|^2`` for row ``x_j`` of
+    Y times the channel weights.  A row whose factorization fails or whose
+    phi is not finite is inf in every entry."""
+    mu, Q = np.linalg.eig(plant.A.conj().T)
+    unstable = np.abs(mu) > 1.0
+    lam = np.conj(mu[unstable])
+    W = plant.B.conj().T @ Q[:, unstable]
+    W /= np.linalg.norm(W, axis=0)
+    kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
+    weights = np.ones(W.shape, dtype=complex)
+    for j, z in enumerate(zeros):
+        if z is not None:
+            weights[j] = (z * np.conj(lam) - 1.0) / (np.conj(z) - np.conj(lam))
+    out = np.full(np.shape(gammas), np.inf)
+    for n, gamma in enumerate(gammas):
+        Y = W / np.asarray(gamma)[:, None]
+        try:
+            L = np.linalg.cholesky((Y.conj().T @ Y) * kernel)
+        except np.linalg.LinAlgError:
+            continue
+        phi = np.sum(np.abs(np.linalg.solve(L, (Y * weights).conj().T)) ** 2, axis=0)
+        if np.all(np.isfinite(phi)):
+            out[n] = phi
+    return out
+
+
 def phi_inner_outer(M: StateSpaceModel, zeros, gamma) -> np.ndarray:
     """The diagonal phi of the all-pass factor of the scaled coprime factor
     ``diag(gamma) M diag(gamma)^{-1}``, by an inner-outer split."""

@@ -399,9 +399,9 @@ def test_phi_never_returns_non_finite_values():
     ))
     problem = ScalingProblem(g, (None, None))
     with np.errstate(all="ignore"):
-        # far outside the search box: Y* Y underflows to a singular Pick
-        # matrix, or overflows; either way the scaling fails, and phi gives
-        # no NaN and no partial value for it: inf in every entry
+        # far outside the search box: the Pick matrix underflows to a
+        # singular one, or overflows; either way the scaling fails, and phi
+        # gives no NaN and no partial value for it: inf in every entry
         for far in (1e200, 1e-200):
             assert np.array_equal(problem.phi(np.array([1.0, far])), [np.inf, np.inf])
     # only a malformed gamma raises
@@ -474,11 +474,21 @@ def test_pick_vectors_are_input_directions_of_left_eigenvectors(monkeypatch):
                 lam, W = pick_data_svd(M)
                 assert lam.size == k
                 poles = eigenvalues(plant.A)
-                for i, v in enumerate(poles[np.abs(poles) > 1.0]):
+                unstable = poles[np.abs(poles) > 1.0]
+                order = []
+                for v in unstable:
                     j = int(np.argmin(np.abs(lam - v)))
                     assert abs(lam[j] - v) < 1e-9 * abs(v)
-                    # unit vectors, equal up to a unit factor
-                    assert abs(abs(np.vdot(W[:, j], problem._W[:, i])) - 1.0) < 1e-9
+                    order.append(j)
+                # each part over the kernel is w_j* w_j for row w_j of the
+                # oracle's unit columns, up to one unit factor c_i per pole
+                kernel = 1.0 / (unstable[:, None] * np.conj(unstable)[None, :] - 1.0)
+                got = problem._parts / kernel
+                want = W[:, order].conj()[:, :, None] * W[:, order][:, None, :]
+                c = np.array([np.vdot(got[:, 0, i], want[:, 0, i])
+                              / np.vdot(got[:, 0, i], got[:, 0, i]) for i in range(k)])
+                assert np.all(np.abs(np.abs(c) - 1.0) < 1e-9)
+                assert np.max(np.abs(want - np.conj(c)[:, None] * c * got)) < 1e-9
                 for _ in range(4):
                     gamma = np.concatenate([[1.0], 10.0 ** rng.uniform(-3.0, 3.0, r - 1)])
                     gap = _rel_gap(problem.phi(gamma), phi_inner_outer(M, zeros, gamma))

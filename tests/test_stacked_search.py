@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from conftest import EXAMPLE_ZEROS, VERTEX_12
+from conftest import EXAMPLE_ZEROS, VERTEX_12, phi_pick_gram
 from dropstab import config
 from dropstab.factorization import MAX_CHANNELS
 from dropstab.stabilizability import (
@@ -81,6 +81,12 @@ def test_stacked_phi_equals_rows(case):
     rows = np.array([problem.phi(g) for g in gammas])
     assert np.array_equal(stacked, rows)
     assert np.array_equal(problem.phi(gammas[:1]), rows[:1])
+    # the pencil gives the Gram form's phi, and fails at the same rows
+    reference = phi_pick_gram(problem.plant, problem.zeros, gammas)
+    failed = np.isinf(stacked[:, 0])
+    assert np.array_equal(failed, np.isinf(reference[:, 0]))
+    gap = np.abs(stacked[~failed] - reference[~failed]) / np.abs(reference[~failed])
+    assert np.all(gap <= 1e-10), np.max(gap)
 
 
 def test_stacked_phi_validation():
@@ -576,6 +582,35 @@ def _decoupled():
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
         den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, 1.5))),
     ))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_no_unstable_pole(r):
+    # a stable plant has empty Pick data (k = 0): phi is 0 at every
+    # scaling, the two channel terms are p_1 and p_2, and a verdict is
+    # decided by max p alone, with the tame certificate at the box centre
+    plant = StateSpaceModel(np.diag(np.linspace(-0.5, 0.6, r)), np.eye(r), np.eye(r),
+                            np.zeros((r, r)))
+    zeros = (None,) * r
+    problem = ScalingProblem(plant, zeros)
+    logs = np.random.default_rng(r).uniform(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
+                                            (7, r - 1))
+    gammas = np.hstack([np.ones((7, 1)), 10.0 ** logs])
+    assert np.array_equal(problem.phi(gammas), np.zeros((7, r)))
+    assert np.array_equal(problem.phi(gammas[0]), np.zeros(r))
+    if r == 2:
+        assert problem.crossing([0.5, 0.9]) == (config.GAMMA_LOG_MAX, 0)
+        assert problem.crossing([0.9, 0.5]) == (config.GAMMA_LOG_MIN, 0)
+    for top in (0.9, 1.0 - 2.0 * config.MEMBER_GUARD, 1.0 - config.MEMBER_GUARD,
+                1.0 - 0.5 * config.MEMBER_GUARD):
+        p = np.linspace(0.5, top, r)
+        rep = membership(plant, zeros, ChannelSpec(p))
+        assert rep.member == (top < 1.0 - config.MEMBER_GUARD)
+        assert rep.best_value == top
+        if rep.member:
+            assert np.array_equal(rep.tame_certificate.gamma, np.ones(r))
+        else:
+            assert rep.tame_certificate is None
 
 
 @pytest.mark.parametrize("case", ["inside", "outside", "ties"])
