@@ -25,6 +25,7 @@ import numpy as np
 
 from . import config
 from .factorization import AssumptionViolation, validate_assumption
+from .numkernel import channel_zero
 from .stabilizability import (
     ChannelSpec,
     GammaScaling,
@@ -193,15 +194,17 @@ def load_model(path: str) -> ModelFile:
             raise ValueError(f"{path}: channel_zeros must list {r} numbers or nulls")
         zeros = tuple(None if z is None else _numbers(z, path, "channel_zeros").item()
                       for z in zl)
-        for z in zeros:
-            if z is not None and abs(z) <= 1.0:
-                raise ValueError(f"{path}: channel zero {z} is not outside "
-                                 "the unit circle")
     elif fmt == "tf":
         zeros = tuple(detected)
     else:
         raise ValueError(f"{path}: state-space models need explicit "
                          "channel_zeros")
+    for z in zeros:
+        if z is not None:
+            try:
+                channel_zero(z, ())
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     return ModelFile(name=name, plant=plant, zeros=zeros)
 
 
@@ -319,9 +322,9 @@ def cmd_rects(args) -> int:
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
     channels = _channels(args.probs, model.plant.n_inputs)
+    rects = rectangle_set(model.plant, model.zeros)
     print(f"model: {model.name}")
     print(f"dropout probabilities: {', '.join(_fmt(v) for v in channels.p)}")
-    rects = rectangle_set(model.plant, model.zeros)
     covered, idx = union_membership(rects, channels.p)
     if covered:
         print(f"rectangle union: member (decomposition {idx + 1})")
@@ -471,6 +474,8 @@ def cmd_supremum(args) -> int:
     try:
         sup = mp_supremum(model.plant, model.zeros)
     except ValueError as exc:
+        if all(z is None for z in model.zeros):
+            raise
         raise ValueError(f"{exc}; run the rects command for this model") from exc
     print(f"model: {model.name}")
     print(f"unstable poles: {', '.join(_fmt_c(v) for v in sup.unstable) or 'none'}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .numkernel import eigenvalues, spectral_radius, unstable_part
+from .numkernel import eigenvalues, real_part, spectral_radius, unstable_part
 from .statespace import (
     StateSpaceModel,
     TransferMatrix,
@@ -131,7 +131,9 @@ def wonham_decompose(plant: StateSpaceModel, ordering) -> WonhamForm:
     ------
     ValueError
         If the blocks do not cover the state space (the pair (A, B) is not
-        controllable) or the ordering is not a permutation of the channels.
+        controllable), the ordering is not a permutation of the channels,
+        or a block has an eigenvalue that ``numkernel.unstable_part`` finds
+        on the unit circle (repeated unstable ones are allowed).
     """
     A = plant.A
     B = plant.B
@@ -152,7 +154,8 @@ def wonham_decompose(plant: StateSpaceModel, ordering) -> WonhamForm:
         Acur = U.conj().T @ Acur @ U
         Bcur = U.conj().T @ Bcur
         lam = eigenvalues(Acur[:nc, :nc]) if nc else np.zeros(0)
-        blocks.append(WonhamBlock(channel=ch, dim=nc, lam=tuple(lam[np.abs(lam) > 1.0])))
+        lam = unstable_part(lam, "plant pole", repeats=True)
+        blocks.append(WonhamBlock(channel=ch, dim=nc, lam=tuple(lam)))
         off += nc
         Acur = Acur[nc:, nc:]
         Bcur = Bcur[nc:, :]
@@ -221,9 +224,8 @@ def wonham_gain(form: WonhamForm) -> np.ndarray:
         # placement convention is eig(A + b f); stabilizing A - b f needs -f
         Fw[k, sl] = -place_single_input(Ak, bk, goals)
     F = Fw[np.argsort(form.ordering)] @ form.transform.conj().T
-    if np.max(np.abs(F.imag)) < 1e-9 * max(1.0, np.max(np.abs(F.real))):
-        F = F.real
-    return F
+    F_real = real_part(F)
+    return F if F_real is None else F_real
 
 
 def observer_gain(plant: StateSpaceModel) -> np.ndarray:
@@ -276,7 +278,6 @@ def coprime_factorize(plant: StateSpaceModel, F) -> StateSpaceModel:
     ValueError
         If F does not make ``A - B F`` stable.
     """
-    F = np.asarray(F, dtype=float if np.isrealobj(F) else complex)
     AF = plant.A - plant.B @ F
     if spectral_radius(AF) >= 1.0:
         raise ValueError("gain does not stabilize: rho(A - B F) >= 1")

@@ -14,8 +14,8 @@ from scipy import linalg as sla
 
 from . import config
 
-__all__ = ["channel_zero", "eigenvalues", "solve_stein", "spectral_radius",
-           "unstable_part"]
+__all__ = ["channel_zero", "eigenvalues", "real_part", "solve_stein",
+           "spectral_radius", "unstable_part"]
 
 #: Largest matrix order accepted by the dense Stein solver (the Kronecker
 #: system has order n**2).
@@ -32,6 +32,16 @@ def _as_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarray:
     if A.size and not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
+
+
+def real_part(M) -> np.ndarray | None:
+    """Re M as a contiguous float64 array when ``max|Im M| < 1e-9 max(1,
+    max|Re M|)``, else None: the one test of whether matrix data is real."""
+    M = np.asarray(M)
+    out = np.array(M.real, dtype=float)
+    if np.max(np.abs(M.imag), initial=0.0) < 1e-9 * max(1.0, np.max(np.abs(out), initial=0.0)):
+        return out
+    return None
 
 
 def _canonical_order(w: np.ndarray) -> np.ndarray:
@@ -92,14 +102,17 @@ def eigenvalues(M) -> np.ndarray:
     return w[_canonical_order(w)]
 
 
-def unstable_part(values, what: str) -> np.ndarray:
+def unstable_part(values, what: str, repeats: bool = False) -> np.ndarray:
     """The values of a spectrum outside the unit circle, in their order;
     ValueError, naming them ``what``, for a value within ``UNIT_CIRCLE_BAND``
-    of the circle or two unstable ones within ``ZERO_SEPARATION_TOL``."""
+    of the circle or, unless ``repeats``, two unstable ones within
+    ``ZERO_SEPARATION_TOL``."""
     values = np.asarray(values)
     if np.any(np.abs(np.abs(values) - 1.0) < config.UNIT_CIRCLE_BAND):
         raise ValueError(f"{what} within 1e-9 of the unit circle")
     out = values[np.abs(values) > 1.0]
+    if repeats:
+        return out
     gaps = np.abs(out[:, None] - out[None, :])[np.triu_indices(out.size, 1)]
     if np.any(gaps <= config.ZERO_SEPARATION_TOL):
         raise ValueError(f"repeated unstable {what}: not supported")
@@ -107,11 +120,12 @@ def unstable_part(values, what: str) -> np.ndarray:
 
 
 def channel_zero(zero, poles) -> complex:
-    """A channel's zero as a complex number; ValueError unless it lies
-    outside the closed unit disc and ``1e-9 max(1, |zeta|)`` from ``poles``."""
+    """A channel's zero as a complex number; ValueError unless it lies at
+    least ``UNIT_CIRCLE_BAND`` outside the unit circle and ``1e-9 max(1,
+    |zeta|)`` from ``poles``."""
     z = complex(zero)
-    if abs(z) <= 1.0:
-        raise ValueError(f"channel zero {z} must lie outside the unit circle")
+    if abs(z) - 1.0 < config.UNIT_CIRCLE_BAND:
+        raise ValueError(f"channel zero {z} must lie at least 1e-9 outside the unit circle")
     if np.min(np.abs(np.asarray(poles) - z), initial=np.inf) < 1e-9 * max(1.0, abs(z)):
         raise ValueError(f"channel zero {z} collides with a pole")
     return z

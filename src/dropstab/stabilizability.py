@@ -290,7 +290,9 @@ def rectangle_vertex(form: WonhamForm, zeros) -> np.ndarray:
 
 
 def rectangle_set(plant: StateSpaceModel, zeros) -> RectangleSet:
-    """All admissible rectangles over the distinct decompositions."""
+    """All admissible rectangles over the distinct decompositions;
+    ValueError for a plant pole within ``UNIT_CIRCLE_BAND`` of the unit
+    circle (``factorization.wonham_decompose``)."""
     forms = enumerate_wonham_forms(plant)
     vertices = tuple(rectangle_vertex(f, zeros) for f in forms)
     volumes = tuple(float(np.prod(v)) for v in vertices)
@@ -316,11 +318,12 @@ def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
     Raises
     ------
     ValueError
-        If any channel carries an unstable zero (not minimum phase).
+        If any channel carries an unstable zero (not minimum phase), or a
+        plant pole lies within ``UNIT_CIRCLE_BAND`` of the unit circle.
     """
     if any(z is not None for z in zeros):
         raise ValueError("plant is not minimum phase: use the rectangle analysis")
-    unstable = tuple(v for v in eigenvalues(plant.A) if abs(v) > 1.0)
+    unstable = tuple(unstable_part(eigenvalues(plant.A), "plant pole", repeats=True))
     moduli = np.abs(unstable)
     return MpSupremum(derived_bound=_channel_bound(moduli, None),
                       stated_bound=1.0 / float(np.prod(moduli)),

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import config
-from .numkernel import eigenvalues, solve_stein, _as_matrix
+from .numkernel import eigenvalues, real_part, solve_stein, _as_matrix
 
 __all__ = [
     "StateSpaceModel",
@@ -69,12 +69,13 @@ class StateSpaceModel:
             )
         if D.shape != (C.shape[0], B.shape[1]):
             raise ValueError(f"D must be {(C.shape[0], B.shape[1])}, got {D.shape}")
-        for M in (A, B, C, D):
+        for name, M in zip("ABCD", (A, B, C, D)):
+            # data real to rounding is stored with an imaginary part of 0
+            re = real_part(M) if M.imag.any() else None
+            if re is not None:
+                M = re.astype(complex)
             M.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+            object.__setattr__(self, name, M)
 
     @property
     def order(self) -> int:
@@ -424,9 +425,7 @@ def stable_part(sys: StateSpaceModel) -> tuple:
     n = sys.order
     if n == 0:
         return sys, 0.0
-    real_data = all(np.max(np.abs(M.imag), initial=0.0) < 1e-9 * max(1.0, np.max(np.abs(M), initial=0.0))
-                    for M in (sys.A, sys.B, sys.C, sys.D))
-    if real_data:
+    if not any(M.imag.any() for M in (sys.A, sys.B, sys.C, sys.D)):
         T, Z, sdim = scipy.linalg.schur(sys.A.real, output="real", sort="iuc")
         Bf, Cf = sys.B.real, sys.C.real
     else:
@@ -550,8 +549,9 @@ def place_single_input(A, b, targets) -> np.ndarray:
     en[-1] = 1.0
     row = np.linalg.solve(K.T, en)
     f = -(row @ phi) @ T.conj().T
-    if np.max(np.abs(f.imag)) < 1e-9 * max(1.0, np.max(np.abs(f.real))):
-        f = f.real.astype(float)
+    f_real = real_part(f)
+    if f_real is not None:
+        f = f_real
     achieved = eigenvalues(A + b @ f.reshape(1, -1))
     wanted = eigenvalues(np.diag(targets))
     err = float(np.max(np.abs(achieved - wanted)))

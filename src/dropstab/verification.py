@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numkernel import real_part
 from .stabilizability import ChannelSpec
 from .statespace import StateSpaceModel
 
@@ -43,9 +44,8 @@ MAX_SIM_BYTES = 2 * 10 ** 8
 
 
 def _real_matrix(M, name):
-    M = np.asarray(M)
-    out = np.real(M).astype(float)
-    if np.max(np.abs(np.imag(M)), initial=0.0) > 1e-9 * max(1.0, np.max(np.abs(out), initial=0.0)):
+    out = real_part(M)
+    if out is None:
         raise ValueError(f"{name} must be a real matrix")
     return out
 

@@ -366,6 +366,22 @@ def test_three_channel_designs_attain_their_certificates(monkeypatch):
     assert {key: v for key, v in outcomes.items() if v != "attains"} == ATTAINMENT_FAILURES
 
 
+#: draws of the rail family above whose tame-certificate design does not
+#: attain its certificate, by class; 34 is also a rail failure
+RAIL_ATTAINMENT_FAILURES = {3: "cancellation", 14: "cancellation",
+                            24: "deviates", 34: "deviates", 36: "deviates"}
+
+
+def test_two_channel_designs_attain_their_certificates():
+    # the first 40 draws of the rail family, each probed as there
+    rng = np.random.default_rng(7)
+    outcomes = {}
+    for k in range(40):
+        plant, zeros = _random_admissible_plant(rng)
+        outcomes[k] = _attainment_outcome(plant, zeros, float(rng.uniform(0.5, 0.98)))
+    assert {k: v for k, v in outcomes.items() if v != "attains"} == RAIL_ATTAINMENT_FAILURES
+
+
 def test_vertices_invariant_to_stabilizing_gain_draw(example_ss, monkeypatch):
     def scaled_reflection(radius):
         def targets(eigs):

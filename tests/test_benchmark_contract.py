@@ -14,6 +14,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,20 +63,34 @@ def _spans():
 
 def _python(*args, **env):
     """Run a fresh interpreter on the repository's ``src`` with ``env`` added
-    to the environment; returns its stdout."""
+    to the environment; returns the finished process."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True).stdout
+                          capture_output=True, text=True, check=True)
 
 
 def test_package_import_loads_every_traced_module():
     # the tracer looks its modules up in sys.modules after importing
     # dropstab and dropstab.cli, so those two imports must load them all
-    loaded = _python("-c", "import sys, dropstab, dropstab.cli; print(*sys.modules)").split()
+    loaded = _python("-c", "import sys, dropstab, dropstab.cli; print(*sys.modules)")
+    loaded = loaded.stdout.split()
     missing = [m for m in _spans().TRACED if f"dropstab.{m}" not in loaded]
     assert missing == []
+
+
+def test_import_probe_times_scipy_optimize():
+    # the traced run reports import.scipy_optimize_s from this probe, as
+    # perfbench/run.py:import_times makes it; without a scipy.optimize line
+    # the metric is null and the run's result line is malformed.  So
+    # `import dropstab` must import scipy.optimize until ROADMAP item 6
+    # reports an absent module as 0 s, which lifts this constraint.
+    probe = _python("-X", "importtime", "-c", "import dropstab").stderr
+    modules = re.findall(r"^import time:\s+\d+\s+\|\s+\d+\s+\|\s*(\S+)\s*$", probe,
+                         re.MULTILINE)
+    assert "dropstab" in modules
+    assert "scipy.optimize" in modules
 
 
 def test_traced_functions_resolve():
@@ -166,7 +181,7 @@ def test_example_session_bytes_match_reference(tmp_path):
     got = json.loads(_python("-c", SESSION_SCRIPT, str(PERFBENCH),
                              str(tmp_path / "controller.json"),
                              OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                             MKL_NUM_THREADS="1"))
+                             MKL_NUM_THREADS="1").stdout)
     want = json.loads((PERFBENCH / "reference.json").read_text())["sha256"]
     assert list(got) == list(want)
     for name, (code, digest) in got.items():

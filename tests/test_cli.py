@@ -131,6 +131,12 @@ def test_load_rejects_malformed(tmp_path):
         path = _write(tmp_path, f"named{k}.json", payload)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_model(path)
+    # a zero within the unit-circle band fails at load, not in synthesis
+    near = _write(tmp_path, "near.json", dict(example, channel_zeros=[1.0 + 1e-12, None]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{near}: channel zero (1.000000000001+0j) must lie at least 1e-9 "
+            "outside the unit circle")):
+        load_model(near)
     path = tmp_path / "truncated.json"
     path.write_text('{"name": "x", "format": ', encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON (")):
@@ -747,6 +753,19 @@ def test_supremum_nmp_redirects(capsys):
     code, _, err = run_cli(["supremum", EXAMPLE], capsys)
     assert code == 1
     assert "rects" in err
+
+
+def test_pole_on_the_unit_circle_is_refused(tmp_path, capsys):
+    # the pole at 1 is neither stable nor unstable: no command gives
+    # channel 2 a threshold or a verdict
+    path = _write(tmp_path, "circle.json", {
+        "name": "circle", "format": "ss", "channel_zeros": [None, None],
+        "ss": {"A": [[2.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+               "C": [[1.0, 0.0], [0.0, 1.0]], "D": [[0.0, 0.0], [0.0, 0.0]]}})
+    for argv in (["rects", path], ["supremum", path], ["analyze", path, "--probs", "0.1,0.1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: plant pole within 1e-9 of the unit circle\n", argv
 
 
 # ---------------------------------------------------------------------------

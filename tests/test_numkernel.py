@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 from scipy import linalg as sla
 
 from dropstab import config
-from dropstab.numkernel import _canonical_order, eigenvalues, solve_stein, spectral_radius
+from dropstab.numkernel import (_canonical_order, eigenvalues, real_part, solve_stein,
+                                spectral_radius)
 
 
 def test_eigenvalues_diagonal_ordering():
@@ -201,3 +202,14 @@ def test_solve_stein_rejects_unit_radius():
 def test_solve_stein_rejects_order_mismatch():
     with pytest.raises(ValueError, match="orders differ"):
         solve_stein(np.eye(2) * 0.5, np.eye(3))
+
+
+def test_real_part_is_one_relative_test():
+    M = np.array([[3.0 + 2e-9j, -1.0], [0.5, 2.0 - 1e-12j]])
+    out = real_part(M)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(out, M.real)
+    # the tolerance is 1e-9 times the largest real entry, or times 1
+    assert real_part(np.array([[1.0 + 2e-9j]])) is None
+    assert real_part(np.array([[1e-10j]])) is not None
+    assert real_part(np.zeros((0, 2))).shape == (0, 2)

@@ -48,6 +48,16 @@ def _rand_stable(rng, n, p=1, m=1, radius=0.8):
                            rng.standard_normal((p, n)), rng.standard_normal((p, m)))
 
 
+def test_model_stores_real_data_with_zero_imaginary_part():
+    noisy = np.array([[0.5 + 1e-12j, 1.0], [0.0, 0.25]])
+    sys = StateSpaceModel(noisy, [[1.0], [1e-13j]], [[1.0, 0.3j]], [[0.0]])
+    assert all(M.dtype == np.complex128 for M in (sys.A, sys.B, sys.C, sys.D))
+    assert not sys.A.imag.any() and not sys.B.imag.any()
+    assert np.array_equal(sys.A.real, noisy.real)
+    assert noisy[0, 0].imag == 1e-12          # the caller's array is left alone
+    assert sys.C[0, 1] == 0.3j                # genuinely complex data stays
+
+
 # --- realization -----------------------------------------------------------
 
 def test_realize_scalar_lag():

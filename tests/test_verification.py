@@ -47,6 +47,17 @@ def test_assemble_rejects_feedthrough_and_mismatch():
         assemble(plant, constant_system([[0.1], [0.2]]), ChannelSpec([0.1]))
 
 
+def test_assemble_refuses_a_complex_controller():
+    plant = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+    # a pole at 0.3j has no real realization
+    K = StateSpaceModel([[0.3j]], [[1.0]], [[0.1]], [[0.0]])
+    with pytest.raises(ValueError, match="K.A must be a real matrix"):
+        assemble(plant, K, ChannelSpec([0.1]))
+    # rounding noise in the data is no reason to refuse
+    K = StateSpaceModel([[0.3 + 1e-12j]], [[1.0]], [[0.1]], [[0.0]])
+    assert_allclose(assemble(plant, K, ChannelSpec([0.1])).A, [[0.5, 0.09], [1.0, 0.3]])
+
+
 def test_assemble_open_loop_instability_is_reported_not_fatal():
     plant = StateSpaceModel([[2.0]], [[1.0]], [[1.0]], [[0.0]])
     loop = assemble(plant, constant_system([[0.0]]), ChannelSpec([0.3]))
