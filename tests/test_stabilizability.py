@@ -757,15 +757,25 @@ def _design_at_half_corner(plant):
 
 
 def test_synthesis_on_a_complex_unstable_pair():
-    # the first 20 kept draws, and draws 313 and 348, whose parameter
-    # carries about 1e-11 of imaginary rounding noise: each design is a
-    # real controller that passes both radii, as the synthesize command
-    # requires
-    plants = list(itertools.islice(_complex_pair_plants(), 20))
-    plants += [(k, plant) for k, plant in _complex_pair_plants() if k in (313, 348)]
-    assert [k for k, _ in plants[20:]] == [313, 348]
-    for k, plant in plants:
+    # the first 20 kept draws: each design passes both radii, as the
+    # synthesize command requires
+    for k, plant in itertools.islice(_complex_pair_plants(), 20):
         ch, design = _design_at_half_corner(plant)
+        analysis = ms_radius(t_hat(closed_loop_map(design.plant_mu, design.K)), ch)
+        verify = second_moment_radius(assemble(plant, design.K, ch))
+        assert analysis < 1.0 and verify < 1.0, k
+
+
+def test_synthesis_on_a_complex_unstable_pair_known_failures():
+    # draws 313 and 348, once refused by assemble: their Youla parameter
+    # carries about 1e-11 of imaginary rounding noise, which the model
+    # boundary now zeroes, so each design is a real controller of order 6
+    # that passes both radii
+    fixtures = {k: plant for k, plant in _complex_pair_plants() if k in (313, 348)}
+    assert sorted(fixtures) == [313, 348]
+    for k, plant in fixtures.items():
+        ch, design = _design_at_half_corner(plant)
+        assert design.K.order == 6
         assert not design.K.A.imag.any(), k
         analysis = ms_radius(t_hat(closed_loop_map(design.plant_mu, design.K)), ch)
         verify = second_moment_radius(assemble(plant, design.K, ch))
