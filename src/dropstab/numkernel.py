@@ -113,7 +113,8 @@ def unstable_part(values, what: str, repeats: bool = False) -> np.ndarray:
     out = values[np.abs(values) > 1.0]
     if repeats:
         return out
-    gaps = np.abs(out[:, None] - out[None, :])[np.triu_indices(out.size, 1)]
+    gaps = np.abs(out[:, None] - out[None, :])
+    np.fill_diagonal(gaps, np.inf)
     if np.any(gaps <= config.ZERO_SEPARATION_TOL):
         raise ValueError(f"repeated unstable {what}: not supported")
     return out

@@ -354,7 +354,10 @@ class ScalingProblem:
     ``u_j`` is ``w_j`` times the channel weights ``(zeta_j conj(lambda_i) -
     1)/(conj(zeta_j) - conj(lambda_i))``, which are 1 on a clean channel.
     The class stores the parts, shape (r, k, k) for k unstable poles, and
-    the rows ``u_j``; ``phi`` and ``crossing`` read both.  On a clean
+    the rows ``u_j`` once, as the columns of ``U*`` (shape (k, r)), the
+    right-hand side of ``phi``'s solve; ``phi`` and ``crossing`` read both.
+    The k left null vectors come from one stacked SVD of the matrices
+    ``A - lambda_i I``.  On a clean
     channel of a decoupled plant ``phi_jj + 1 = prod |lambda_i|^2``.  The
     class builds no coprime factor; ``certificate_value`` re-checks a
     certificate through one.
@@ -371,7 +374,7 @@ class ScalingProblem:
     plant: StateSpaceModel
     zeros: tuple
     _parts: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _rhs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B = self.plant.A, self.plant.B
@@ -388,14 +391,15 @@ class ScalingProblem:
             if z is not None:
                 z = channel_zero(z, lam)
                 weights[j] = (z * np.conj(lam) - 1.0) / (np.conj(z) - np.conj(lam))
+        # one stacked SVD runs the same LAPACK routine on each A - lambda_i I
+        U, _, _ = np.linalg.svd(A - lam[:, None, None] * np.eye(n))
         W = np.empty((r, lam.size), dtype=complex)
-        for i, v in enumerate(lam):
-            U, _, _ = np.linalg.svd(A - v * np.eye(n))
-            w = B.conj().T @ U[:, -1]
+        for i in range(lam.size):
+            w = B.conj().T @ U[i][:, -1]
             W[:, i] = w / np.linalg.norm(w)
         kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
         object.__setattr__(self, "_parts", W.conj()[:, :, None] * W[:, None, :] * kernel)
-        object.__setattr__(self, "_rows", W * weights)
+        object.__setattr__(self, "_rhs", np.ascontiguousarray((W * weights).conj().T))
 
     def phi(self, gamma) -> np.ndarray:
         """Per-channel ``phi_jj`` at the square-root scaling ``gamma``, from
@@ -405,12 +409,17 @@ class ScalingProblem:
 
         ``gamma`` is one scaling of shape (r,) or a stack of N scalings of
         shape (N, r); the result has the same shape, and one scaling is
-        valued as a stack of one.  A stack takes one stacked factorization
-        and one stacked solve, which run the same LAPACK routine on each
-        slice, so every row equals the value of that scaling alone.  Where
-        the stacked factorization fails, the rows are valued one at a time.
-        A failed row, whose Pick matrix is not numerically positive definite
-        or whose phi is not finite, is ``inf`` in every entry."""
+        valued as a stack of one.  A stack takes one stacked factorization,
+        which runs the same LAPACK routine on each slice, and a forward
+        substitution ``L Z = U*`` of k steps, one per pole, each an
+        elementwise or ``einsum`` product over the rows; so every row equals
+        the value of that scaling alone.  No BLAS product (``@``, matmul)
+        runs over the stack: a gemm rounds differently as the stack size
+        changes, so forming ``Pi(d)`` as ``d @ parts`` would give rows that
+        differ from their scalings alone.  Where the stacked factorization
+        fails, the rows are valued one at a time.  A failed row, whose Pick
+        matrix is not numerically positive definite or whose phi is not
+        finite, is ``inf`` in every entry."""
         g = np.asarray(gamma, dtype=float)
         if (g.ndim not in (1, 2) or g.shape[-1] != len(self.zeros)
                 or not np.all(np.isfinite(g) & (g > 0.0))):
@@ -419,8 +428,14 @@ class ScalingProblem:
 
         def pick_phi(d):
             L = np.linalg.cholesky(np.einsum("nj,jik->nik", d, self._parts))
-            Z = np.linalg.solve(L, self._rows.conj().T)
-            return d * np.sum(np.abs(Z) ** 2, axis=1)
+            diag = L.diagonal(axis1=1, axis2=2).real
+            # forward substitution L Z = U*, one pole per step over the stack
+            Z = np.empty((len(self._rhs), len(d), d.shape[1]), dtype=complex)
+            for i, rhs in enumerate(self._rhs):
+                if i:
+                    rhs = rhs - np.einsum("nm,mnj->nj", L[:, i, :i], Z[:i])
+                Z[i] = rhs / diag[:, i, None]
+            return d * np.sum(np.abs(Z) ** 2, axis=0)
 
         try:
             phi = pick_phi(d)
@@ -469,7 +484,7 @@ class ScalingProblem:
             raise ValueError(f"B_1 + B_2 factorization failed ({exc})") from exc
         theta, Q = np.linalg.eigh(Linv @ B2 @ Linv.conj().T)
         V = Linv.conj().T @ Q
-        a, b = (np.abs(self._rows[j] @ V) ** 2 for j in (0, 1))
+        a, b = (np.abs(self._rhs[:, j].conj() @ V) ** 2 for j in (0, 1))
         theta = np.clip(theta, 0.0, 1.0)
         rest = 1.0 - theta
 
@@ -568,14 +583,21 @@ def membership(plant: StateSpaceModel, zeros,
         the values."""
         nonlocal best_val, best_x, best_phi, tame_key, failures
         X = np.clip(X, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
-        phis = problem.phi(np.hstack([np.ones((len(X), 1)), 10.0 ** X]))
+        gammas = np.empty((len(X), r))
+        gammas[:, 0] = 1.0
+        gammas[:, 1:] = 10.0 ** X
+        phis = problem.phi(gammas)
         failed = np.isinf(phis[:, 0])
-        # a failed row is infinite, not valued from its phi: 0 * inf is nan
-        # where p_j = 0
-        with np.errstate(invalid="ignore"):
+        n_failed = int(np.count_nonzero(failed))
+        if n_failed:
+            # a failed row is infinite, not valued from its phi: 0 * inf is
+            # nan where p_j = 0
+            with np.errstate(invalid="ignore"):
+                vals = np.max(p * (phis + 1.0), axis=1)
+            vals[failed] = math.inf
+            failures += n_failed
+        else:
             vals = np.max(p * (phis + 1.0), axis=1)
-        vals[failed] = math.inf
-        failures += int(np.count_nonzero(failed))
         first = int(np.argmin(vals))
         if vals[first] < best_val:
             # copies: a row of the stack would keep the whole stack alive
@@ -584,11 +606,14 @@ def membership(plant: StateSpaceModel, zeros,
         cert = np.flatnonzero(vals < 1.0 - config.MEMBER_GUARD)
         if cert.size:
             extent = np.max(np.abs(X[cert]), axis=1, initial=0.0)
-            i = np.lexsort((*X[cert].T[::-1], vals[cert], extent))[0]
-            k = cert[i]
-            key = (float(extent[i]), float(vals[k]), tuple(X[k]))
-            if tame_key is None or key < tame_key:
-                tame_key = key
+            # the key compares extent first: a round whose least extent
+            # exceeds the tame key's holds no better key
+            if tame_key is None or extent.min() <= tame_key[0]:
+                i = np.lexsort((*X[cert].T[::-1], vals[cert], extent))[0]
+                k = cert[i]
+                key = (float(extent[i]), float(vals[k]), tuple(X[k]))
+                if tame_key is None or key < tame_key:
+                    tame_key = key
         return vals
 
     log = {"grid_points": 0, "refine_evals": 0}

@@ -1,10 +1,15 @@
 """The stacked phi evaluation and the search stages built on it.
 
-A stack of scalings runs the same LAPACK and BLAS routines on each slice as
-one scaling alone, so every comparison of the stacked search with its
-point-by-point copy (``_pointwise_search``: the two-channel axis, the
-pencil's point, the stencil) is exact (``==``), never a tolerance.  The
-Nelder-Mead search the stencil replaced (``_reference_search``), the grid
+phi of a stack of scalings takes one stacked Cholesky factorization, which
+runs the same LAPACK routine on each slice as one scaling alone, then a
+forward substitution of elementwise and einsum products over the rows, with
+no BLAS product over the stack.  So every comparison of the stacked search
+with its point-by-point copy (``_pointwise_search``: the two-channel axis,
+the pencil's point, the stencil) is exact (``==``), never a tolerance.  The
+pivoting LU solve on the same factor (``_phi_by_lu``, up to 7 poles) and the
+Gram formula (``conftest.phi_pick_gram``, at 3 poles, where the Pick matrix
+is well conditioned) value phi by other arithmetic and are held to 1e-10
+relative.  The Nelder-Mead search the stencil replaced (``_reference_search``), the grid
 search that the box-spanning stencil replaced at three or more channels
 (``_grid_search``) and a dense scan find the minimizer by other arithmetic,
 so the search's value is held to theirs within 1e-9.
@@ -39,6 +44,17 @@ from dropstab.statespace import StateSpaceModel, TransferMatrix, realize
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _channel_zeros(rng, r: int) -> tuple:
+    """Per channel: clean, or a real or complex zero outside the unit disc."""
+    zeros = []
+    for kind in rng.integers(0, 3, r):
+        radius = rng.uniform(1.2, 3.0)
+        zeros.append(None if kind == 0
+                     else float(radius * rng.choice([-1, 1])) if kind == 1
+                     else complex(radius * np.exp(1j * rng.uniform(0.1, 3.0))))
+    return tuple(zeros)
+
+
 def _random_problem(seed: int, r: int) -> ScalingProblem:
     """An r-channel plant with a complex unstable pair, one real unstable
     pole and stable rest, its channels clean or carrying a real or complex
@@ -54,13 +70,68 @@ def _random_problem(seed: int, r: int) -> ScalingProblem:
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     plant = StateSpaceModel(Q.T @ A @ Q, rng.normal(size=(n, r)),
                             rng.normal(size=(r, n)), np.zeros((r, r)))
-    zeros = []
-    for kind in rng.integers(0, 3, r):
-        radius = rng.uniform(1.2, 3.0)
-        zeros.append(None if kind == 0
-                     else float(radius * rng.choice([-1, 1])) if kind == 1
-                     else complex(radius * np.exp(1j * rng.uniform(0.1, 3.0))))
-    return ScalingProblem(plant, tuple(zeros))
+    return ScalingProblem(plant, _channel_zeros(rng, r))
+
+
+def _many_pole_problem(rng, r: int, k: int) -> ScalingProblem:
+    """An r-channel plant with k unstable poles, some of them complex pairs,
+    at least 0.05 apart, and r stable poles."""
+    pairs = int(rng.integers(0, k // 2 + 1))
+    while True:
+        poles = rng.uniform(1.1, 2.4, k - pairs) * np.exp(1j * np.concatenate(
+            [rng.uniform(0.2, 2.9, pairs), rng.choice([0.0, np.pi], k - 2 * pairs)]))
+        spectrum = np.concatenate([poles, poles[:pairs].conj()])
+        gaps = np.abs(spectrum[:, None] - spectrum[None, :]) + 9.0 * np.eye(k)
+        if gaps.min() > 0.05:
+            break
+    n = k + r
+    A = np.zeros((n, n))
+    for i, v in enumerate(poles[:pairs]):
+        A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[v.real, -v.imag], [v.imag, v.real]]
+    A[2 * pairs:, 2 * pairs:] = np.diag(np.concatenate([poles[pairs:].real,
+                                                        rng.uniform(-0.8, 0.8, r)]))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    plant = StateSpaceModel(Q.T @ A @ Q, rng.normal(size=(n, r)),
+                            rng.normal(size=(r, n)), np.zeros((r, r)))
+    return ScalingProblem(plant, _channel_zeros(rng, r))
+
+
+def _phi_by_lu(problem, gammas):
+    """phi as it was valued before forward substitution: each row's
+    Cholesky factor, formed as ``phi`` forms it, solved against U* by
+    numpy's pivoting LU (gesv); inf where the factor fails or phi is not
+    finite."""
+    d = gammas ** -2.0
+    out = np.full(gammas.shape, np.inf)
+    for i in range(len(d)):
+        try:
+            L = np.linalg.cholesky(np.einsum("nj,jik->nik", d[i:i + 1], problem._parts))
+        except np.linalg.LinAlgError:
+            continue
+        Z = np.linalg.solve(L, problem._rhs)
+        out[i] = d[i] * np.sum(np.abs(Z[0]) ** 2, axis=0)
+    out[~np.all(np.isfinite(out), axis=1)] = np.inf
+    return out
+
+
+def test_stacked_phi_many_poles():
+    # forward substitution takes one step per pole: at 4 to 7 poles the
+    # stack still equals its rows, and the pivoting LU on the same factor
+    # gives the same failed rows and the same phi to 1e-10 relative
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        r, k = int(rng.integers(2, 5)), int(rng.integers(4, 8))
+        problem = _many_pole_problem(rng, r, k)
+        assert problem._parts.shape == (r, k, k)
+        logs = rng.uniform(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, (50, r - 1))
+        gammas = np.hstack([np.ones((50, 1)), 10.0 ** logs])
+        stacked = problem.phi(gammas)
+        assert np.array_equal(stacked, np.array([problem.phi(g) for g in gammas]))
+        oracle = _phi_by_lu(problem, gammas)
+        failed = np.isinf(stacked[:, 0])
+        assert np.array_equal(failed, np.isinf(oracle[:, 0]))
+        gap = np.abs(stacked[~failed] - oracle[~failed]) / np.abs(oracle[~failed])
+        assert np.all(gap <= 1e-10), (r, k, np.max(gap))
 
 
 @st.composite
@@ -613,16 +684,45 @@ def test_no_unstable_pole(r):
             assert rep.tame_certificate is None
 
 
-@pytest.mark.parametrize("case", ["inside", "outside", "ties"])
+def _family_probe(monkeypatch, part, op):
+    """Op ``op`` of the search-family benchmark's worker ``part`` at seed 1,
+    a three-channel probe inside its plant's largest rectangle."""
+    worker = _perfbench(monkeypatch, "worker")
+    plant, zeros, ch, inside = worker.SearchFamily(1, part, None, True).ops[op]
+    assert inside and ch.r == 3
+    return plant, zeros, ch
+
+
+def _late_tame(monkeypatch):
+    """A three-channel probe at 0.9 times its second rectangle corner,
+    about (1, 0.086, 1): the origin does not certify, and a round after the
+    first finds a certifying point as extreme as the tame key's but of
+    lower value."""
+    plants = _perfbench(monkeypatch, "plants")
+    plant, zeros = plants.admissible_plant(np.random.default_rng(4), 3, 4, 2, (0,))
+    corner = np.asarray(rectangle_set(plant, zeros).vertices[1])
+    return plant, zeros, ChannelSpec(0.9 * corner)
+
+
+@pytest.mark.parametrize("case", ["inside", "outside", "ties", "family-0", "family-1",
+                                  "family-2", "late-tame"])
 def test_membership_matches_pointwise_search(example_ss, monkeypatch, case):
     # the stencil runs at three channels; at two, the pencil's point, here
-    # no better than the grid's incumbent, leaves the search's result as is
+    # no better than the grid's incumbent, leaves the search's result as is.
+    # The scan skips a round whose certifying rows are all more extreme than
+    # the tame key; on the three-channel members that shortcut must still
+    # give the tame certificate of the point-by-point copy
     plant, zeros, ch = {
         "inside": lambda: _three_channel(monkeypatch, 0.7),
         "outside": lambda: (example_ss, EXAMPLE_ZEROS, ChannelSpec([0.5, 0.5])),
         "ties": lambda: (_decoupled(), (None, None), ChannelSpec([0.1, 0.1])),
+        "family-0": lambda: _family_probe(monkeypatch, 0, 2),
+        "family-1": lambda: _family_probe(monkeypatch, 1, 5),
+        "family-2": lambda: _family_probe(monkeypatch, 2, 8),
+        "late-tame": lambda: _late_tame(monkeypatch),
     }[case]()
     rep = membership(plant, zeros, ch)
+    assert rep.member or case in ("outside", "ties")
     problem = rep.problem
     crossing = problem.crossing(ch.p)[0] if ch.r == 2 else None
     ref_val, ref_cert, ref_tame, ref_failures = _pointwise_search(problem.phi, ch.p,
