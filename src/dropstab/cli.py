@@ -40,7 +40,7 @@ from .stabilizability import (
     t_hat,
     union_membership,
 )
-from .statespace import StateSpaceModel, TransferMatrix, realize
+from .statespace import StateSpaceModel, TransferMatrix
 from .verification import (
     assemble,
     exact_moment_trace,
@@ -163,8 +163,7 @@ def load_model(path: str) -> ModelFile:
             tf = TransferMatrix(num=num, den=den)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad transfer matrix ({exc})") from exc
-        detected = validate_assumption(tf)
-        plant = realize(tf)
+        detected, plant = validate_assumption(tf)
         r = plant.n_inputs
     else:
         body = raw["ss"]
@@ -195,7 +194,7 @@ def load_model(path: str) -> ModelFile:
         zeros = tuple(None if z is None else _numbers(z, path, "channel_zeros").item()
                       for z in zl)
     elif fmt == "tf":
-        zeros = tuple(detected)
+        zeros = detected
     else:
         raise ValueError(f"{path}: state-space models need explicit "
                          "channel_zeros")

@@ -845,14 +845,15 @@ def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec,
 def closed_loop_map(plant: StateSpaceModel, K: StateSpaceModel) -> StateSpaceModel:
     """Input-side complementary map ``(I - K G)^{-1} K G``.
 
-    Realized as ``(I - K G)^{-1} - I`` on the loop states (plant plus
-    controller), so its state matrix is the genuine closed-loop matrix
-    before reduction.
+    Realized as ``(A_H + B_H C_H, B_H, C_H, 0)`` from ``H = K G = (A_H, B_H,
+    C_H, 0)`` on the loop states (plant plus controller), so its state
+    matrix is the genuine closed-loop matrix before reduction.  A plant
+    with feedthrough raises ValueError.
     """
+    if np.max(np.abs(plant.D), initial=0.0) > 0.0:
+        raise ValueError("plant feedthrough must be zero for the loop map")
     H = minimal(cascade(K, plant))
-    r = H.n_inputs
-    eye_minus = StateSpaceModel(H.A, H.B, -H.C, np.eye(r) - H.D)
-    return minimal(add_constant(inverse(eye_minus), -np.eye(r)))
+    return minimal(StateSpaceModel(H.A + H.B @ H.C, H.B, H.C, H.D))
 
 
 def t_hat(T: StateSpaceModel) -> np.ndarray:

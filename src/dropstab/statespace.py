@@ -478,12 +478,9 @@ def balanced_truncate(sys: StateSpaceModel) -> StateSpaceModel:
     Lc = factor(Wc)
     Lo = factor(Wo)
     U, s, Vh = np.linalg.svd(Lo.conj().T @ Lc)
-    k = int(np.count_nonzero(s > 1e-9 * s[0])) if s.size else 0
+    k = int(np.count_nonzero(s > 1e-9 * s[0]))
     if k == n:
         return sys
-    if k == 0:
-        return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, sys.n_inputs)),
-                               np.zeros((sys.n_outputs, 0)), sys.D)
     si = 1.0 / np.sqrt(s[:k])
     T = Lc @ Vh.conj().T[:, :k] * si
     Ti = (U[:, :k] * si).conj().T @ Lo.conj().T

@@ -10,6 +10,7 @@ from conftest import count_calls, raise_on_call
 from dropstab import cli, config, factorization, verification
 from dropstab.cli import _load_controller, load_model, main
 from dropstab.stabilizability import rectangle_set, sweep_bounds
+from dropstab.statespace import realize
 
 EXAMPLE = str(files("dropstab").joinpath("data/example1.json"))
 
@@ -60,6 +61,12 @@ def test_load_example_detects_zeros():
     assert model.name == "example1"
     assert model.plant.n_inputs == 2
     assert model.zeros == (-2.0, 1.5)
+
+
+def test_load_example_realizes_the_plant_once(monkeypatch):
+    calls = count_calls(monkeypatch, realize)
+    load_model(EXAMPLE)
+    assert len(calls) == 1
 
 
 def test_load_rejects_malformed(tmp_path):

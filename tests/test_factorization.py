@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dropstab import factorization
+from dropstab import config, factorization
 from dropstab.factorization import (
     AssumptionViolation,
     _allpass_section,
@@ -27,6 +29,7 @@ from dropstab.statespace import (
     minimal,
     realize,
     subsystem,
+    transmission_zeros,
 )
 
 from conftest import (
@@ -315,7 +318,7 @@ def test_inner_outer_coprime_factor(example_ss):
 # --- assumption checker -----------------------------------------------------
 
 def test_validate_assumption_benchmark(example_tf):
-    zeros = validate_assumption(example_tf)
+    zeros, _ = validate_assumption(example_tf)
     assert zeros == pytest.approx((-2.0, 1.5), abs=1e-8)
 
 
@@ -324,7 +327,17 @@ def test_validate_assumption_stable_mp_plant():
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
         den=(((1.0, -0.5), (1.0,)), ((1.0,), (1.0, 0.3))),
     )
-    assert validate_assumption(tf) == (None, None)
+    assert validate_assumption(tf)[0] == (None, None)
+
+
+@pytest.mark.parametrize("w", [1 - 1e-10, -(1 - 1e-10)])
+def test_validate_assumption_rejects_a_zero_in_the_unit_circle_band(w):
+    # a stable zero within UNIT_CIRCLE_BAND of the circle counts as unstable
+    tf = TransferMatrix(num=(((1.0, -w),),), den=(((1.0, -0.5, 0.0),),))
+    with pytest.raises(AssumptionViolation, match=rf"non-minimum-phase zero at {w:.6g}$"):
+        validate_assumption(tf)
+    inside = TransferMatrix(num=(((1.0, -w * (1 - 1e-7)),),), den=tf.den)
+    assert validate_assumption(inside)[0] == (None,)
 
 
 def test_validate_assumption_rejects_nonsquare():
@@ -376,7 +389,7 @@ def test_validate_assumption_rejects_a_roundoff_lead():
                       else float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
                       for _ in range(r))
         tf = _planted_plant(rng, zeros)
-        assert validate_assumption(tf) == pytest.approx(zeros)
+        assert validate_assumption(tf)[0] == pytest.approx(zeros)
         j, s = int(rng.integers(r)), float(rng.uniform(-0.9, 0.9))
         den = [list(row) for row in tf.den]
         for row in den:
@@ -400,7 +413,7 @@ def test_validate_assumption_unstable_shared_pole_cleared(example_tf):
     # clearing denominators by their least common multiple must NOT invent common
     # zeros out of the other cells' poles; this plant's column-1 cells share
     # only z = -2 even though their pole sets overlap
-    zeros = validate_assumption(example_tf)
+    zeros, _ = validate_assumption(example_tf)
     assert zeros[0] == pytest.approx(-2.0, abs=1e-8)
 
 
@@ -459,7 +472,7 @@ def test_validate_assumption_finds_planted_zeros():
         j = int(rng.integers(r))
         stable = float(rng.uniform(-0.9, 0.9))   # a shared stable root is not a channel zero
         for extra in (None, (j, (stable,))):
-            found = validate_assumption(_planted_plant(np.random.default_rng(seed), zeros, extra))
+            found, _ = validate_assumption(_planted_plant(np.random.default_rng(seed), zeros, extra))
             assert [z is None for z in found] == [z is None for z in zeros]
             assert [z for z in found if z is not None] == pytest.approx(
                 [z for z in zeros if z is not None], rel=1e-9)
@@ -474,7 +487,7 @@ def test_validate_assumption_finds_planted_zeros():
                 validate_assumption(tf)
         if r > 1:
             tf = _planted_plant(np.random.default_rng(seed), zeros, nmp_core=True)
-            with pytest.raises(AssumptionViolation, match="non-minimum-phase zero at 1.7"):
+            with pytest.raises(AssumptionViolation, match=r"non-minimum-phase zero at 1\.7$"):
                 validate_assumption(tf)
 
 
@@ -493,7 +506,7 @@ def test_validate_assumption_counts_a_shared_root_once():
     assert mult == 1 and z == pytest.approx(3.0, abs=1e-12)
     # divided by (z - 3)/z, the column keeps 3 in its first entry: the core
     # has a zero there
-    with pytest.raises(AssumptionViolation, match=r"non-minimum-phase zero at 3"):
+    with pytest.raises(AssumptionViolation, match=r"non-minimum-phase zero at 3$"):
         validate_assumption(tf)
 
 
@@ -537,5 +550,131 @@ def test_validate_assumption_reduces_entries():
             variants.append(TransferMatrix(num=tf.num, den=tuple(map(tuple, den))))
             zero_cells += 1
         for variant in variants:
-            assert validate_assumption(variant) == pytest.approx(zeros), (zeros, s)
+            assert validate_assumption(variant)[0] == pytest.approx(zeros), (zeros, s)
     assert shared == 40 and zero_cells > 10
+
+
+# --- the core route -----------------------------------------------------------
+# ``validate_assumption`` checks the core G_0 = G diag(z/(z - zeta_j)) on the
+# plant's own zeros.  The route it replaced builds the core as a second
+# transfer matrix, realizes it and takes its transmission zeros; it stays
+# here as the oracle.
+
+
+def core_route(plant: TransferMatrix) -> tuple:
+    """The model-class verdict of the core route: the channel zeros, or the
+    AssumptionViolation raised."""
+    p, m = plant.shape
+    if p != m:
+        raise AssumptionViolation(f"plant must be square, got {p}x{m}")
+    zeros = []
+    for j in range(m):
+        nums = [plant.num[i][j] for i in range(p)]
+        dens = [plant.den[i][j] for i in range(p)]
+        for num, den in zip(nums, dens):
+            if len(num) >= len(den) and any(x != 0.0 for x in num):
+                raise AssumptionViolation(
+                    f"column {j + 1} has an entry that is not strictly proper")
+        common = _column_common_unstable_root(nums, dens)
+        total = sum(mult for _, mult in common)
+        if total > 1:
+            raise AssumptionViolation(
+                f"column {j + 1} shares {total} unstable zeros (want at most one, simple)")
+        if total == 0:
+            zeros.append(None)
+            continue
+        z = common[0][0]
+        if abs(z.imag) > config.ROOT_CLUSTER_TOL * max(1.0, abs(z)):
+            raise AssumptionViolation(f"column {j + 1} has a complex unstable zero {z}")
+        zeros.append(float(z.real))
+    num0 = [list(row) for row in plant.num]
+    den0 = [list(row) for row in plant.den]
+    for j, z in enumerate(zeros):
+        if z is not None:
+            for i in range(p):
+                num0[i][j] = tuple(np.convolve(num0[i][j], [1.0, 0.0]))
+                den0[i][j] = tuple(np.convolve(den0[i][j], [1.0, -z]))
+    lead = np.array([[num[0] / den[0] if len(num) == len(den) - 1 else 0.0
+                      for num, den in zip(nrow, drow)]
+                     for nrow, drow in zip(plant.num, plant.den)])
+    if np.linalg.cond(lead) > config.INVERT_COND_MAX:
+        raise AssumptionViolation(
+            "relative degree is not one per channel: lim z G_0 is singular")
+    tz = transmission_zeros(realize(TransferMatrix(num=tuple(map(tuple, num0)),
+                                                   den=tuple(map(tuple, den0)))))
+    if tz.size and np.max(np.abs(tz)) >= 1.0 - config.UNIT_CIRCLE_BAND:
+        worst = tz[np.argmax(np.abs(tz))]
+        raise AssumptionViolation(f"core model keeps a non-minimum-phase zero at {worst:.6g}")
+    return tuple(zeros)
+
+
+def _poly_from(rng, degree):
+    """A monic polynomial of the given degree from one pool of real roots
+    and two complex pairs."""
+    roots = []
+    while len(roots) < degree:
+        if degree - len(roots) >= 2 and rng.random() < 0.3:
+            w = (0.6 + 0.5j, 1.2 + 1.1j)[rng.integers(2)]
+            roots += [w, np.conj(w)]
+        else:
+            roots.append(rng.choice([0.5, -0.3, 1.5, -2.0, 2.5, 0.0]))
+    return np.real(np.poly(roots)) if roots else np.ones(1)
+
+
+def _pooled_plant(rng):
+    """A 1- to 3-channel plant whose cells draw their roots from a shared
+    pool, about 15% of them zero, some of relative degree two, with a
+    planted column zero ``(z - zeta_j)/z`` on about half the columns."""
+    r = int(rng.integers(1, 4))
+    planted = [float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
+               if rng.random() < 0.5 else None for _ in range(r)]
+    num = [[(0.0,)] * r for _ in range(r)]
+    den = [[(1.0,)] * r for _ in range(r)]
+    for i, j in itertools.product(range(r), range(r)):
+        if rng.random() < 0.15:
+            continue
+        d = int(rng.integers(1, 4))
+        slow = d > 1 and rng.random() < 0.1
+        n_ij = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) * _poly_from(rng, d - 1 - slow)
+        d_ij = _poly_from(rng, d)
+        if planted[j] is not None:
+            n_ij, d_ij = np.convolve(n_ij, [1.0, -planted[j]]), np.convolve(d_ij, [1.0, 0.0])
+        num[i][j], den[i][j] = tuple(n_ij), tuple(d_ij)
+    return TransferMatrix(num=tuple(map(tuple, num)), den=tuple(map(tuple, den)))
+
+
+def _planted_draw(rng):
+    """``_planted_plant`` with r = 1-3 and, at random, an extra stable,
+    unstable or complex-pair root on one column or a non-minimum-phase
+    core."""
+    r = int(rng.integers(1, 4))
+    zeros = tuple(None if rng.random() < 0.35
+                  else float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0))
+                  for _ in range(r))
+    w = rng.uniform(1.2, 3.0) * np.exp(1j * rng.uniform(0.3, 2.8))
+    extra = [None, (rng.uniform(-0.9, 0.9),),
+             (float(rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 3.0)),), (w, np.conj(w))][
+        rng.integers(4)]
+    return _planted_plant(rng, zeros, None if extra is None else (int(rng.integers(r)), extra),
+                          nmp_core=r > 1 and rng.random() < 0.3)
+
+
+def _verdict(check, plant):
+    try:
+        return check(plant)
+    except AssumptionViolation as exc:
+        return AssumptionViolation, str(exc).split(" at ")[0]
+
+
+def test_validate_assumption_matches_the_core_route():
+    rng = np.random.default_rng(7)
+    plants = ([_planted_draw(rng) for _ in range(200)]
+              + [_pooled_plant(rng) for _ in range(200)])
+    accepted = nmp = 0
+    for plant in plants:
+        found = _verdict(lambda tf: validate_assumption(tf)[0], plant)
+        assert found == _verdict(core_route, plant)
+        accepted += found[0] is not AssumptionViolation
+        nmp += found[1:] == ("core model keeps a non-minimum-phase zero",)
+    assert accepted > 50 and nmp > 30
+

@@ -683,6 +683,12 @@ def test_synthesis_minimum_phase_channel():
     assert_allclose(ms_radius(t_hat(T), ch), 0.75, rtol=1e-9)
 
 
+def test_closed_loop_map_rejects_feedthrough():
+    plant = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.1]])
+    with pytest.raises(ValueError, match="feedthrough"):
+        closed_loop_map(plant, constant_system([[1.0]]))
+
+
 def test_controller_central_form(example_ss):
     ch = ChannelSpec([0.01, 0.005])
     design, bez, _ = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))

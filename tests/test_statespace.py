@@ -8,6 +8,7 @@ from dropstab.statespace import (
     StateSpaceModel,
     TransferMatrix,
     add_constant,
+    balanced_truncate,
     blockdiag_systems,
     cascade,
     evaluate,
@@ -287,6 +288,13 @@ def test_place_uncontrollable():
 
 
 # --- inner test and zeros --------------------------------------------------
+
+def test_balanced_truncate_drops_every_state_of_a_zero_gain_model():
+    sys = StateSpaceModel(np.diag([0.5, -0.3]), [[1.0], [1.0]], [[0.0, 0.0]], [[0.4]])
+    red = balanced_truncate(sys)
+    assert red.order == 0 and red.B.shape == (0, 1) and red.C.shape == (1, 0)
+    assert_allclose(red.D, [[0.4]])
+
 
 def test_is_balanced_inner_first_order():
     beta = np.sqrt(0.75)
