@@ -11,7 +11,6 @@ pipeline on files.
 
 from .stabilizability import ChannelSpec, membership, rectangle_set, synthesize
 from .statespace import TransferMatrix, realize
-from .verification import assemble, second_moment_radius
 
 __version__ = "0.1.0"
 
@@ -20,10 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSpec",
     "TransferMatrix",
-    "assemble",
     "membership",
     "realize",
     "rectangle_set",
-    "second_moment_radius",
     "synthesize",
 ]

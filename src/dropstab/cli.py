@@ -29,24 +29,16 @@ from .numkernel import channel_zero
 from .stabilizability import (
     ChannelSpec,
     GammaScaling,
-    certificate_value,
-    closed_loop_map,
+    NotCertified,
     membership,
     mp_supremum,
-    ms_radius,
     rectangle_set,
     sweep_bounds,
     synthesize,
-    t_hat,
     union_membership,
 )
 from .statespace import StateSpaceModel, TransferMatrix
-from .verification import (
-    assemble,
-    exact_moment_trace,
-    monte_carlo_trace,
-    second_moment_radius,
-)
+from .verification import assemble, exact_moment_trace, monte_carlo_trace
 
 __all__ = ["ModelFile", "load_model", "main"]
 
@@ -370,56 +362,26 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _certificate_for(model: ModelFile, channels: ChannelSpec, gamma_text):
-    """Free scaling certificate, the user's or the search's tame point, and
-    its value; the scaling is None when it does not certify.  The search
-    certified p, so its own certificate failing the re-check is an error."""
-    if gamma_text is not None:
-        g = _parse_gamma(gamma_text, model.plant.n_inputs)
-    else:
-        report = membership(model.plant, model.zeros, channels)
-        if not report.member:
-            print(f"error: dropout vector is not certified (best value "
-                  f"{_fmt(report.best_value)})", file=sys.stderr)
-            return None, report.best_value
-        g = report.tame_certificate.gamma
-    value = certificate_value(model.plant, model.zeros, g, channels.p)
-    if value < 1.0 - config.MEMBER_GUARD:
-        return g, value
-    if gamma_text is None:
-        raise ValueError(f"the search's certificate fails its inner-outer re-check "
-                         f"(value {_fmt(value)}); no controller is printed")
-    print(f"error: the supplied scaling does not certify this "
-          f"dropout vector (value {_fmt(value)})", file=sys.stderr)
-    return None, value
-
-
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
     channels = _channels(args.probs, model.plant.n_inputs)
-    gamma_free, value = _certificate_for(model, channels, args.gamma)
-    if gamma_free is None:
-        return 2
-    design = synthesize(model.plant, model.zeros, channels, gamma_free)
-    K = design.K
-    T = closed_loop_map(design.plant_mu, K)
-    analysis_radius = ms_radius(t_hat(T), channels)
-    loop = assemble(model.plant, K, channels)
-    print(f"certificate value {_fmt(value)} at gamma "
-          f"{', '.join(_fmt(g) for g in gamma_free)}", file=sys.stderr)
+    gamma = None if args.gamma is None else _parse_gamma(args.gamma, model.plant.n_inputs)
     try:
-        verify_radius = second_moment_radius(loop)
-    except ValueError as exc:
-        raise ValueError(f"controller order {K.order}: verification radius not "
-                         f"computable ({exc}); no controller is printed") from exc
-    print(f"controller order {K.order}; analysis radius {_fmt(analysis_radius)}; "
-          f"verification radius {_fmt(verify_radius)}", file=sys.stderr)
-    if not (analysis_radius < 1.0 and verify_radius < 1.0):  # NaN fails too
+        design = synthesize(model.plant, model.zeros, channels, gamma)
+    except NotCertified as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    K, analysis, verify = design.K, design.analysis_radius, design.verification_radius
+    print(f"certificate value {_fmt(design.value)} at gamma "
+          f"{', '.join(_fmt(g) for g in design.gamma)}", file=sys.stderr)
+    print(f"controller order {K.order}; analysis radius {_fmt(analysis)}; "
+          f"verification radius {_fmt(verify)}", file=sys.stderr)
+    if not (analysis < 1.0 and verify < 1.0):  # NaN fails too
         raise ValueError("a stability radius is not below 1; no controller is printed")
     payload = {
-        "certified_value": value,
+        "certified_value": design.value,
         "channel_zeros": [z for z in model.zeros],
-        # assemble() above has already checked the controller is real
+        # synthesize() has already checked, in assemble(), that K is real
         "controller": {
             "A": _real_list(K.A), "B": _real_list(K.B),
             "C": _real_list(K.C), "D": _real_list(K.D),
@@ -427,13 +389,13 @@ def cmd_synthesize(args) -> int:
             "input_count": K.n_inputs,
             "output_count": K.n_outputs,
         },
-        "gamma": [float(g) for g in gamma_free],
+        "gamma": [float(g) for g in design.gamma],
         "gamma_true": [float(g) for g in design.gamma_true],
         "model": model.name,
-        "ms_radius": float(analysis_radius),
-        "nominal_radius": float(loop.nominal_radius),
+        "ms_radius": float(analysis),
+        "nominal_radius": float(design.loop.nominal_radius),
         "probs": [float(v) for v in channels.p],
-        "second_moment_radius": float(verify_radius),
+        "second_moment_radius": float(verify),
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0

@@ -36,9 +36,11 @@ it fails is valued ``inf``.  ``certificate_value``, the check run on a
 certificate before synthesis, builds M and keeps the inner-outer route, so
 every certificate is re-checked by an independent computation.
 
-``synthesize`` turns a certifying scaling into the controller: the optimal
-Youla parameter over a doubly-coprime factorization of the plant with the
-channel success rates applied.
+``synthesize`` is the one design call: it takes a certifying scaling (or
+searches for one), re-checks it, builds the controller (the optimal Youla
+parameter over a doubly-coprime factorization of the plant with the channel
+success rates applied) and returns the closed loop with both of its
+stability radii.
 
 Scaling conventions: the searched scaling is *success-probability absorbed*
 (the plant is used with unit channel gains; converting a certificate for
@@ -91,11 +93,13 @@ from .statespace import (
     _ctrb_staircase,
     _staircase_threshold,
 )
+from .verification import StochasticClosedLoop, assemble, second_moment_radius
 
 __all__ = [
     "ChannelSpec",
     "GammaScaling",
     "MpSupremum",
+    "NotCertified",
     "RectangleSet",
     "ScalingProblem",
     "StabilizabilityReport",
@@ -816,30 +820,66 @@ def controller(bez: DoublyCoprime, Q: StateSpaceModel) -> StateSpaceModel:
     return minimal(StateSpaceModel(AK, BK, CK, DK))
 
 
+class NotCertified(ValueError):
+    """Negative verdict of ``synthesize``: the search finds no certificate
+    for the dropout vector, or the supplied scaling fails its re-check."""
+
+
 @dataclass(frozen=True)
 class Synthesis:
-    """A controller designed at one certifying scaling, with the plant and
-    the scaling it was designed for."""
+    """A certified, designed and checked loop."""
 
-    plant_mu: StateSpaceModel   # plant with the channel success rates applied
+    gamma: np.ndarray           # success-absorbed certificate designed at
+    value: float                # its certificate_value, below one
     gamma_true: np.ndarray      # plant-side scaling
     K: StateSpaceModel          # the controller
+    loop: StochasticClosedLoop  # plant and K closed through the lossy channels
+    analysis_radius: float      # ms_radius of the loop map's T-hat
+    verification_radius: float  # second_moment_radius of the loop
 
 
 def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec,
-               gamma) -> Synthesis:
-    """Controller for ``channels`` from a success-absorbed certificate ``gamma``.
+               gamma=None) -> Synthesis:
+    """Certified controller for ``channels`` and both of its checks.
 
-    The plant's inputs are scaled by ``1 - p``, factored over the identity
-    channel ordering, and the optimal parameter is built at the plant-side
-    scaling ``gamma * (1 - p)`` (normalized), as in the paper's synthesis.
+    The success-absorbed certificate ``gamma`` (by default the search's tame
+    certificate) must pass ``certificate_value``.  The plant's inputs are
+    then scaled by ``1 - p``, factored over the identity channel ordering,
+    and the optimal parameter is built at the plant-side scaling ``gamma *
+    (1 - p)`` (normalized), as in the paper's synthesis.  The radii are
+    returned, not judged.  Raises NotCertified where the search finds no
+    certificate or ``gamma`` fails the re-check, and ValueError where the
+    search's own certificate fails it, the design fails, or a radius
+    cannot be computed.
     """
-    gamma_true = _true_gamma(np.asarray(gamma, dtype=float), channels)
+    searched = gamma is None
+    if searched:
+        report = membership(plant, zeros, channels)
+        if not report.member:
+            raise NotCertified(f"dropout vector is not certified (best value "
+                               f"{report.best_value:.6g})")
+        gamma = report.tame_certificate.gamma
+    gamma = np.asarray(gamma, dtype=float)
+    value = certificate_value(plant, zeros, gamma, channels.p)
+    if not value < 1.0 - config.MEMBER_GUARD:   # NaN fails too
+        if searched:
+            raise ValueError(f"the search's certificate fails its inner-outer re-check "
+                             f"(value {value:.6g}); no controller is printed")
+        raise NotCertified(f"the supplied scaling does not certify this "
+                           f"dropout vector (value {value:.6g})")
+    gamma_true = _true_gamma(gamma, channels)
     Gmu = scale_io(plant, None, np.diag(channels.mu))
     form = wonham_decompose(Gmu, tuple(range(plant.n_inputs)))
     bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu))
     K = controller(bez, synthesize_Q(Gmu, bez, gamma_true, zeros))
-    return Synthesis(plant_mu=Gmu, gamma_true=gamma_true, K=K)
+    analysis_radius = ms_radius(t_hat(closed_loop_map(Gmu, K)), channels)
+    loop = assemble(plant, K, channels)
+    try:
+        verification_radius = second_moment_radius(loop)
+    except ValueError as exc:
+        raise ValueError(f"controller order {K.order}: verification radius not "
+                         f"computable ({exc}); no controller is printed") from exc
+    return Synthesis(gamma, value, gamma_true, K, loop, analysis_radius, verification_radius)
 
 
 def closed_loop_map(plant: StateSpaceModel, K: StateSpaceModel) -> StateSpaceModel:

@@ -2,7 +2,8 @@
 
 Given a plant, a controller, and per-channel dropout probabilities, this
 module builds the stochastic closed loop in state-space form and checks it
-two ways that share no code with the synthesis path:
+two ways that share no code with the synthesis path (of the package it
+imports only ``numkernel`` and ``statespace``):
 
 * exactly, by iterating (or taking the spectral radius of) the linear
   operator that maps the state covariance forward one step;
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import real_part
-from .stabilizability import ChannelSpec
 from .statespace import StateSpaceModel
 
 __all__ = [
@@ -57,7 +57,7 @@ class StochasticClosedLoop:
     A: np.ndarray                 # mean closed-loop state matrix
     noise_in: np.ndarray          # n x r; column j: where channel j's noise enters
     noise_out: np.ndarray         # r x n; row j: state to channel j's input
-    channels: ChannelSpec
+    channels: ChannelSpec         # stabilizability's, annotated, not imported
     nominal_radius: float
     plant_order: int
 

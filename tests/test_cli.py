@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, raise_on_call
-from dropstab import cli, config, factorization, verification
+from dropstab import config, factorization, stabilizability, verification
 from dropstab.cli import _load_controller, load_model, main
 from dropstab.stabilizability import rectangle_set, sweep_bounds
 from dropstab.statespace import realize
@@ -568,7 +568,7 @@ def test_synthesize_search_certificate_failing_its_recheck_exits_1(monkeypatch, 
     # the search certifies p, so a failed re-check of its own certificate is
     # an error of the tool, not a negative verdict; a supplied scaling that
     # fails it is the user's, and stays a verdict
-    monkeypatch.setattr(cli, "certificate_value", lambda plant, zeros, gamma, p: 1.0)
+    monkeypatch.setattr(stabilizability, "certificate_value", lambda plant, zeros, gamma, p: 1.0)
     argv = ["synthesize", EXAMPLE, "--probs", "0.158,0.0128"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
@@ -641,7 +641,7 @@ def _radius_not_computable(loop):
     ("ms_radius", lambda that, channels: 1.5),
 ], ids=["verification_ge_1", "verification_not_computable", "analysis_ge_1"])
 def test_synthesize_rejected_controller_exits_1(monkeypatch, capsys, name, fake):
-    monkeypatch.setattr(f"dropstab.cli.{name}", fake)
+    monkeypatch.setattr(f"dropstab.stabilizability.{name}", fake)
     code, out, err = run_cli(
         ["synthesize", EXAMPLE, "--probs", "0.158,0.0128"], capsys)
     assert code == 1

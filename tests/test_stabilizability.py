@@ -39,6 +39,7 @@ from dropstab.numkernel import eigenvalues, spectral_radius
 from dropstab.stabilizability import (
     ChannelSpec,
     GammaScaling,
+    NotCertified,
     ScalingProblem,
     certificate_value,
     closed_loop_map,
@@ -64,6 +65,7 @@ from dropstab.statespace import (
     minimal,
     parallel,
     realize,
+    scale_io,
     subsystem,
     transmission_zeros,
 )
@@ -630,15 +632,16 @@ def test_mp_supremum_rejects_nmp(example_ss):
 
 def _design_pieces(plant, zeros, channels, gamma):
     """A design and the factors ``bez`` and Youla parameter ``Q`` it was
-    built from, rebuilt by the calls ``synthesize`` makes; they must give
-    the design's controller exactly."""
+    built from, rebuilt by the calls ``synthesize`` makes on the plant with
+    the success rates applied; they must give the design's controller
+    exactly."""
     design = synthesize(plant, zeros, channels, gamma)
-    Gmu = design.plant_mu
+    Gmu = scale_io(plant, None, np.diag(channels.mu))
     form = wonham_decompose(Gmu, tuple(range(Gmu.n_inputs)))
     bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu))
     Q = synthesize_Q(Gmu, bez, design.gamma_true, zeros)
     assert same_model(controller(bez, Q), design.K)
-    return design, bez, Q
+    return design, Gmu, bez, Q
 
 
 def test_synthesis_meets_phi_cost(example_ss):
@@ -647,9 +650,9 @@ def test_synthesis_meets_phi_cost(example_ss):
     # measure's diagonal
     ch = ChannelSpec([0.01, 0.005])
     gamma_free = np.array([1.0, 1.0])
-    design, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, gamma_free)
+    design, Gmu, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, gamma_free)
     g_true = design.gamma_true
-    Y = coprime_family(design.plant_mu, bez.F, bez.L).Y
+    Y = coprime_family(Gmu, bez.F, bez.L).Y
     assert Q.order == 0 or spectral_radius(Q.A) < 1.0
     assert np.max(np.abs(Q.A.imag)) == 0.0
 
@@ -668,19 +671,19 @@ def test_synthesis_siso_hits_exact_optimum():
     plant = _siso([1.0, -1.5], [1.0, -2.5, 1.0])
     ch = ChannelSpec([0.015])
     design = synthesize(plant, (1.5,), ch, np.array([1.0]))
-    T = closed_loop_map(design.plant_mu, design.K)
+    T = closed_loop_map(scale_io(plant, None, np.diag(ch.mu)), design.K)
     assert_allclose(h2_norm_sq(T), 48.0, rtol=1e-9)
-    assert ms_radius(t_hat(T), ch) < 1.0
+    assert design.analysis_radius < 1.0
 
 
 def test_synthesis_minimum_phase_channel():
     plant = _siso([1.0], [1.0, -2.0])
     ch = ChannelSpec([0.2])
     design = synthesize(plant, (None,), ch, np.array([1.0]))
-    T = closed_loop_map(design.plant_mu, design.K)
+    T = closed_loop_map(scale_io(plant, None, np.diag(ch.mu)), design.K)
     # cost lambda^2 - 1 exactly; radius sigma^2 (lambda^2 - 1) = 0.75
     assert_allclose(h2_norm_sq(T), 3.0, rtol=1e-9)
-    assert_allclose(ms_radius(t_hat(T), ch), 0.75, rtol=1e-9)
+    assert_allclose(design.analysis_radius, 0.75, rtol=1e-9)
 
 
 def test_closed_loop_map_rejects_feedthrough():
@@ -691,8 +694,8 @@ def test_closed_loop_map_rejects_feedthrough():
 
 def test_controller_central_form(example_ss):
     ch = ChannelSpec([0.01, 0.005])
-    design, bez, _ = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
-    Gmu, F, L = design.plant_mu, bez.F, bez.L
+    _, Gmu, bez, _ = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
+    F, L = bez.F, bez.L
     K0 = controller(bez, constant_system(np.zeros((2, 2))))
     manual = StateSpaceModel(Gmu.A - Gmu.B @ F - L @ Gmu.C, L, -F, np.zeros((2, 2)))
     for s in (1.4 + 0.2j, -0.9, 2.8):
@@ -707,15 +710,48 @@ def test_controller_central_form(example_ss):
 
 def test_controller_matches_fraction_formula(example_ss):
     ch = ChannelSpec([0.02, 0.01])
-    design, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
+    design, Gmu, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.array([1.0, 1.0]))
     K = design.K
-    fam = coprime_family(design.plant_mu, bez.F, bez.L)
+    fam = coprime_family(Gmu, bez.F, bez.L)
     den = parallel(bez.Xt, cascade(Q, bez.Nt), sign=-1.0)
     num = parallel(fam.Yt, cascade(Q, fam.Mt), sign=-1.0)
     for s in (1.9 + 0.4j, -1.6, 0.3 + 0.8j):
         want = np.linalg.solve(evaluate(den, s), evaluate(num, s))
         diff = np.max(np.abs(evaluate(K, s) - want))
         assert diff < 1e-8 * (1.0 + np.max(np.abs(want)))
+
+
+def test_synthesis_record_is_the_hand_chain_bit_for_bit(example_ss):
+    # the search's tame certificate, re-checked, designed at and verified
+    # by the calls themselves, on the synthesize command's example
+    ch = ChannelSpec([0.158, 0.0128])
+    design, Gmu, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, None)
+    gamma = membership(example_ss, EXAMPLE_ZEROS, ch).tame_certificate.gamma
+    assert np.array_equal(design.gamma, gamma)
+    K = controller(bez, Q)   # design.K, entry for entry
+    assert design.value == certificate_value(example_ss, EXAMPLE_ZEROS, gamma, ch.p)
+    assert design.analysis_radius == ms_radius(t_hat(closed_loop_map(Gmu, K)), ch)
+    assert design.verification_radius == second_moment_radius(assemble(example_ss, K, ch))
+
+
+def test_synthesize_negative_verdicts_are_not_certified(example_ss):
+    with pytest.raises(NotCertified, match="dropout vector is not certified"):
+        synthesize(example_ss, EXAMPLE_ZEROS, ChannelSpec([0.5, 0.5]))
+    # a member, but only under a less balanced scaling than 1,1
+    ch = ChannelSpec([0.175, 0.012])
+    assert membership(example_ss, EXAMPLE_ZEROS, ch).member
+    with pytest.raises(NotCertified, match="supplied scaling does not certify"):
+        synthesize(example_ss, EXAMPLE_ZEROS, ch, np.ones(2))
+
+
+def test_synthesize_search_certificate_failing_its_recheck_is_an_error(example_ss, monkeypatch):
+    # the search certified p, so its own certificate failing the re-check is
+    # an error of the tool, not a verdict
+    monkeypatch.setattr("dropstab.stabilizability.certificate_value",
+                        lambda plant, zeros, gamma, p: 1.0)
+    with pytest.raises(ValueError, match="search's certificate fails") as info:
+        synthesize(example_ss, EXAMPLE_ZEROS, ChannelSpec([0.158, 0.0128]))
+    assert not isinstance(info.value, NotCertified)
 
 
 def test_synthesis_full_loop_stability_margin(example_ss):
@@ -726,11 +762,11 @@ def test_synthesis_full_loop_stability_margin(example_ss):
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     assert rep.member
     design = synthesize(example_ss, EXAMPLE_ZEROS, ch, rep.tame_certificate.gamma)
-    T = closed_loop_map(design.plant_mu, design.K)
-    assert spectral_radius(T.A) < 1.0
-    rad = ms_radius(t_hat(T), ch)
-    assert rad < 1.0
-    assert rad <= rep.best_value + 1e-6  # never worse than the certified level
+    assert design.loop.nominal_radius < 1.0
+    assert design.analysis_radius < 1.0
+    assert design.verification_radius < 1.0
+    # never worse than the certified level
+    assert design.analysis_radius <= rep.best_value + 1e-6
 
 
 def _complex_pair_plants():
@@ -753,23 +789,19 @@ def _complex_pair_plants():
 
 
 def _design_at_half_corner(plant):
-    """Channels at half the corner of the largest rectangle, certified, and
-    the controller synthesized at the tame certificate."""
+    """The design at half the corner of the largest rectangle, at the
+    search's tame certificate."""
     rects = rectangle_set(plant, (None, None))
     ch = ChannelSpec(0.5 * np.asarray(rects.vertices[int(np.argmax(rects.volumes))]))
-    rep = membership(plant, (None, None), ch)
-    assert rep.member
-    return ch, synthesize(plant, (None, None), ch, rep.tame_certificate.gamma)
+    return synthesize(plant, (None, None), ch)
 
 
 def test_synthesis_on_a_complex_unstable_pair():
     # the first 20 kept draws: each design passes both radii, as the
     # synthesize command requires
     for k, plant in itertools.islice(_complex_pair_plants(), 20):
-        ch, design = _design_at_half_corner(plant)
-        analysis = ms_radius(t_hat(closed_loop_map(design.plant_mu, design.K)), ch)
-        verify = second_moment_radius(assemble(plant, design.K, ch))
-        assert analysis < 1.0 and verify < 1.0, k
+        design = _design_at_half_corner(plant)
+        assert design.analysis_radius < 1.0 and design.verification_radius < 1.0, k
 
 
 def test_synthesis_on_a_complex_unstable_pair_known_failures():
@@ -780,12 +812,10 @@ def test_synthesis_on_a_complex_unstable_pair_known_failures():
     fixtures = {k: plant for k, plant in _complex_pair_plants() if k in (313, 348)}
     assert sorted(fixtures) == [313, 348]
     for k, plant in fixtures.items():
-        ch, design = _design_at_half_corner(plant)
+        design = _design_at_half_corner(plant)
         assert design.K.order == 6
         assert not design.K.A.imag.any(), k
-        analysis = ms_radius(t_hat(closed_loop_map(design.plant_mu, design.K)), ch)
-        verify = second_moment_radius(assemble(plant, design.K, ch))
-        assert analysis < 1.0 and verify < 1.0, k
+        assert design.analysis_radius < 1.0 and design.verification_radius < 1.0, k
 
 
 # --- second-moment pieces -----------------------------------------------------

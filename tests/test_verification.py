@@ -1,10 +1,14 @@
 """Tests for the second-moment analysis and the drop simulator."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import EXAMPLE_ZEROS, VERTEX_21, constant_system
+from dropstab import verification
 from dropstab.stabilizability import ChannelSpec, membership, synthesize
 from dropstab.statespace import StateSpaceModel
 from dropstab.verification import (
@@ -259,3 +263,27 @@ def test_benchmark_loop_detects_failure_beyond_the_region(example_ss):
     harsh = ChannelSpec([0.5, 0.5])
     rad = second_moment_radius(assemble(example_ss, K, harsh))
     assert rad > 1.0
+
+
+# --- independence ---------------------------------------------------------------
+
+def _package_modules(tree) -> set:
+    """The dropstab modules a module imports, by name; a name imported from
+    the package itself (``from . import config``) counts as that module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "dropstab." + (node.module or "") if node.level else node.module
+            paths = [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {path.split(".")[1] for path in paths if path.startswith("dropstab.")}
+    return found
+
+
+def test_verification_imports_no_synthesis_code():
+    # the checks share no code with the synthesis path they check
+    tree = ast.parse(Path(verification.__file__).read_text(encoding="utf-8"))
+    assert _package_modules(tree) == {"numkernel", "statespace"}
