@@ -83,7 +83,8 @@ def eigenvalues(M) -> np.ndarray:
         If the QR iteration fails to converge or the residual
         ``max_i ||M v_i - w_i v_i||_2`` over the solver's unit right
         eigenvectors exceeds ``config.EIG_RESIDUAL_TOL`` times
-        ``max(1, ||M||_2)``.
+        ``max(1, ||M||_2)``.  That factor is at least 1, so ``||M||_2`` (an
+        SVD) is computed only for a residual above the tolerance itself.
     """
     A = _as_matrix(M, "M", square=True)
     if A.shape[0] == 0:
@@ -95,10 +96,11 @@ def eigenvalues(M) -> np.ndarray:
     # numpy returns unit-norm eigenvector columns; the residual is then an
     # absolute backward-error figure.
     res = float(np.max(np.linalg.norm(A @ V - V * w, axis=0)))
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
-    if res > config.EIG_RESIDUAL_TOL * scale:
-        raise ValueError(f"eigenvalue residual {res:.3e} exceeds tolerance "
-                         f"{config.EIG_RESIDUAL_TOL * scale:.3e}")
+    if res > config.EIG_RESIDUAL_TOL:
+        scale = max(1.0, float(np.linalg.norm(A, 2)))
+        if res > config.EIG_RESIDUAL_TOL * scale:
+            raise ValueError(f"eigenvalue residual {res:.3e} exceeds tolerance "
+                             f"{config.EIG_RESIDUAL_TOL * scale:.3e}")
     return w[_canonical_order(w)]
 
 

@@ -357,9 +357,10 @@ class ScalingProblem:
     conj(lambda_k) - 1)``, and ``phi_jj = d_j u_j Pi(d)^{-1} u_j*``, where
     ``u_j`` is ``w_j`` times the channel weights ``(zeta_j conj(lambda_i) -
     1)/(conj(zeta_j) - conj(lambda_i))``, which are 1 on a clean channel.
-    The class stores the parts, shape (r, k, k) for k unstable poles, and
-    the rows ``u_j`` once, as the columns of ``U*`` (shape (k, r)), the
-    right-hand side of ``phi``'s solve; ``phi`` and ``crossing`` read both.
+    The class stores the parts, shape (r, k, k) for k unstable poles, with
+    their real-pair view (shape (r, k, 2k)), and the rows ``u_j`` once, as
+    the columns of ``U*`` (shape (k, r)), the right-hand side of ``phi``'s
+    solve; ``phi`` and ``crossing`` read both.
     The k left null vectors come from one stacked SVD of the matrices
     ``A - lambda_i I``.  On a clean
     channel of a decoupled plant ``phi_jj + 1 = prod |lambda_i|^2``.  The
@@ -379,6 +380,7 @@ class ScalingProblem:
     zeros: tuple
     _parts: np.ndarray = field(init=False, repr=False, compare=False)
     _rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    _parts_ri: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B = self.plant.A, self.plant.B
@@ -403,6 +405,7 @@ class ScalingProblem:
             W[:, i] = w / np.linalg.norm(w)
         kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
         object.__setattr__(self, "_parts", W.conj()[:, :, None] * W[:, None, :] * kernel)
+        object.__setattr__(self, "_parts_ri", self._parts.view(float))
         object.__setattr__(self, "_rhs", np.ascontiguousarray((W * weights).conj().T))
 
     def phi(self, gamma) -> np.ndarray:
@@ -417,21 +420,24 @@ class ScalingProblem:
         which runs the same LAPACK routine on each slice, and a forward
         substitution ``L Z = U*`` of k steps, one per pole, each an
         elementwise or ``einsum`` product over the rows; so every row equals
-        the value of that scaling alone.  No BLAS product (``@``, matmul)
+        the value of that scaling alone.  ``Pi(d)`` is a real einsum over the
+        parts' real pairs, which adds the same products in the same order as
+        the complex einsum of the real d.  No BLAS product (``@``, matmul)
         runs over the stack: a gemm rounds differently as the stack size
         changes, so forming ``Pi(d)`` as ``d @ parts`` would give rows that
         differ from their scalings alone.  Where the stacked factorization
         fails, the rows are valued one at a time.  A failed row, whose Pick
         matrix is not numerically positive definite or whose phi is not
-        finite, is ``inf`` in every entry."""
+        finite, is ``inf`` in every entry; the rows are masked only when
+        some entry is not finite."""
         g = np.asarray(gamma, dtype=float)
         if (g.ndim not in (1, 2) or g.shape[-1] != len(self.zeros)
-                or not np.all(np.isfinite(g) & (g > 0.0))):
+                or not (np.isfinite(g) & (g > 0.0)).all()):
             raise ValueError("gamma must hold one finite positive entry per channel")
         d = np.atleast_2d(g) ** -2.0
 
         def pick_phi(d):
-            L = np.linalg.cholesky(np.einsum("nj,jik->nik", d, self._parts))
+            L = np.linalg.cholesky(np.einsum("nj,jik->nik", d, self._parts_ri).view(complex))
             diag = L.diagonal(axis1=1, axis2=2).real
             # forward substitution L Z = U*, one pole per step over the stack
             Z = np.empty((len(self._rhs), len(d), d.shape[1]), dtype=complex)
@@ -439,7 +445,7 @@ class ScalingProblem:
                 if i:
                     rhs = rhs - np.einsum("nm,mnj->nj", L[:, i, :i], Z[:i])
                 Z[i] = rhs / diag[:, i, None]
-            return d * np.sum(np.abs(Z) ** 2, axis=0)
+            return d * (np.abs(Z) ** 2).sum(axis=0)
 
         try:
             phi = pick_phi(d)
@@ -450,7 +456,8 @@ class ScalingProblem:
                     phi[i] = pick_phi(d[i:i + 1])[0]
                 except np.linalg.LinAlgError:
                     continue
-        phi[~np.all(np.isfinite(phi), axis=1)] = math.inf
+        if not np.isfinite(phi).all():
+            phi[~np.all(np.isfinite(phi), axis=1)] = math.inf
         return phi if g.ndim == 2 else phi[0]
 
     def crossing(self, p) -> tuple:
@@ -497,10 +504,10 @@ class ScalingProblem:
             gap rises with x), d there, and the gap's slope in d."""
             d = 10.0 ** (-2.0 * np.asarray(x))
             den = rest + d[..., None] * theta
-            g = (p1 * (1.0 + np.sum(a / den, axis=-1))
-                 - p2 * (1.0 + d * np.sum(b / den, axis=-1)))
-            slope = -(p1 * np.sum(a * theta / den ** 2, axis=-1)
-                      + p2 * np.sum(b * rest / den ** 2, axis=-1))
+            g = (p1 * (1.0 + (a / den).sum(axis=-1))
+                 - p2 * (1.0 + d * (b / den).sum(axis=-1)))
+            slope = -(p1 * (a * theta / den ** 2).sum(axis=-1)
+                      + p2 * (b * rest / den ** 2).sum(axis=-1))
             return g, d, slope
 
         axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
@@ -586,7 +593,9 @@ def membership(plant: StateSpaceModel, zeros,
         update the incumbent, the tame key and the failure count; returns
         the values."""
         nonlocal best_val, best_x, best_phi, tame_key, failures
-        X = np.clip(X, config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
+        # ndarray methods run the same reductions as np.max and the like,
+        # without the function wrappers' per-call cost
+        X = X.clip(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
         gammas = np.empty((len(X), r))
         gammas[:, 0] = 1.0
         gammas[:, 1:] = 10.0 ** X
@@ -597,19 +606,19 @@ def membership(plant: StateSpaceModel, zeros,
             # a failed row is infinite, not valued from its phi: 0 * inf is
             # nan where p_j = 0
             with np.errstate(invalid="ignore"):
-                vals = np.max(p * (phis + 1.0), axis=1)
+                vals = (p * (phis + 1.0)).max(axis=1)
             vals[failed] = math.inf
             failures += n_failed
         else:
-            vals = np.max(p * (phis + 1.0), axis=1)
-        first = int(np.argmin(vals))
+            vals = (p * (phis + 1.0)).max(axis=1)
+        first = int(vals.argmin())
         if vals[first] < best_val:
             # copies: a row of the stack would keep the whole stack alive
             best_val, best_x, best_phi = (float(vals[first]), X[first].copy(),
                                           phis[first].copy())
-        cert = np.flatnonzero(vals < 1.0 - config.MEMBER_GUARD)
+        cert = (vals < 1.0 - config.MEMBER_GUARD).nonzero()[0]
         if cert.size:
-            extent = np.max(np.abs(X[cert]), axis=1, initial=0.0)
+            extent = np.abs(X).max(axis=1, initial=0.0)[cert]
             # the key compares extent first: a round whose least extent
             # exceeds the tame key's holds no better key
             if tame_key is None or extent.min() <= tame_key[0]:

@@ -9,6 +9,8 @@ digests in ``perfbench/reference.json``.
 """
 
 import ast
+import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -187,3 +189,46 @@ def test_example_session_bytes_match_reference(tmp_path):
     for name, (code, digest) in got.items():
         assert code == 0, name
         assert digest == want[name], name
+
+
+def _report_bytes(report) -> bytes:
+    """Every field of a membership report as bytes: floats and arrays by
+    their bits, the search log by its sorted items, the Pick data the search
+    ran on by its parts and rows."""
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "member", "best_value", "certificate", "bounds", "search_log",
+        "problem", "tame_certificate"]
+    tame = report.tame_certificate
+    return b"|".join([
+        repr(report.member).encode(),
+        float(report.best_value).hex().encode(),
+        report.certificate.gamma.tobytes(),
+        report.bounds.tobytes(),
+        repr(sorted(report.search_log.items())).encode(),
+        report.problem._parts.tobytes() + report.problem._rhs.tobytes(),
+        b"None" if tame is None else tame.gamma.tobytes(),
+    ])
+
+
+#: SHA-256 of ``_report_bytes`` of the search-family verdicts of seeds 1-3,
+#: parts 0-2, each two-channel op followed by its ``sweep_bounds`` array
+SEARCH_DIGEST = "ee2c8ea901d2f281acb182214467451f87d20e859efb2388bc3713464bddcb16"
+
+
+@pytest.mark.skipif(not _reference_blas(),
+                    reason="the search digest was recorded with OpenBLAS 0.3.31 "
+                           "on x86-64; other BLAS builds round differently")
+def test_search_reports_match_reference(monkeypatch):
+    # the gamma search bit for bit: every field of 162 seeded membership
+    # reports (the search-family probes, 2 and 3 channels) and the 108
+    # two-channel sweeps; the same bits under one and two BLAS threads
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for part in (0, 1, 2):
+            for plant, zeros, channels, _ in worker.SearchFamily(seed, part, None, True).ops:
+                digest.update(_report_bytes(stabilizability.membership(plant, zeros, channels)))
+                if channels.r == 2:
+                    digest.update(stabilizability.sweep_bounds(plant, zeros).tobytes())
+    assert digest.hexdigest() == SEARCH_DIGEST

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -83,15 +85,19 @@ def test_eigenvalues_similarity_invariance():
 def test_eigenvalues_residual_gate_scales_by_the_spectral_norm(monkeypatch):
     # the gate accepts exactly when the residual is at most the tolerance
     # times max(1, ||A||_2); the eigensolver is made to return each
-    # eigenvalue off by delta, so the residual is delta
+    # eigenvalue off by delta, so the residual is delta.  Below ||A||_2 = 1
+    # the scale is 1
     rng = np.random.default_rng(8)
     eig = np.linalg.eig
     for n in (2, 3, 5):
-        for diagonal in (True, False):
+        for diagonal, small in itertools.product((True, False), repeat=2):
             d = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-1.0, 3.0)
+            if small:
+                d *= 0.9 / np.max(np.abs(d))
             Q = np.eye(n) if diagonal else np.linalg.qr(rng.standard_normal((n, n)))[0]
             A = Q @ np.diag(d) @ Q.T
             scale = max(1.0, np.linalg.norm(A, 2))
+            assert scale == 1.0 or not small
             delta = 1e-4 * scale
             w, V = eig(A)
             monkeypatch.setattr(np.linalg, "eig", lambda M, w=w, V=V: (w + delta, V))

@@ -431,6 +431,83 @@ def test_membership_failed_rows_are_infinite_without_nan(example_ss, monkeypatch
     assert rep.member and np.array_equal(rep.tame_certificate.gamma, ref_tame)
 
 
+def test_real_pair_einsum_equals_the_complex_einsum():
+    # phi forms Pi(d) = sum_j d_j B_j over the real pairs of the Hermitian
+    # parts; that adds the same products in the same order as the complex
+    # einsum, which first casts the real d to complex, so the two agree in
+    # every bit, signed zeros included, over stacks of 1 to 729 rows
+    rng = np.random.default_rng(37)
+    for _ in range(400):
+        r, k, n = int(rng.integers(1, 6)), int(rng.integers(1, 8)), int(rng.integers(1, 730))
+        W = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        lam = rng.uniform(1.05, 3.0, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+        parts = W.conj()[:, :, None] * W[:, None, :] / (lam[:, None] * lam.conj() - 1.0)
+        d = 10.0 ** rng.uniform(-12.0, 12.0, (n, r))
+        pairs = np.einsum("nj,jik->nik", d, parts.view(float)).view(complex)
+        assert np.array_equal(pairs.view(np.uint64),
+                              np.einsum("nj,jik->nik", d, parts).view(np.uint64))
+    problem = _random_problem(0, 3)
+    assert problem._parts_ri.shape == (3, 3, 6)
+    assert np.shares_memory(problem._parts_ri, problem._parts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nonfinite_phi_rows_are_infinite_and_counted(example_ss, monkeypatch):
+    # a row whose Pick factor succeeds but whose phi is not finite (inf or
+    # nan, no LinAlgError) is inf in every entry, though its other channel
+    # is finite; membership counts it as a failure, also with p_1 = 0,
+    # where valuing it would be 0 * inf, without a numeric warning
+    problem = ScalingProblem(example_ss, EXAMPLE_ZEROS)
+    gammas = np.array([[1.0, 0.1], [1.0, 1.0], [1.0, 10.0]])
+    finite = problem.phi(gammas)
+    assert np.all(np.isfinite(finite))
+    for bad in (np.inf, np.nan):
+        rhs = problem._rhs.copy()
+        rhs[-1, 1] = bad
+        poisoned = ScalingProblem(example_ss, EXAMPLE_ZEROS)
+        object.__setattr__(poisoned, "_rhs", rhs)
+        # the last substitution step divides inf by the factor's diagonal
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(poisoned.phi(gammas), np.full(gammas.shape, np.inf))
+            assert np.array_equal(poisoned.phi(gammas[1]), [np.inf, np.inf])
+    # the factor's last row left of its diagonal is nan at every gamma_2
+    # above 1e4, as the d_2 = gamma_2^-2 read off its first entry tells
+    # (phi's last step then runs on nan quietly); the search must then run
+    # as if phi failed those rows itself, bit for bit
+    B1, B2 = problem._parts[:, 0, 0].real
+    cholesky, masks = np.linalg.cholesky, []
+
+    def nan_factor(a):
+        L = cholesky(a)
+        if L.ndim == 2:   # the pencil's B_1 + B_2
+            return L
+        bad = (a[:, 0, 0].real - B1) / B2 < 1e-8
+        L[bad, -1, :-1] = np.nan
+        masks.append(bad)
+        return L
+
+    ch = ChannelSpec([0.0, 0.9 * VERTEX_12[1]])
+    monkeypatch.setattr(np.linalg, "cholesky", nan_factor)
+    rep = membership(example_ss, EXAMPLE_ZEROS, ch)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    failures = int(sum(np.count_nonzero(m) for m in masks))
+    assert rep.search_log["objective_failures"] == failures > 0
+    phi, replay = ScalingProblem.phi, iter(masks)
+
+    def failing(self, gamma):
+        out = phi(self, gamma)
+        np.atleast_2d(out)[next(replay)] = np.inf
+        return out
+
+    monkeypatch.setattr(ScalingProblem, "phi", failing)
+    ref = membership(example_ss, EXAMPLE_ZEROS, ch)
+    assert next(replay, None) is None
+    assert rep.search_log == ref.search_log
+    assert rep.best_value == ref.best_value and rep.member == ref.member
+    assert np.array_equal(rep.certificate.gamma, ref.certificate.gamma)
+    assert np.array_equal(rep.tame_certificate.gamma, ref.tame_certificate.gamma)
+
+
 def _off_grid(phi, also=()):
     """phi failing (inf in every entry) at every grid point (each log10
     gamma a multiple of 1/2) and at the free scalings ``also``."""
