@@ -552,8 +552,11 @@ def validate_assumption(plant: TransferMatrix):
             rest.remove(min(close, key=lambda w: abs(w - z)))
     worst = max(rest, key=abs, default=0.0)
     if abs(worst) >= 1.0 - config.UNIT_CIRCLE_BAND:
-        # a repeated zero splits by about sqrt(eps); its copies' mean is accurate
-        worst = np.mean(_near(worst, tz))
+        # a zero of multiplicity m splits by about eps^(1/m), 1e-5 relative
+        # or more from m = 3 on; the mean of its copies within the square
+        # root of the cluster tolerance is accurate, and only the message shows it
+        tol = config.ROOT_CLUSTER_TOL ** 0.5 * max(1.0, abs(worst))
+        worst = np.mean([w for w in tz if abs(w - worst) <= tol])
         real = real_part(worst)
         shown = complex(worst.real, abs(worst.imag)) if real is None else real.item()
         raise AssumptionViolation(

@@ -836,15 +836,21 @@ class NotCertified(ValueError):
 
 @dataclass(frozen=True)
 class Synthesis:
-    """A certified, designed and checked loop."""
+    """A certified, designed and checked loop; its analysis radius is read
+    from the T-hat of ``closed_loop_map`` on the success-scaled plant and K."""
 
     gamma: np.ndarray           # success-absorbed certificate designed at
     value: float                # its certificate_value, below one
     gamma_true: np.ndarray      # plant-side scaling
     K: StateSpaceModel          # the controller
     loop: StochasticClosedLoop  # plant and K closed through the lossy channels
-    analysis_radius: float      # ms_radius of the loop map's T-hat
+    t_hat: np.ndarray           # T-hat of the loop map
     verification_radius: float  # second_moment_radius of the loop
+
+    @property
+    def analysis_radius(self) -> float:
+        """``ms_radius`` of the loop map's T-hat."""
+        return ms_radius(self.t_hat, self.loop.channels)
 
 
 def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec,
@@ -855,8 +861,9 @@ def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec,
     certificate) must pass ``certificate_value``.  The plant's inputs are
     then scaled by ``1 - p``, factored over the identity channel ordering,
     and the optimal parameter is built at the plant-side scaling ``gamma *
-    (1 - p)`` (normalized), as in the paper's synthesis.  The radii are
-    returned, not judged.  Raises NotCertified where the search finds no
+    (1 - p)`` (normalized), as in the paper's synthesis.  The record keeps
+    the loop map's T-hat, from which the analysis radius is read.  The radii
+    are returned, not judged.  Raises NotCertified where the search finds no
     certificate or ``gamma`` fails the re-check, and ValueError where the
     search's own certificate fails it, the design fails, or a radius
     cannot be computed.
@@ -881,14 +888,14 @@ def synthesize(plant: StateSpaceModel, zeros, channels: ChannelSpec,
     form = wonham_decompose(Gmu, tuple(range(plant.n_inputs)))
     bez = bezout(Gmu, wonham_gain(form), observer_gain(Gmu))
     K = controller(bez, synthesize_Q(Gmu, bez, gamma_true, zeros))
-    analysis_radius = ms_radius(t_hat(closed_loop_map(Gmu, K)), channels)
+    T = t_hat(closed_loop_map(Gmu, K))
     loop = assemble(plant, K, channels)
     try:
         verification_radius = second_moment_radius(loop)
     except ValueError as exc:
         raise ValueError(f"controller order {K.order}: verification radius not "
                          f"computable ({exc}); no controller is printed") from exc
-    return Synthesis(gamma, value, gamma_true, K, loop, analysis_radius, verification_radius)
+    return Synthesis(gamma, value, gamma_true, K, loop, T, verification_radius)
 
 
 def closed_loop_map(plant: StateSpaceModel, K: StateSpaceModel) -> StateSpaceModel:

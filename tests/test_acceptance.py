@@ -305,8 +305,7 @@ def _attainment_deviation(plant, zeros, ch, report, gamma) -> float:
     norms of its closed-loop map); zero for the optimal parameter."""
     design = synthesize(plant, zeros, ch, gamma)
     gt = design.gamma_true
-    T = t_hat(closed_loop_map(scale_io(plant, None, np.diag(ch.mu)), design.K))
-    c = np.sum((gt[:, None] / gt[None, :]) ** 2 * T, axis=0)
+    c = np.sum((gt[:, None] / gt[None, :]) ** 2 * design.t_hat, axis=0)
     phi = report.problem.phi(gamma)
     return float(np.max(np.abs(c - phi) / phi))
 

@@ -635,11 +635,18 @@ def _radius_not_computable(loop):
     raise ValueError("loop order exceeds the exact-analysis cap")
 
 
+def _cleanup_refused(Q):
+    # without the Hankel cleanup the controller at 0.158,0.0128 has order
+    # 26, beyond what the exact verification radius can take
+    raise ValueError("Gramian not computable")
+
+
 @pytest.mark.parametrize("name, fake", [
     ("second_moment_radius", lambda loop: 1.5),
     ("second_moment_radius", _radius_not_computable),
     ("ms_radius", lambda that, channels: 1.5),
-], ids=["verification_ge_1", "verification_not_computable", "analysis_ge_1"])
+    ("balanced_truncate", _cleanup_refused),
+], ids=["verification_ge_1", "verification_not_computable", "analysis_ge_1", "cleanup_refused"])
 def test_synthesize_rejected_controller_exits_1(monkeypatch, capsys, name, fake):
     monkeypatch.setattr(f"dropstab.stabilizability.{name}", fake)
     code, out, err = run_cli(

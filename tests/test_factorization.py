@@ -409,6 +409,22 @@ def test_validate_assumption_rejects_nmp_core():
         validate_assumption(tf)
 
 
+@pytest.mark.parametrize("core, shown", [
+    (np.poly([-2.0] * 3), "-2"),
+    (np.poly([2.5] * 3), "2.5"),
+    (np.poly([-1.7] * 3), "-1.7"),
+    (np.poly([2.0 + 1.0j, 2.0 - 1.0j, 0.1]), r"2\+1j"),
+])
+def test_validate_assumption_prints_the_core_zero(core, shown):
+    # det G = core(z) / z^5; a triple zero splits by about 3.5e-5 relative,
+    # and the message averages its copies, while a complex pair stays complex
+    c = tuple(np.polyadd([1.0, 0.0, 0.0, 0.0], core.real))
+    tf = TransferMatrix(num=(((1.0,), (1.0,)), ((1.0,), c)),
+                        den=(((1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0))))
+    with pytest.raises(AssumptionViolation, match=rf"non-minimum-phase zero at {shown}$"):
+        validate_assumption(tf)
+
+
 def test_validate_assumption_unstable_shared_pole_cleared(example_tf):
     # clearing denominators by their least common multiple must NOT invent common
     # zeros out of the other cells' poles; this plant's column-1 cells share

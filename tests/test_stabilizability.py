@@ -671,8 +671,7 @@ def test_synthesis_siso_hits_exact_optimum():
     plant = _siso([1.0, -1.5], [1.0, -2.5, 1.0])
     ch = ChannelSpec([0.015])
     design = synthesize(plant, (1.5,), ch, np.array([1.0]))
-    T = closed_loop_map(scale_io(plant, None, np.diag(ch.mu)), design.K)
-    assert_allclose(h2_norm_sq(T), 48.0, rtol=1e-9)
+    assert_allclose(design.t_hat, [[48.0]], rtol=1e-9)
     assert design.analysis_radius < 1.0
 
 
@@ -680,9 +679,8 @@ def test_synthesis_minimum_phase_channel():
     plant = _siso([1.0], [1.0, -2.0])
     ch = ChannelSpec([0.2])
     design = synthesize(plant, (None,), ch, np.array([1.0]))
-    T = closed_loop_map(scale_io(plant, None, np.diag(ch.mu)), design.K)
     # cost lambda^2 - 1 exactly; radius sigma^2 (lambda^2 - 1) = 0.75
-    assert_allclose(h2_norm_sq(T), 3.0, rtol=1e-9)
+    assert_allclose(design.t_hat, [[3.0]], rtol=1e-9)
     assert_allclose(design.analysis_radius, 0.75, rtol=1e-9)
 
 
@@ -721,6 +719,25 @@ def test_controller_matches_fraction_formula(example_ss):
         assert diff < 1e-8 * (1.0 + np.max(np.abs(want)))
 
 
+def test_synthesize_q_skips_a_peak_gain_point_it_cannot_evaluate(example_ss, monkeypatch):
+    # the peak gain only scales the cancellation check: with any one of its
+    # five unit-circle points refused, the parameter is the same, bit for bit
+    ch = ChannelSpec([0.12, 0.01])
+    design, Gmu, bez, Q = _design_pieces(example_ss, EXAMPLE_ZEROS, ch, np.ones(2))
+    for theta in np.linspace(0.0, np.pi, 5):
+        refused = []
+
+        def evaluate_but(sys, s, point=np.exp(1j * theta)):
+            if s == point:
+                refused.append(s)
+                raise ValueError("singular at the point")
+            return evaluate(sys, s)
+
+        monkeypatch.setattr("dropstab.stabilizability.evaluate", evaluate_but)
+        assert same_model(synthesize_Q(Gmu, bez, design.gamma_true, EXAMPLE_ZEROS), Q)
+        assert len(refused) == 1, theta
+
+
 def test_synthesis_record_is_the_hand_chain_bit_for_bit(example_ss):
     # the search's tame certificate, re-checked, designed at and verified
     # by the calls themselves, on the synthesize command's example
@@ -730,7 +747,9 @@ def test_synthesis_record_is_the_hand_chain_bit_for_bit(example_ss):
     assert np.array_equal(design.gamma, gamma)
     K = controller(bez, Q)   # design.K, entry for entry
     assert design.value == certificate_value(example_ss, EXAMPLE_ZEROS, gamma, ch.p)
-    assert design.analysis_radius == ms_radius(t_hat(closed_loop_map(Gmu, K)), ch)
+    that = t_hat(closed_loop_map(Gmu, K))
+    assert np.array_equal(design.t_hat, that)
+    assert design.analysis_radius == ms_radius(that, ch)
     assert design.verification_radius == second_moment_radius(assemble(example_ss, K, ch))
 
 
@@ -752,6 +771,32 @@ def test_synthesize_search_certificate_failing_its_recheck_is_an_error(example_s
     with pytest.raises(ValueError, match="search's certificate fails") as info:
         synthesize(example_ss, EXAMPLE_ZEROS, ChannelSpec([0.158, 0.0128]))
     assert not isinstance(info.value, NotCertified)
+
+
+def _refused_cleanup(Q):
+    raise ValueError("Gramian not computable")
+
+
+def test_synthesize_q_falls_back_to_the_uncleaned_parameter(example_ss, monkeypatch):
+    # when the Hankel cleanup raises, synthesize_Q returns the parameter as
+    # reduced by the staircase: on example1 the tame design at 0.12,0.01
+    # still verifies, with the same controller transfer function, while the
+    # other two designs exceed the exact-analysis cap and are refused
+    ch = ChannelSpec([0.12, 0.01])
+    cleaned = synthesize(example_ss, EXAMPLE_ZEROS, ch).K
+    monkeypatch.setattr("dropstab.stabilizability.balanced_truncate", _refused_cleanup)
+    design = synthesize(example_ss, EXAMPLE_ZEROS, ch)
+    assert design.K.order == 15
+    assert design.analysis_radius < 1.0 and design.verification_radius < 1.0
+    for s in (1.3 + 0.4j, -1.7, 0.2 + 0.9j):
+        want = evaluate(cleaned, s)
+        assert np.max(np.abs(evaluate(design.K, s) - want)) < 1e-8 * (1.0 + np.max(np.abs(want)))
+    for probs, order, loop_order in (([0.158, 0.0128], 26, 32), ([0.05, 0.02], 33, 39)):
+        with pytest.raises(ValueError) as info:
+            synthesize(example_ss, EXAMPLE_ZEROS, ChannelSpec(probs))
+        assert str(info.value) == (
+            f"controller order {order}: verification radius not computable (closed-loop "
+            f"order {loop_order} exceeds the exact-analysis cap 30); no controller is printed")
 
 
 def test_synthesis_full_loop_stability_margin(example_ss):

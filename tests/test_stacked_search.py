@@ -610,6 +610,30 @@ def test_membership_falls_back_when_the_pencil_cannot_be_formed(example_ss, monk
     assert np.array_equal(rep.tame_certificate.gamma, ref_tame)
 
 
+def test_membership_falls_back_when_the_pencil_factorization_fails(example_ss, monkeypatch):
+    # crossing's own Cholesky of B_1 + B_2 is the one 2-D factorization of
+    # the search (phi factors a 3-D stack); where it fails, the stencil runs
+    ch = ChannelSpec([0.12, 0.01])
+    cholesky, failed = np.linalg.cholesky, []
+
+    def failing(a):
+        if np.ndim(a) == 2:
+            failed.append(a)
+            raise np.linalg.LinAlgError("injected failure")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    rep = membership(example_ss, EXAMPLE_ZEROS, ch)
+    assert len(failed) == 1
+    log = rep.search_log
+    assert log["refine"] == "stencil"
+    assert log["refine_fallback"].startswith("no pencil point: B_1 + B_2 factorization failed")
+    ref_val, ref_cert, ref_tame, _ = _pointwise_search(rep.problem.phi, ch.p)
+    assert rep.best_value == ref_val
+    assert np.array_equal(rep.certificate.gamma, ref_cert)
+    assert np.array_equal(rep.tame_certificate.gamma, ref_tame)
+
+
 def _two_channel_probes(monkeypatch, n_sets):
     """Seeded 2-channel plants of the search-family structures, each probed
     at a uniform(0.5, 1.5) multiple of its largest rectangle's corner."""
