@@ -25,13 +25,12 @@ import numpy as np
 
 from . import config
 from .factorization import AssumptionViolation, validate_assumption
-from .numkernel import channel_zero
+from .numkernel import channel_zero, eigenvalues, unstable_part
 from .stabilizability import (
     ChannelSpec,
     GammaScaling,
     NotCertified,
     membership,
-    mp_supremum,
     rectangle_set,
     sweep_bounds,
     synthesize,
@@ -123,11 +122,11 @@ def load_model(path: str) -> ModelFile:
 
     The file carries ``name``, ``format`` ("tf" or "ss"), exactly one of a
     ``tf`` block (``num``/``den`` coefficient grids in descending powers of
-    z) or an ``ss`` block (``A``/``B``/``C``/``D`` row-major), and an
-    optional ``channel_zeros`` list overriding zero detection.  Transfer-
+    z) or an ``ss`` block (``A``/``B``/``C``/``D`` row-major).  Transfer-
     function models are checked against the admissible model class and
-    their per-channel unstable zeros detected; state-space models must
-    supply ``channel_zeros`` explicitly and be strictly proper.
+    their per-channel unstable zeros detected, and may not declare
+    ``channel_zeros``; state-space models must be strictly proper and
+    declare ``channel_zeros``, which are taken as given.
 
     Raises
     ------
@@ -147,6 +146,9 @@ def load_model(path: str) -> ModelFile:
         raise ValueError(f"{path}: format '{fmt}' needs a {fmt} block and no other")
 
     if fmt == "tf":
+        if "channel_zeros" in raw:
+            raise ValueError(f"{path}: a tf model's channel_zeros are detected, "
+                             "not declared")
         body = raw["tf"]
         if not isinstance(body, dict):
             raise ValueError(f"{path}: tf must be an object with num/den")
@@ -155,8 +157,7 @@ def load_model(path: str) -> ModelFile:
             tf = TransferMatrix(num=num, den=den)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad transfer matrix ({exc})") from exc
-        detected, plant = validate_assumption(tf)
-        r = plant.n_inputs
+        zeros, plant = validate_assumption(tf)
     else:
         body = raw["ss"]
         if not isinstance(body, dict):
@@ -177,19 +178,14 @@ def load_model(path: str) -> ModelFile:
         if np.max(np.abs(D), initial=0.0) != 0.0:
             raise ValueError(f"{path}: model must be strictly proper (D = 0)")
         plant = StateSpaceModel(A, B, C, D)
-        detected = None
-
-    if "channel_zeros" in raw:
+        if "channel_zeros" not in raw:
+            raise ValueError(f"{path}: state-space models need explicit "
+                             "channel_zeros")
         zl = raw["channel_zeros"]
         if not isinstance(zl, list) or len(zl) != r or any(isinstance(z, list) for z in zl):
             raise ValueError(f"{path}: channel_zeros must list {r} numbers or nulls")
         zeros = tuple(None if z is None else _numbers(z, path, "channel_zeros").item()
                       for z in zl)
-    elif fmt == "tf":
-        zeros = detected
-    else:
-        raise ValueError(f"{path}: state-space models need explicit "
-                         "channel_zeros")
     for z in zeros:
         if z is not None:
             try:
@@ -432,19 +428,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_supremum(args) -> int:
     model = load_model(args.model)
-    try:
-        sup = mp_supremum(model.plant, model.zeros)
-    except ValueError as exc:
-        if all(z is None for z in model.zeros):
-            raise
-        raise ValueError(f"{exc}; run the rects command for this model") from exc
-    print(f"model: {model.name}")
-    print(f"unstable poles: {', '.join(_fmt_c(v) for v in sup.unstable) or 'none'}")
-    print(f"simultaneous-dropout supremum, squared-product rule "
-          f"(used for verdicts): {_fmt(sup.derived_bound)}")
-    print(f"simultaneous-dropout supremum, linear-product rule "
-          f"(for comparison): {_fmt(sup.stated_bound)}")
+    if any(z is not None for z in model.zeros):
+        raise ValueError("plant is not minimum phase: use the rectangle analysis; "
+                         "run the rects command for this model")
+    unstable = unstable_part(eigenvalues(model.plant.A), "plant pole", repeats=True)
+    # every rectangle of a minimum-phase plant has the volume prod |lambda|^-2
     rects = rectangle_set(model.plant, model.zeros)
+    sup = max(rects.volumes)
+    print(f"model: {model.name}")
+    print(f"unstable poles: {', '.join(_fmt_c(v) for v in unstable) or 'none'}")
+    print(f"simultaneous-dropout supremum, squared-product rule "
+          f"(used for verdicts): {_fmt(sup)}")
+    print(f"simultaneous-dropout supremum, linear-product rule "
+          f"(for comparison): {_fmt(sup ** 0.5)}")
     for k, form in enumerate(rects.forms):
         order = ", ".join(str(c + 1) for c in form.ordering)
         levels = ", ".join(_fmt(v) for v in rects.vertices[k])

@@ -98,7 +98,6 @@ from .verification import StochasticClosedLoop, assemble, second_moment_radius
 __all__ = [
     "ChannelSpec",
     "GammaScaling",
-    "MpSupremum",
     "NotCertified",
     "RectangleSet",
     "ScalingProblem",
@@ -108,7 +107,6 @@ __all__ = [
     "closed_loop_map",
     "controller",
     "membership",
-    "mp_supremum",
     "ms_radius",
     "phi_diag_entry",
     "rectangle_set",
@@ -207,13 +205,6 @@ class RectangleSet:
     volumes: tuple
 
 
-@dataclass(frozen=True)
-class MpSupremum:
-    derived_bound: float    # prod |lambda_i|^{-2}, used by every internal check
-    stated_bound: float     # prod |lambda_i|^{-1}, reported alongside
-    unstable: tuple         # the unstable poles lambda_i, in canonical order
-
-
 # ---------------------------------------------------------------------------
 # the phi diagonal
 
@@ -304,34 +295,17 @@ def rectangle_set(plant: StateSpaceModel, zeros) -> RectangleSet:
 
 
 def union_membership(rects: RectangleSet, p) -> tuple:
-    """First rectangle covering p (closed comparison), or (False, None)."""
+    """First rectangle whose guarded interior ``p < v (1 - MEMBER_GUARD)``
+    holds p, or (False, None): the rule ``membership`` and ``region`` apply
+    to a certificate, so a point on or near a corner is not covered."""
     p = np.asarray(p, dtype=float).reshape(-1)
     r = rects.vertices[0].size
     if p.size != r:
         raise ValueError(f"need {r} dropout probabilities, got {p.size}")
     for idx, v in enumerate(rects.vertices):
-        # closed inequality with a rounding guard so exact corners count
-        if np.all(p <= v + 1e-12 * (1.0 + np.abs(v))):
+        if np.all(p < v * (1.0 - config.MEMBER_GUARD)):
             return True, idx
     return False, None
-
-
-def mp_supremum(plant: StateSpaceModel, zeros) -> MpSupremum:
-    """Critical simultaneous-dropout level for minimum-phase plants.
-
-    Raises
-    ------
-    ValueError
-        If any channel carries an unstable zero (not minimum phase), or a
-        plant pole lies within ``UNIT_CIRCLE_BAND`` of the unit circle.
-    """
-    if any(z is not None for z in zeros):
-        raise ValueError("plant is not minimum phase: use the rectangle analysis")
-    unstable = tuple(unstable_part(eigenvalues(plant.A), "plant pole", repeats=True))
-    moduli = np.abs(unstable)
-    return MpSupremum(derived_bound=_channel_bound(moduli, None),
-                      stated_bound=1.0 / float(np.prod(moduli)),
-                      unstable=unstable)
 
 
 # ---------------------------------------------------------------------------

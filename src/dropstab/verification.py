@@ -153,6 +153,8 @@ def exact_moment_trace(loop: StochasticClosedLoop, steps: int) -> np.ndarray:
     Iterates the covariance recursion from the deterministic start
     ``P_0 = e_0 e_0'`` and returns ``trace(P_t)`` for t = 0..steps.
     """
+    if steps < 0:
+        raise ValueError("need steps >= 0")
     x0 = _start(loop)
     P = np.outer(x0, x0)
     A, B, C = loop.A, loop.noise_in, loop.noise_out

@@ -69,7 +69,13 @@ def test_load_example_realizes_the_plant_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_load_rejects_malformed(tmp_path):
+def _ss_payload(plant, zeros):
+    """An ss model file holding ``plant``'s realization and the ``zeros``."""
+    ss = {name: np.real(getattr(plant, name)).tolist() for name in ("A", "B", "C", "D")}
+    return {"name": "ss", "format": "ss", "ss": ss, "channel_zeros": zeros}
+
+
+def test_load_rejects_malformed(tmp_path, example_ss):
     bad = [
         {"format": "tf", "tf": {"num": [[[1]]], "den": [[[1, -2]]]}},
         {"name": "x", "format": "zpk", "tf": {}},
@@ -89,11 +95,13 @@ def test_load_rejects_malformed(tmp_path):
     example = json.loads(files("dropstab").joinpath("data/example1.json")
                          .read_text(encoding="utf-8"))
     named = [
-        (dict(example, channel_zeros=[float("nan"), None]),
+        (dict(example, channel_zeros=[-2.0, 1.5]),
+         "a tf model's channel_zeros are detected, not declared"),
+        (_ss_payload(example_ss, [float("nan"), None]),
          "channel_zeros has non-finite entries"),
-        (dict(example, channel_zeros=[float("inf"), None]),
+        (_ss_payload(example_ss, [float("inf"), None]),
          "channel_zeros has non-finite entries"),
-        (dict(example, channel_zeros=[10 ** 400, None]),
+        (_ss_payload(example_ss, [10 ** 400, None]),
          "channel_zeros has non-finite entries"),
         ({"name": "x", "format": "tf",
           "tf": {"num": [[[float("nan")]]], "den": [[[1, -2]]]}},
@@ -103,9 +111,9 @@ def test_load_rejects_malformed(tmp_path):
          "tf.den has non-finite entries"),
         ({"name": "x", "format": "tf", "tf": {"num": [[[1]]], "den": [[[]]]}},
          "tf.den must be a non-empty nested list of numbers"),
-        (dict(example, channel_zeros=["a", None]),
+        (_ss_payload(example_ss, ["a", None]),
          "channel_zeros must hold numbers, got 'a'"),
-        (dict(example, channel_zeros=[[3], None]),
+        (_ss_payload(example_ss, [[3], None]),
          "channel_zeros must list 2 numbers or nulls"),
         ({"name": "x", "format": "ss", "channel_zeros": [None],
           "ss": {"B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}},
@@ -139,7 +147,7 @@ def test_load_rejects_malformed(tmp_path):
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_model(path)
     # a zero within the unit-circle band fails at load, not in synthesis
-    near = _write(tmp_path, "near.json", dict(example, channel_zeros=[1.0 + 1e-12, None]))
+    near = _write(tmp_path, "near.json", _ss_payload(example_ss, [1.0 + 1e-12, None]))
     with pytest.raises(ValueError, match=re.escape(
             f"{near}: channel zero (1.000000000001+0j) must lie at least 1e-9 "
             "outside the unit circle")):
@@ -263,12 +271,7 @@ def test_file_numbers_must_be_json_numbers(tmp_path, scalar_mp, capsys, keys, sp
 
 
 def test_ss_format_matches_tf(tmp_path, example_ss, capsys):
-    ss = {name: np.real(getattr(example_ss, name)).tolist()
-          for name in ("A", "B", "C", "D")}
-    path = _write(tmp_path, "ss.json", {
-        "name": "example1-ss", "format": "ss", "ss": ss,
-        "channel_zeros": [-2.0, 1.5],
-    })
+    path = _write(tmp_path, "ss.json", _ss_payload(example_ss, [-2.0, 1.5]))
     code, out, _ = run_cli(["rects", path], capsys)
     assert code == 0
     assert "vertex: (0.1758, 0.0142)" in out
@@ -362,6 +365,21 @@ def test_analyze_not_found(capsys):
     assert code == 2
     assert "rectangle union: not covered" in out
     assert "scaling search: not found" in out
+
+
+@pytest.mark.parametrize("probs, union, code", [
+    ("0.25", "not covered", 2),
+    ("0.2499999999", "not covered", 2),
+    ("0.2499999", "member (decomposition 1)", 0),
+])
+def test_analyze_rectangle_certifies_its_guarded_interior(scalar_mp, capsys, probs, union,
+                                                          code):
+    # the corner of 1/(z - 2) is 0.25, where rho = 1: a rectangle certifies
+    # p < 0.25 (1 - MEMBER_GUARD), the rule of the scaling search
+    got, out, _ = run_cli(["analyze", scalar_mp, "--probs", probs], capsys)
+    assert got == code
+    assert f"rectangle union: {union}\n" in out
+    assert ("scaling search: member\n" in out) == (code == 0)
 
 
 def test_analyze_zero_probs_trivially_member(capsys):

@@ -1,5 +1,5 @@
 """The README's command transcripts, run through the CLI, and its Library
-block, run as a script.
+block, run as a script, and its module references.
 
 Each ```text block that starts with ``$ dropstab`` is one command line
 followed by its exact stdout.  ``$EXAMPLE`` stands for the packaged
@@ -7,6 +7,7 @@ example1.json, and every model file the README shows inline as a ```json
 block is available under ``<name>.json``.
 """
 
+import importlib
 import json
 import re
 import shlex
@@ -58,3 +59,17 @@ def test_readme_library_block():
     assert same_model(scope["plant"], model.plant)
     assert scope["zeros"] == pytest.approx(model.zeros)
     assert scope["report"].member
+
+
+MODULES = ("numkernel", "statespace", "factorization", "stabilizability",
+           "verification", "cli", "config")
+
+
+def test_readme_module_references_resolve():
+    # every `<module>.<name>` the README names is an attribute of that module
+    refs = set(re.findall(rf"`({'|'.join(MODULES)})\.(\w+)`",
+                          README.read_text(encoding="utf-8")))
+    assert len(refs) >= 14
+    missing = [f"{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"dropstab.{module}"), name)]
+    assert missing == []

@@ -45,7 +45,6 @@ from dropstab.stabilizability import (
     closed_loop_map,
     controller,
     membership,
-    mp_supremum,
     ms_radius,
     phi_diag_entry,
     rectangle_set,
@@ -182,8 +181,9 @@ def test_union_membership_spots(example_ss):
     assert union_membership(rects, (0.17, 0.012)) == (True, 1)
     # dominated by neither rectangle even though each coordinate fits one
     assert union_membership(rects, (0.17, 0.02)) == (False, None)
-    # the corner itself is inside (closed comparison)
-    assert union_membership(rects, VERTEX_12) == (True, 0)
+    # the corner itself is not certified: a rectangle certifies only its
+    # guarded interior p < v (1 - MEMBER_GUARD), as the search does
+    assert union_membership(rects, VERTEX_12) == (False, None)
 
 
 @pytest.mark.parametrize("p", [(0.01,), (0.01, 0.01, 0.01)], ids=["short", "long"])
@@ -329,13 +329,13 @@ def test_phi_closed_form_complex_poles():
 
 
 def test_phi_clean_channels_meet_the_product_bound():
-    # phi + 1 = prod |lambda|^2 on a clean channel: the paper's bound, which
-    # mp_supremum reports as its reciprocal
+    # phi + 1 = prod |lambda|^2 on a clean channel: the paper's bound, whose
+    # reciprocal is the rectangle's volume that supremum reports
     plant = _siso([1.0], [1.0, -0.5, -3.0])   # poles 2 and -1.5
-    sup = mp_supremum(plant, (None,))
+    (volume,) = rectangle_set(plant, (None,)).volumes
     phi = ScalingProblem(plant, (None,)).phi(np.ones(1))
     assert_allclose(phi + 1.0, [9.0], rtol=1e-12)
-    assert_allclose(phi + 1.0, [1.0 / sup.derived_bound], rtol=1e-12)
+    assert_allclose(phi + 1.0, [1.0 / volume], rtol=1e-12)
     # decoupled: each channel carries its own pole at every scaling
     g = realize(TransferMatrix(
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
@@ -602,30 +602,30 @@ def test_sweep_bounds_covers_benchmark(example_ss):
 # --- minimum-phase supremum --------------------------------------------------
 
 def test_mp_supremum_single_pole():
+    # a clean plant's supremum is its rectangle's volume, prod |lambda|^-2
     plant = _siso([1.0], [1.0, -2.0])
-    sup = mp_supremum(plant, (None,))
-    assert_allclose(sup.derived_bound, 0.25, rtol=1e-12)
-    assert_allclose(sup.stated_bound, 0.5, rtol=1e-12)
+    (volume,) = rectangle_set(plant, (None,)).volumes
+    assert_allclose(volume, 0.25, rtol=1e-12)
+    assert_allclose(volume ** 0.5, 0.5, rtol=1e-12)
     below = membership(plant, (None,), ChannelSpec([0.99 * 0.25]))
     above = membership(plant, (None,), ChannelSpec([1.01 * 0.25]))
     assert below.member and not above.member
 
 
 def test_mp_supremum_multi_pole_product():
+    # decoupled: each channel carries its own pole, and the rectangle's
+    # volume is the product over both, prod |lambda|^-2
     g = realize(TransferMatrix(
         num=(((1.0,), (0.0,)), ((0.0,), (1.0,))),
         den=(((1.0, -2.0), (1.0,)), ((1.0,), (1.0, 1.5))),
     ))
-    sup = mp_supremum(g, (None, None))
-    assert_allclose(sup.derived_bound, 1.0 / 9.0, rtol=1e-9)
-    assert_allclose(sup.stated_bound, 1.0 / 3.0, rtol=1e-9)
-    assert_allclose(sorted(np.abs(sup.unstable)), [1.5, 2.0], atol=1e-9)
-    assert_allclose(sorted(np.real(sup.unstable)), [-1.5, 2.0], atol=1e-9)
-
-
-def test_mp_supremum_rejects_nmp(example_ss):
-    with pytest.raises(ValueError, match="minimum phase"):
-        mp_supremum(example_ss, EXAMPLE_ZEROS)
+    rects = rectangle_set(g, (None, None))
+    for form, volume in zip(rects.forms, rects.volumes):
+        assert_allclose(volume, 1.0 / 9.0, rtol=1e-9)
+        assert_allclose(volume ** 0.5, 1.0 / 3.0, rtol=1e-9)
+        poles = [lam for channel in form.lambda_by_channel().values() for lam in channel]
+        assert_allclose(sorted(np.real(poles)), [-1.5, 2.0], atol=1e-9)
+        assert_allclose(np.imag(poles), 0.0, atol=1e-9)
 
 
 # --- synthesis ----------------------------------------------------------------

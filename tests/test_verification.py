@@ -10,7 +10,13 @@ from numpy.testing import assert_allclose
 from conftest import EXAMPLE_ZEROS, VERTEX_21, constant_system
 from dropstab import verification
 from dropstab.stabilizability import ChannelSpec, membership, synthesize
-from dropstab.statespace import StateSpaceModel
+from dropstab.statespace import (
+    StateSpaceModel,
+    TransferMatrix,
+    place_single_input,
+    realize,
+    stable_part,
+)
 from dropstab.verification import (
     StochasticClosedLoop,
     assemble,
@@ -234,6 +240,53 @@ def test_monte_carlo_memory_guard():
     loop = _scalar_loop(0.5, 0.0, 0.1)
     with pytest.raises(ValueError, match="bytes"):
         monte_carlo_trace(loop, 10 ** 7, trials=10 ** 4)
+
+
+@pytest.mark.parametrize("steps", [-1, -2])
+def test_traces_reject_a_negative_step_count(steps):
+    loop = _scalar_loop(0.5, 0.0, 0.1)
+    with pytest.raises(ValueError, match="need steps >= 0"):
+        exact_moment_trace(loop, steps)
+    with pytest.raises(ValueError, match="need steps >= 0"):
+        monte_carlo_trace(loop, steps, trials=1)
+
+
+# --- order zero ----------------------------------------------------------------
+
+def _stable_part_of_a_static_model():
+    model = constant_system([[1.0, 2.0], [3.0, 4.0]])
+    part, dropped = stable_part(model)
+    assert part is model and dropped == 0.0
+
+
+def _placement_without_states():
+    gain = place_single_input(np.zeros((0, 0)), np.zeros(0), [])
+    assert gain.shape == (0,)
+
+
+def _realization_of_a_constant():
+    g = realize(TransferMatrix(num=(((2.0,), (0.0,)), ((0.0,), (3.0,))),
+                               den=(((1.0,), (1.0,)), ((1.0,), (1.0,)))))
+    assert g.order == 0
+    assert np.array_equal(g.D, [[2.0, 0.0], [0.0, 3.0]])
+
+
+def _static_loop():
+    loop = assemble(constant_system(np.zeros((2, 2))), constant_system(0.5 * np.eye(2)),
+                    ChannelSpec([0.1, 0.2]))
+    assert loop.order == 0
+    assert second_moment_radius(loop) == 0.0
+    assert np.array_equal(exact_moment_trace(loop, 3), np.zeros(4))
+    assert np.array_equal(monte_carlo_trace(loop, 3, trials=2), np.zeros(4))
+
+
+@pytest.mark.parametrize("case", [
+    _stable_part_of_a_static_model, _placement_without_states,
+    _realization_of_a_constant, _static_loop,
+], ids=lambda case: case.__name__.strip("_"))
+def test_order_zero_early_returns(case):
+    # each early return for a model without states gives the trivial answer
+    case()
 
 
 # --- end to end against the synthesis path -------------------------------------
