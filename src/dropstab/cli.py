@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .factorization import AssumptionViolation, validate_assumption
+from .factorization import AssumptionViolation, _near, validate_assumption
 from .numkernel import channel_zero, eigenvalues, unstable_part
 from .stabilizability import (
     ChannelSpec,
@@ -36,7 +36,7 @@ from .stabilizability import (
     synthesize,
     union_membership,
 )
-from .statespace import StateSpaceModel, TransferMatrix
+from .statespace import StateSpaceModel, TransferMatrix, minimal, transmission_zeros
 from .verification import assemble, exact_moment_trace, monte_carlo_trace
 
 __all__ = ["ModelFile", "load_model", "main"]
@@ -117,6 +117,36 @@ def _count(d, key, path) -> int:
     return v
 
 
+def _check_declared_zeros(path, plant: StateSpaceModel, zeros) -> None:
+    """Each zero an ss file declares must be a zero of the realization: a
+    transmission zero of its minimal part by ``validate_assumption``'s rule,
+    within ``ROOT_CLUSTER_TOL * max(1, |zeta|)``, and a zero of its own
+    column, where the column pencil ``[[zeta I - A, -b_j], [C, 0]]`` has a
+    smallest singular value within the same distance (at most the distance
+    to the column's nearest zero).  ValueError naming the file, the channel
+    and the zero, with the margin it missed by."""
+    declared = [(j, z) for j, z in enumerate(zeros) if z is not None]
+    if not declared:
+        return
+    tz = transmission_zeros(minimal(plant)).tolist()
+    n, r = plant.order, plant.n_inputs
+    for j, z in declared:
+        tol = config.ROOT_CLUSTER_TOL * max(1.0, abs(z))
+        where = f"{path}: channel {j + 1} declares the zero {z:g}"
+        if not _near(z, tz):
+            dist = min((abs(t - z) for t in tz), default=float("inf"))
+            raise ValueError(f"{where}, which is not a transmission zero of the "
+                             f"realization (nearest at distance {dist:.3g}, "
+                             f"tolerance {tol:.3g})")
+        pencil = np.block([[z * np.eye(n) - plant.A, -plant.B[:, [j]]],
+                           [plant.C, np.zeros((r, 1))]])
+        sigma = float(np.linalg.svd(pencil, compute_uv=False)[-1])
+        if not sigma <= tol:
+            raise ValueError(f"{where}, which is not a zero of its column "
+                             f"(column pencil singular value {sigma:.3g}, "
+                             f"tolerance {tol:.3g})")
+
+
 def load_model(path: str) -> ModelFile:
     """Read and validate a JSON model file.
 
@@ -126,12 +156,14 @@ def load_model(path: str) -> ModelFile:
     function models are checked against the admissible model class and
     their per-channel unstable zeros detected, and may not declare
     ``channel_zeros``; state-space models must be strictly proper and
-    declare ``channel_zeros``, which are taken as given.
+    declare ``channel_zeros``, each a zero of the realization and of its
+    own column (``null`` for a clean channel).
 
     Raises
     ------
     ValueError
-        Malformed file or inconsistent shapes.
+        Malformed file, inconsistent shapes, or a declared ss zero that the
+        realization does not have.
     AssumptionViolation
         Transfer-function model outside the admissible class.
     """
@@ -192,6 +224,8 @@ def load_model(path: str) -> ModelFile:
                 channel_zero(z, ())
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
+    if fmt == "ss":
+        _check_declared_zeros(path, plant, zeros)
     return ModelFile(name=name, plant=plant, zeros=zeros)
 
 

@@ -51,16 +51,20 @@ def _canonical_order(w: np.ndarray) -> np.ndarray:
     angle tiebreak actually fires for conjugate pairs (whose computed moduli
     differ in the last ulp).  Angles of numerically-real values are snapped
     to exactly 0 or pi first, eliminating the +/-pi branch noise of values
-    like ``-1.5 - 1e-17j``.
+    like ``-1.5 - 1e-17j``.  Where no two moduli are tied, every value is a
+    group of its own, and the modulus order is returned as it stands.
     """
     mods = np.abs(w)
-    ang = np.angle(w)
-    real_mask = np.abs(w.imag) <= 1e-12 * (mods + 1.0)
-    ang = np.where(real_mask, np.where(w.real < 0.0, np.pi, 0.0), ang)
     tol = 1e-9 * max(1.0, float(mods.max(initial=0.0)))
     order = np.argsort(mods, kind="stable")
     m = mods[order]
-    group = np.cumsum(np.diff(m, prepend=m[:1]) > tol)
+    steps = m[1:] - m[:-1] > tol
+    if steps.all():
+        return order
+    ang = np.angle(w)
+    real_mask = np.abs(w.imag) <= 1e-12 * (mods + 1.0)
+    ang = np.where(real_mask, np.where(w.real < 0.0, np.pi, 0.0), ang)
+    group = np.concatenate(([0], np.cumsum(steps)))
     return order[np.lexsort((m, ang[order], group))]
 
 
@@ -95,7 +99,7 @@ def eigenvalues(M) -> np.ndarray:
         raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
     # numpy returns unit-norm eigenvector columns; the residual is then an
     # absolute backward-error figure.
-    res = float(np.max(np.linalg.norm(A @ V - V * w, axis=0)))
+    res = float(np.linalg.norm(A @ V - V * w, axis=0).max())
     if res > config.EIG_RESIDUAL_TOL:
         scale = max(1.0, float(np.linalg.norm(A, 2)))
         if res > config.EIG_RESIDUAL_TOL * scale:
@@ -110,14 +114,16 @@ def unstable_part(values, what: str, repeats: bool = False) -> np.ndarray:
     of the circle or, unless ``repeats``, two unstable ones within
     ``ZERO_SEPARATION_TOL``."""
     values = np.asarray(values)
-    if np.any(np.abs(np.abs(values) - 1.0) < config.UNIT_CIRCLE_BAND):
+    mods = np.abs(values)
+    if (np.abs(mods - 1.0) < config.UNIT_CIRCLE_BAND).any():
         raise ValueError(f"{what} within 1e-9 of the unit circle")
-    out = values[np.abs(values) > 1.0]
-    if repeats:
+    out = values[mods > 1.0]
+    if repeats or out.size < 2:
         return out
-    gaps = np.abs(out[:, None] - out[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if np.any(gaps <= config.ZERO_SEPARATION_TOL):
+    # every value is within the tolerance of itself: a pair is close when
+    # more than the diagonal is
+    close = np.abs(out[:, None] - out[None, :]) <= config.ZERO_SEPARATION_TOL
+    if np.count_nonzero(close) > out.size:
         raise ValueError(f"repeated unstable {what}: not supported")
     return out
 
@@ -129,7 +135,7 @@ def channel_zero(zero, poles) -> complex:
     z = complex(zero)
     if abs(z) - 1.0 < config.UNIT_CIRCLE_BAND:
         raise ValueError(f"channel zero {z} must lie at least 1e-9 outside the unit circle")
-    if np.min(np.abs(np.asarray(poles) - z), initial=np.inf) < 1e-9 * max(1.0, abs(z)):
+    if np.abs(np.asarray(poles) - z).min(initial=np.inf) < 1e-9 * max(1.0, abs(z)):
         raise ValueError(f"channel zero {z} collides with a pole")
     return z
 

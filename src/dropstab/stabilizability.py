@@ -18,10 +18,11 @@ Two complementary certificates are computed:
   lexicographic order.  With two channels the Pick matrix is linear in
   ``gamma_2^-2``, and one k-by-k generalized eigenproblem gives the
   scaling where the two channel terms cross (``ScalingProblem.crossing``,
-  plain Newton steps), the exact minimizer, after a log-spaced axis; with
-  three or more channels, or where that pencil fails, a stencil of points
-  around the incumbent, spanning the box at first and shrinking each
-  round, refines.
+  plain Newton steps), the exact minimizer, valued in one stack with a
+  log-spaced axis, the pencil's point last; with three or more channels,
+  or where that pencil fails (the axis is then valued alone), a stencil of
+  points around the incumbent, spanning the box at first and shrinking
+  each round, refines.
 
 ``phi_jj`` is the diagonal of the all-pass factor of the scaled coprime
 factor ``Gamma M Gamma^{-1}``.  The search evaluates it in closed form from
@@ -50,6 +51,7 @@ the diagonal of the square-root scaling with ``gamma_1 = 1``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -90,7 +92,7 @@ from .statespace import (
     stable_part,
     subsystem,
     zshift,
-    _ctrb_staircase,
+    _staircase_steps,
     _staircase_threshold,
 )
 from .verification import StochasticClosedLoop, assemble, second_moment_radius
@@ -175,7 +177,7 @@ class GammaScaling:
             raise ValueError("gamma must be normalized with gamma_1 = 1")
         lo = 10.0 ** config.GAMMA_LOG_MIN
         hi = 10.0 ** config.GAMMA_LOG_MAX
-        if not np.all((g >= lo * (1 - 1e-12)) & (g <= hi * (1 + 1e-12))):
+        if not ((g >= lo * (1 - 1e-12)) & (g <= hi * (1 + 1e-12))).all():
             raise ValueError(f"gamma entries must lie in [{lo:g}, {hi:g}]")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
@@ -312,6 +314,16 @@ def union_membership(rects: RectangleSet, p) -> tuple:
 # membership search
 
 
+@functools.cache
+def _stencil_offsets(ndim: int) -> np.ndarray:
+    """Every ndim-tuple of the stencil's ticks, in lexicographic order;
+    built once per channel count and read-only."""
+    ticks = np.arange(-(STENCIL_WIDTH // 2), STENCIL_WIDTH // 2 + 1, dtype=float)
+    offsets = np.stack(np.meshgrid(*[ticks] * ndim, indexing="ij"), -1).reshape(-1, ndim)
+    offsets.setflags(write=False)
+    return offsets
+
+
 @dataclass(frozen=True)
 class ScalingProblem:
     """A plant and its channel zeros: evaluates the diagonal ``phi`` of the
@@ -361,23 +373,26 @@ class ScalingProblem:
         n, r = self.plant.order, self.plant.n_inputs
         if len(self.zeros) != r:
             raise ValueError(f"need {r} channel zeros, got {len(self.zeros)}")
-        _, reached = _ctrb_staircase(A, B, _staircase_threshold([A, B]))
+        # the reachable dimension alone: the staircase's transform is not needed
+        reached = sum(k for _, k in _staircase_steps(A, B, _staircase_threshold([A, B])))
         if reached != n:
             raise ValueError(f"{reached} of {n} states are reachable: "
                              "pair (A, B) is uncontrollable")
         lam = unstable_part(eigenvalues(A), "plant pole")
+        lam_conj = lam.conj()
         weights = np.ones((r, lam.size), dtype=complex)
         for j, z in enumerate(self.zeros):
             if z is not None:
                 z = channel_zero(z, lam)
-                weights[j] = (z * np.conj(lam) - 1.0) / (np.conj(z) - np.conj(lam))
+                weights[j] = (z * lam_conj - 1.0) / (z.conjugate() - lam_conj)
         # one stacked SVD runs the same LAPACK routine on each A - lambda_i I
         U, _, _ = np.linalg.svd(A - lam[:, None, None] * np.eye(n))
         W = np.empty((r, lam.size), dtype=complex)
+        BH = B.conj().T
         for i in range(lam.size):
-            w = B.conj().T @ U[i][:, -1]
+            w = BH @ U[i][:, -1]
             W[:, i] = w / np.linalg.norm(w)
-        kernel = 1.0 / (lam[:, None] * np.conj(lam)[None, :] - 1.0)
+        kernel = 1.0 / (lam[:, None] * lam_conj[None, :] - 1.0)
         object.__setattr__(self, "_parts", W.conj()[:, :, None] * W[:, None, :] * kernel)
         object.__setattr__(self, "_parts_ri", self._parts.view(float))
         object.__setattr__(self, "_rhs", np.ascontiguousarray((W * weights).conj().T))
@@ -455,7 +470,8 @@ class ScalingProblem:
         positive or a step moves ``log10 gamma_2`` by at most
         ``CROSSING_XTOL``.  The pencil only proposes the point:
         ``membership`` values phi there by ``phi``'s stacked factorization,
-        the more accurate of the two near the box ends.  ValueError for
+        in one stack with the axis, the more accurate of the two near the
+        box ends.  ValueError for
         another channel count, or where ``B_1 + B_2`` is not numerically
         positive definite.
         """
@@ -470,18 +486,21 @@ class ScalingProblem:
         theta, Q = np.linalg.eigh(Linv @ B2 @ Linv.conj().T)
         V = Linv.conj().T @ Q
         a, b = (np.abs(self._rhs[:, j].conj() @ V) ** 2 for j in (0, 1))
-        theta = np.clip(theta, 0.0, 1.0)
+        theta = theta.clip(0.0, 1.0)
         rest = 1.0 - theta
+        # the slope's numerators, the same for every d
+        a_theta, b_rest = a * theta, b * rest
 
         def gap(x):
             """The gap at ``log10 gamma_2 = x`` (a point or an array; the
             gap rises with x), d there, and the gap's slope in d."""
             d = 10.0 ** (-2.0 * np.asarray(x))
             den = rest + d[..., None] * theta
+            den_sq = den ** 2
             g = (p1 * (1.0 + (a / den).sum(axis=-1))
                  - p2 * (1.0 + d * (b / den).sum(axis=-1)))
-            slope = -(p1 * (a * theta / den ** 2).sum(axis=-1)
-                      + p2 * (b * rest / den ** 2).sum(axis=-1))
+            slope = -(p1 * (a_theta / den_sq).sum(axis=-1)
+                      + p2 * (b_rest / den_sq).sum(axis=-1))
             return g, d, slope
 
         axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX,
@@ -491,7 +510,7 @@ class ScalingProblem:
             return float(axis[0]), 0
         if g[-1] <= 0.0:
             return float(axis[-1]), 0
-        i = int(np.argmax(g > 0.0))
+        i = int((g > 0.0).argmax())
         x, g, d, slope = float(axis[i]), g[i], d[i], slope[i]
         for steps in range(1, CROSSING_MAX_STEPS + 1):
             x_next = -0.5 * math.log10(d - g / slope)
@@ -530,10 +549,12 @@ def membership(plant: StateSpaceModel, zeros,
     evaluation (a row that phi fails is infinite and counted in
     ``search_log["objective_failures"]``), and moves its incumbent only to
     a stack's first minimum in lexicographic order, where that is strictly
-    better.  Two channels value a log-spaced axis (``"grid_points"``), then
-    the point ``ScalingProblem.crossing`` proposes (``"crossing_steps"``
-    logs its Newton steps).  Three or more channels, or two where the
-    pencil fails, run a shrinking stencil: 17
+    better.  Two channels call ``ScalingProblem.crossing`` first
+    (``"crossing_steps"`` logs its Newton steps) and value a log-spaced axis
+    (``"grid_points"``) and the point it proposes as one stack, the point
+    last, so that it becomes the incumbent only where it beats the whole
+    axis; where ``crossing`` raises, the axis is valued alone.  Three or
+    more channels, or two where the pencil fails, run a shrinking stencil: 17
     rounds of ``STENCIL_WIDTH`` points per axis around the incumbent,
     clipped to the box, whose step starts at ``(GAMMA_LOG_MAX -
     GAMMA_LOG_MIN) / (STENCIL_WIDTH - 1)``, so that the first round around
@@ -543,7 +564,8 @@ def membership(plant: StateSpaceModel, zeros,
     channel), ``"refine_fallback"`` why the pencil was not used and
     ``"refine_evals"`` counts the points after the axis.
     ``tame_certificate`` is the least extreme certifying point evaluated,
-    by ``(max |log10 gamma|, value, log10 gamma)``.
+    by ``(max |log10 gamma|, value, log10 gamma)``, picked once, after the
+    search, among the certifying rows of least extent that the stacks kept.
 
     Returns a report whose ``bounds`` are the per-channel admissible levels
     at the certificate; search exhaustion is reported as a non-member with
@@ -559,14 +581,17 @@ def membership(plant: StateSpaceModel, zeros,
     p = channels.p
     ndim = r - 1
     best_val, best_x, best_phi = math.inf, np.zeros(ndim), None
-    tame_key = None   # (max |x|, value, x) of the least extreme certifying point
+    # per stack that may hold the tame certificate: the least extent max |x|
+    # of its certifying rows, and its certifying rows at that extent with
+    # their values
+    certifying, tame_extent = [], math.inf
     failures = 0
 
     def scan(X):
         """Value the stack X of log10 scalings, clipped to the box, and
-        update the incumbent, the tame key and the failure count; returns
-        the values."""
-        nonlocal best_val, best_x, best_phi, tame_key, failures
+        update the incumbent, the certifying rows and the failure count;
+        returns the values."""
+        nonlocal best_val, best_x, best_phi, tame_extent, failures
         # ndarray methods run the same reductions as np.max and the like,
         # without the function wrappers' per-call cost
         X = X.clip(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX)
@@ -580,27 +605,34 @@ def membership(plant: StateSpaceModel, zeros,
             # a failed row is infinite, not valued from its phi: 0 * inf is
             # nan where p_j = 0
             with np.errstate(invalid="ignore"):
-                vals = (p * (phis + 1.0)).max(axis=1)
-            vals[failed] = math.inf
+                terms = p * (phis + 1.0)
             failures += n_failed
         else:
-            vals = (p * (phis + 1.0)).max(axis=1)
+            terms = p * (phis + 1.0)
+        # the row maximum column by column: the same maxima as a reduction
+        # along the rows, which costs more on rows this short
+        vals = terms[:, 0]
+        for j in range(1, r):
+            vals = np.maximum(vals, terms[:, j])
+        if n_failed:
+            vals[failed] = math.inf
         first = int(vals.argmin())
         if vals[first] < best_val:
             # copies: a row of the stack would keep the whole stack alive
             best_val, best_x, best_phi = (float(vals[first]), X[first].copy(),
                                           phis[first].copy())
-        cert = (vals < 1.0 - config.MEMBER_GUARD).nonzero()[0]
-        if cert.size:
-            extent = np.abs(X).max(axis=1, initial=0.0)[cert]
-            # the key compares extent first: a round whose least extent
-            # exceeds the tame key's holds no better key
-            if tame_key is None or extent.min() <= tame_key[0]:
-                i = np.lexsort((*X[cert].T[::-1], vals[cert], extent))[0]
-                k = cert[i]
-                key = (float(extent[i]), float(vals[k]), tuple(X[k]))
-                if tame_key is None or key < tame_key:
-                    tame_key = key
+        cert = vals < 1.0 - config.MEMBER_GUARD
+        if cert.any():
+            Xc = X[cert]
+            extent = np.abs(Xc).max(axis=1, initial=0.0)
+            least = extent.min()
+            # the tame certificate is of the least extent of all certifying
+            # rows: a stack whose least extent exceeds the least so far
+            # cannot hold it, nor a row beyond its stack's least extent
+            if least <= tame_extent:
+                tame_extent = least
+                keep = extent == least
+                certifying.append((least, Xc[keep], vals[cert][keep]))
         return vals
 
     log = {"grid_points": 0, "refine_evals": 0}
@@ -609,23 +641,24 @@ def membership(plant: StateSpaceModel, zeros,
         log["grid_points"], log["refine"] = 1, "none"
     elif r == 2:
         axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
-        scan(axis[:, None])
         log["grid_points"] = len(axis)
         try:
             x, log["crossing_steps"] = problem.crossing(p)
         except ValueError as exc:
             log["refine_fallback"] = f"no pencil point: {exc}"
+            scan(axis[:, None])
         else:
+            # the axis and the pencil's point in one stack, the point last:
+            # each row is valued as alone, and the first minimum takes the
+            # point only where it is strictly better than the whole axis
             log["refine_evals"] = 1
-            if scan(np.array([[x]]))[0] < math.inf:
+            if scan(np.append(axis, x)[:, None])[-1] < math.inf:
                 log["refine"] = "pencil"
             else:
                 log["refine_fallback"] = "phi failed at the pencil point"
     if "refine" not in log:
         log["refine"] = "stencil"
-        # every ndim-tuple of the ticks, in lexicographic order
-        ticks = np.arange(-(STENCIL_WIDTH // 2), STENCIL_WIDTH // 2 + 1, dtype=float)
-        offsets = np.stack(np.meshgrid(*[ticks] * ndim, indexing="ij"), -1).reshape(-1, ndim)
+        offsets = _stencil_offsets(ndim)
         # the first round from the box centre spans the box
         step = (config.GAMMA_LOG_MAX - config.GAMMA_LOG_MIN) / (STENCIL_WIDTH - 1)
         while step > STENCIL_STOP:
@@ -637,9 +670,15 @@ def membership(plant: StateSpaceModel, zeros,
                          "factorization does not admit the inner decomposition")
     log["objective_failures"] = failures
     member = bool(best_val < 1.0 - config.MEMBER_GUARD)
-    # the point that made a member verdict certifies, so tame_key is set then
-    tame = (GammaScaling(np.concatenate([[1.0], 10.0 ** np.asarray(tame_key[2])]))
-            if member else None)
+    tame = None
+    if member:
+        # the point that made a member verdict certifies, so some stack held
+        # a certifying row; of the rows at the least extent, the first in
+        # evaluation order with the least (value, x)
+        X = np.concatenate([rows for e, rows, _ in certifying if e == tame_extent])
+        vals = np.concatenate([v for e, _, v in certifying if e == tame_extent])
+        k = np.lexsort((*X.T[::-1], vals))[0]
+        tame = GammaScaling(np.concatenate([[1.0], 10.0 ** X[k]]))
     return StabilizabilityReport(
         member=member,
         best_value=best_val,

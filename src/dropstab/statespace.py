@@ -137,31 +137,41 @@ def _staircase_threshold(mats) -> float:
     return config.STAIRCASE_RTOL * scale
 
 
+def _staircase_steps(A: np.ndarray, B: np.ndarray, thr: float):
+    """The steps of the controllability staircase of (A, B): per step the
+    unitary U of the SVD of the current input block and the number k of
+    its singular values above ``thr``, the states the step reaches; they
+    end once every state is reached or a step reaches none."""
+    n = A.shape[0]
+    # read only: each step makes new arrays
+    Acur = np.asarray(A, dtype=complex)
+    Bcur = np.asarray(B, dtype=complex)
+    off = 0
+    while off < n:
+        U, s, _ = np.linalg.svd(Bcur, full_matrices=True)
+        k = int(np.count_nonzero(s > thr))
+        if k == 0:
+            return
+        yield U, k
+        off += k
+        # once every state is reached, the transformed A is not needed
+        if off < n:
+            Acur = U.conj().T @ Acur @ U
+            Bcur = Acur[k:, :k]
+            Acur = Acur[k:, k:]
+
+
 def _ctrb_staircase(A: np.ndarray, B: np.ndarray, thr: float):
     """Unitary T and controllable dimension nc with T*AT block-staircase.
 
     After the transform, ``(T* A T)[nc:, :nc]`` and ``(T* B)[nc:, :]`` vanish
     to within the rank threshold: the trailing block is unreachable.
     """
-    n = A.shape[0]
-    T = np.eye(n, dtype=complex)
-    if n == 0:
-        return T, 0
-    Acur = A.astype(complex)
-    Bcur = B.astype(complex)
+    T = np.eye(A.shape[0], dtype=complex)
     off = 0
-    while off < n:
-        U, s, _ = np.linalg.svd(Bcur, full_matrices=True)
-        k = int(np.sum(s > thr))
-        if k == 0:
-            break
+    for U, k in _staircase_steps(A, B, thr):
         T[:, off:] = T[:, off:] @ U
-        Acur = U.conj().T @ Acur @ U
         off += k
-        if off >= n:
-            break
-        Bcur = Acur[k:, :k]
-        Acur = Acur[k:, k:]
     return T, off
 
 

@@ -233,7 +233,10 @@ def _with_first(nested, value):
 
 _DOCUMENTS = {
     "tf": {"name": "x", "format": "tf", "tf": {"num": [[[1]]], "den": [[[1, -2]]]}},
-    "ss": {"name": "x", "format": "ss", "ss": _SS, "channel_zeros": [3.0]},
+    # (z - 3)/(z (z - 0.5)), whose one channel carries the zero it declares
+    "ss": {"name": "x", "format": "ss", "channel_zeros": [3.0],
+           "ss": {"A": [[0.5, 0.0], [1.0, 0.0]], "B": [[1.0], [0.0]],
+                  "C": [[1.0, -3.0]], "D": [[0.0]]}},
     "controller": {"controller": _CONTROLLER},
 }
 
@@ -268,6 +271,32 @@ def test_file_numbers_must_be_json_numbers(tmp_path, scalar_mp, capsys, keys, sp
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {path}: {field} must hold numbers, got {bad!r}\n"
+
+
+def test_ss_declared_zeros_are_checked_against_the_realization(tmp_path, example_ss, capsys):
+    # example1's realization with its zeros in order is a member at
+    # 0.12,0.01; declared swapped, each zero is still a transmission zero but
+    # not one of its own column, and the file is refused at load with the
+    # margin, instead of a silent "not found"
+    good = _write(tmp_path, "good.json", _ss_payload(example_ss, [-2.0, 1.5]))
+    code, out, _ = run_cli(["analyze", good, "--probs", "0.12,0.01"], capsys)
+    assert code == 0 and "scaling search: member" in out
+    swapped = _write(tmp_path, "swapped.json", _ss_payload(example_ss, [1.5, -2.0]))
+    code, out, err = run_cli(["analyze", swapped, "--probs", "0.12,0.01"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {swapped}: channel 1 declares the zero 1.5, which is "
+                          "not a zero of its column (column pencil singular value ")
+    assert err.endswith(", tolerance 1.5e-06)\n") and err.count("\n") == 1
+    # a zero the plant does not have at all, named with its distance to the
+    # nearest transmission zero
+    absent = _write(tmp_path, "absent.json", _ss_payload(example_ss, [-2.0, 3.0]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{absent}: channel 2 declares the zero 3, which is not a transmission "
+            "zero of the realization (nearest at distance 1.5, tolerance 3e-06)")):
+        load_model(absent)
+    # a zero within the tie tolerance of the true one still loads
+    close = _write(tmp_path, "close.json", _ss_payload(example_ss, [-2.0, 1.5 * (1 + 5e-7)]))
+    assert load_model(close).zeros == (-2.0, 1.5 * (1 + 5e-7))
 
 
 def test_ss_format_matches_tf(tmp_path, example_ss, capsys):
@@ -329,15 +358,17 @@ def test_rects_stable_plant(stable2, capsys):
 
 
 def test_rects_repeated_pole_in_one_channel(tmp_path, capsys):
-    # channel 1 carries the Jordan pair at 2, channel 2 the stable pole 0.5
+    # channel 1 carries the Jordan pair at 2, channel 2 the stable pole 0.5;
+    # the first output row puts channel 1's zero at 0, where the channel is
+    # clean, or at 3
     ss = {"A": [[2, 1, 0], [0, 2, 0], [0, 0, 0.5]],
           "B": [[0, 0], [1, 0], [0, 1]],
-          "C": [[1, 0.5, 0], [0, 0, 1]],
           "D": [[0, 0], [0, 0]]}
-    for zeros, vertex in (([None, None], (1.0 / 16.0, 1.0)),
-                          ([3.0, None], (1.0 / 3544.0, 1.0))):
+    for zeros, row, vertex in (([None, None], [1, 0.5, 0], (1.0 / 16.0, 1.0)),
+                               ([3.0, None], [-0.5, 0.5, 0], (1.0 / 3544.0, 1.0))):
         path = _write(tmp_path, "jordan.json", {
-            "name": "jordan", "format": "ss", "ss": ss, "channel_zeros": zeros})
+            "name": "jordan", "format": "ss", "channel_zeros": zeros,
+            "ss": dict(ss, C=[row, [0, 0, 1]])})
         model = load_model(path)
         rects = rectangle_set(model.plant, model.zeros)
         assert len(rects.vertices) == 1

@@ -71,6 +71,46 @@ def test_canonical_order_matches_grouping_loop():
         assert np.array_equal(_canonical_order(w), _grouping_loop_order(w)), w
 
 
+def _full_lexsort_order(w):
+    """The canonical order as one lexsort by (tie group, angle, modulus),
+    with no shortcut for spectra without ties."""
+    mods = np.abs(w)
+    real_mask = np.abs(w.imag) <= 1e-12 * (mods + 1.0)
+    ang = np.where(real_mask, np.where(w.real < 0.0, np.pi, 0.0), np.angle(w))
+    tol = 1e-9 * max(1.0, float(mods.max(initial=0.0)))
+    order = np.argsort(mods, kind="stable")
+    m = mods[order]
+    group = np.cumsum(np.diff(m, prepend=m[:1]) > tol)
+    return order[np.lexsort((m, ang[order], group))]
+
+
+def test_canonical_order_fast_path_matches_the_full_lexsort():
+    # a spectrum without ties returns its modulus order as it stands; both
+    # that path and the tie path must agree with the full lexsort
+    rng = np.random.default_rng(41)
+    untied = 0
+    spectra = [np.zeros(0, dtype=complex), np.array([-1.5 + 0j]), np.array([2j])]
+    for _ in range(500):
+        k = int(rng.integers(1, 7))
+        x = rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 3.0)
+        pair = x + 1j * rng.standard_normal(k)
+        spectra += [
+            x.astype(complex),                                   # distinct reals
+            np.concatenate([pair, pair.conj()]),                 # conjugate pairs
+            np.concatenate([x, x * (1.0 + rng.uniform(-2e-9, 2e-9, k))]) + 0j,  # near ties
+            np.array([complex(v, s) for v, s in zip(x, rng.choice([0.0, -0.0], k))]),
+            np.concatenate([x, -x]) + 0j,                         # +/- ties at angle 0, pi
+        ]
+    for w in spectra:
+        w = w[rng.permutation(w.size)]
+        want = _full_lexsort_order(w)
+        assert np.array_equal(_canonical_order(w), want), w
+        m = np.sort(np.abs(w))
+        untied += bool(np.all(np.diff(m) > 1e-9 * max(1.0, m.max(initial=0.0))))
+    # both paths ran
+    assert 0 < untied < len(spectra)
+
+
 def test_eigenvalues_similarity_invariance():
     rng = np.random.default_rng(20210)
     for _ in range(25):

@@ -541,7 +541,7 @@ def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch)
     # the bounds come from the search's own evaluation at its best
     # point, not from one more evaluation after the search; the search uses
     # the closed form only, and the certificate check one inner-outer split;
-    # the grid is one stacked call, each refinement point a call of its own
+    # the axis and the pencil's point are one stacked call
     phi = ScalingProblem.phi
     rows = []
 
@@ -554,10 +554,10 @@ def test_membership_evaluates_phi_once_per_search_point(example_ss, monkeypatch)
     ch = ChannelSpec([0.12, 0.01])
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     log = rep.search_log
-    # two channels: the grid, then the pencil's point alone
+    # two channels: the grid and the pencil's point, in one stack
     assert log["refine"] == "pencil" and log["refine_evals"] == 1
     assert sum(rows) == log["grid_points"] + log["refine_evals"]
-    assert rows[0] == log["grid_points"] and rows[1:] == [1] * log["refine_evals"]
+    assert rows == [log["grid_points"] + log["refine_evals"]]
     assert len(splits) == 0
     value = certificate_value(example_ss, EXAMPLE_ZEROS, rep.certificate.gamma, ch.p)
     assert len(splits) == 1

@@ -541,9 +541,9 @@ def test_membership_stencil_starts_at_origin_when_the_grid_fails(example_ss, mon
     monkeypatch.setattr(ScalingProblem, "phi", _recording(off_grid, stacks))
     rep = membership(example_ss, EXAMPLE_ZEROS, ch)
     log = rep.search_log
-    # the axis, then the stencil's rounds, around the origin while no value
-    # is finite
-    assert len(stacks[0]) == config.GAMMA_GRID_POINTS
+    # the axis with the pencil's point, then the stencil's rounds, around
+    # the origin while no value is finite
+    assert len(stacks[0]) == config.GAMMA_GRID_POINTS + 1
     assert_allclose(stacks[1], _stencil_round([0.0], 1.5), rtol=0, atol=1e-12)
     assert_allclose(stacks[2], _stencil_round([0.0], 1.5 / 4), rtol=0, atol=1e-12)
     assert log["refine"] == "stencil"
@@ -601,7 +601,8 @@ def test_membership_falls_back_when_the_pencil_cannot_be_formed(example_ss, monk
     # 17 rounds of 9 points, the first around the axis's best point, the
     # step shrinking from 1.5 to 1.5 / 4**16
     assert log["objective_failures"] == 0 and log["refine_evals"] == 17 * 9
-    assert len(stacks) == 18
+    # without a pencil point the axis is valued alone
+    assert len(stacks) == 18 and len(stacks[0]) == config.GAMMA_GRID_POINTS
     axis = np.linspace(config.GAMMA_LOG_MIN, config.GAMMA_LOG_MAX, config.GAMMA_GRID_POINTS)
     start = axis[int(np.argmin(np.max(_terms(rep.problem, ch.p, axis), axis=1)))]
     assert_allclose(stacks[1], _stencil_round([start], 1.5), rtol=0, atol=1e-12)
@@ -810,9 +811,10 @@ def _late_tame(monkeypatch):
 def test_membership_matches_pointwise_search(example_ss, monkeypatch, case):
     # the stencil runs at three channels; at two, the pencil's point, here
     # no better than the grid's incumbent, leaves the search's result as is.
-    # The scan skips a round whose certifying rows are all more extreme than
-    # the tame key; on the three-channel members that shortcut must still
-    # give the tame certificate of the point-by-point copy
+    # The tame certificate is picked once, after the search, among the
+    # certifying rows of least extent that each stack kept; on the
+    # three-channel members, one of them certifying only after the first
+    # round, it must be the tame certificate of the point-by-point copy
     plant, zeros, ch = {
         "inside": lambda: _three_channel(monkeypatch, 0.7),
         "outside": lambda: (example_ss, EXAMPLE_ZEROS, ChannelSpec([0.5, 0.5])),
@@ -906,7 +908,7 @@ def test_membership_bookkeeping_matches_the_evaluated_rows(example_ss, monkeypat
     # every row phi evaluates is collected: the tame certificate is the
     # least extreme certifying row by (max |x|, value, x), the bounds and the
     # best value are the certificate's own row, the r = 2 pencil path
-    # evaluates the 25 axis rows and the pencil's row alone, and at r >= 3
+    # evaluates the 25 axis rows and the pencil's row in one stack, and at r >= 3
     # the stencil's 17 rounds start with the box-spanning one
     if r == 2:
         plant, zeros, ch = example_ss, EXAMPLE_ZEROS, ChannelSpec([0.12, 0.01])
@@ -934,7 +936,7 @@ def test_membership_bookkeeping_matches_the_evaluated_rows(example_ss, monkeypat
     assert len(gammas) == log["grid_points"] + log["refine_evals"]
     if r == 2:
         assert log["refine"] == "pencil"
-        assert [len(g) for g, _ in calls] == [config.GAMMA_GRID_POINTS, 1]
+        assert [len(g) for g, _ in calls] == [config.GAMMA_GRID_POINTS + 1]
     else:
         assert log["refine"] == "stencil" and len(calls) == 17
         assert_allclose(np.log10(calls[0][0][:, 1:]), _stencil_round([0.0] * (r - 1), 1.5),
